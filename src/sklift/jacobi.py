@@ -38,6 +38,7 @@ from .characters import DirichletCharacter, parity_compatible, parse_character
 from .numtheory import (
     Scalar,
     cohen_h,
+    cyclotomic_polynomial,
     divisors,
     pow_fraction,
     sigma,
@@ -330,6 +331,12 @@ def mul_elliptic(phi: JacobiExpansion, f: JacobiExpansion) -> JacobiExpansion:
 
     The factor must have index 0 and trivial character at the same level;
     weights add.  Truncation is to the smaller n_max.
+
+    The convolution runs on integers: all values are written in Q(zeta_M),
+    M the lcm of their orders, and each factor's coordinates are scaled to
+    integers over one common denominator.  Products are accumulated
+    unreduced, so each output cell is reduced modulo Phi_M and divided by
+    the two denominators once.
     """
     if f.index != 0:
         raise ValueError("second factor must have index 0")
@@ -338,21 +345,50 @@ def mul_elliptic(phi: JacobiExpansion, f: JacobiExpansion) -> JacobiExpansion:
     if not f.character.is_trivial():
         raise ValueError("index-0 factor must carry the trivial character")
     n_max = min(phi.n_max, f.n_max)
+    order = lcm(1, *(c.order for _, c in phi.nonzero_items()),
+                *(c.order for _, c in f.nonzero_items()))
+    deg = len(cyclotomic_polynomial(order)) - 1
+    phi_den, phi_rows = _integer_coordinates(phi, order, deg, n_max)
+    f_den, f_rows = _integer_coordinates(f, order, deg, n_max)
+    f_series = [(j, f_rows[j][0]) for j in range(deg) if f_rows[j]]
+    den = phi_den * f_den
     out: dict[tuple[int, int], Scalar] = {}
-    for (n1, r), c1 in phi.nonzero_items():
-        for (n2, _), c2 in f.nonzero_items():
-            n = n1 + n2
-            if n <= n_max:
-                key = (n, r)
-                term = c1 * c2
-                if key in out:
-                    out[key] = out[key] + term
-                else:
-                    out[key] = term
+    for r in sorted({r for row in phi_rows for r in row}):
+        acc = [[0] * (n_max + 1) for _ in range(2 * deg - 1)]
+        for i in range(deg):
+            for n1, a in phi_rows[i].get(r, ()):
+                for j, series in f_series:
+                    slot = acc[i + j]
+                    for n2, b in series:
+                        n = n1 + n2
+                        if n > n_max:
+                            break
+                        slot[n] += a * b
+        for n in range(n_max + 1):
+            coords = [slot[n] for slot in acc]
+            if any(coords):
+                out[(n, r)] = Scalar(order, [Fraction(c, den) for c in coords])
     return JacobiExpansion(
         phi.weight + f.weight, phi.index, phi.level, phi.character, n_max, out,
         cusp=phi.cusp,
     )
+
+
+def _integer_coordinates(expansion: JacobiExpansion, order: int, deg: int, n_max: int):
+    """Coordinates of the values in Q(zeta_order) as integers over one
+    denominator: (den, rows) with rows[i][r] the (n, numerator) pairs of
+    the i-th coordinate, ascending in n and cut at n_max."""
+    items = sorted(
+        (key, c._as_order(order).coords[:deg])
+        for key, c in expansion.nonzero_items() if key[0] <= n_max
+    )
+    den = lcm(1, *(x.denominator for _, coords in items for x in coords))
+    rows: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(deg)]
+    for (n, r), coords in items:
+        for i, x in enumerate(coords):
+            if x:
+                rows[i].setdefault(r, []).append((n, x.numerator * (den // x.denominator)))
+    return den, rows
 
 
 # ---------------------------------------------------------------------------

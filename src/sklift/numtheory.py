@@ -18,7 +18,14 @@ and Cohen's H-function
 
 where (-1)^r N = D f^2 with D a fundamental discriminant, and H(r, N) = 0
 whenever (-1)^r N is not congruent to 0 or 1 mod 4.  The value L(1-r, chi_D)
-is -B_{r,chi_D}/r, computed exactly from the series above.  H(1, N) is the
+is -B_{r,chi_D}/r.  Bernoulli numbers are not expanded from the series: with
+f the modulus, the integer power sums S_m = sum_{a=1..f} chi(a) a^m and the
+classical Bernoulli numbers B_j (B_1 = -1/2),
+
+    B_{n,chi} = f^(n-1) sum_{a=1..f} chi(a) B_n(a/f)
+              = sum_{j=0..n} C(n, j) B_j f^(j-1) S_{n-j}
+
+(Washington, Introduction to Cyclotomic Fields, Prop. 4.1).  H(1, N) is the
 Hurwitz class number.  Because H values are reused heavily when generating
 Jacobi Eisenstein series, they are memoised on disk (see :data:`cohen_cache`).
 """
@@ -26,10 +33,11 @@ Jacobi Eisenstein series, they are memoised on disk (see :data:`cohen_cache`).
 from __future__ import annotations
 
 import os
+import sys
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd as _gcd, isqrt, lcm
+from math import comb, gcd as _gcd, isqrt, lcm
 
 __all__ = [
     "Rational",
@@ -451,32 +459,50 @@ def pow_fraction(base: int, exponent: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _inv_denominator_series(modulus: int, order: int) -> tuple[Fraction, ...]:
-    """Series inverse of q(t) = (e^{modulus*t} - 1)/t, up to t^order."""
-    # q_j = modulus^(j+1) / (j+1)!
-    q = [Fraction(modulus ** (j + 1), factorial(j + 1)) for j in range(order + 1)]
-    inv = [Fraction(1) / q[0]]
-    for n in range(1, order + 1):
-        acc = _ZERO
-        for j in range(1, n + 1):
-            acc += q[j] * inv[n - j]
-        inv.append(-acc / q[0])
-    return tuple(inv)
+def _bernoulli_number(m: int) -> Fraction:
+    """The classical B_m (B_1 = -1/2) from sum_{j<=m} C(m+1, j) B_j = 0."""
+    if m == 0:
+        return _ONE
+    return -sum(comb(m + 1, j) * _bernoulli_number(j) for j in range(m)) / (m + 1)
 
 
-def _bernoulli_term(n: int, modulus: int, a: int) -> Fraction:
-    """n! * [t^n] of t e^{at} / (e^{modulus*t} - 1)."""
-    inv = _inv_denominator_series(modulus, n)
-    acc = _ZERO
-    apow = _ONE
+def _bernoulli_from_power_sums(n: int, modulus: int, value):
+    """B_{n,chi} = sum_j C(n,j) B_j f^(j-1) S_{n-j}, S_m = sum_{a<=f} chi(a) a^m.
+
+    This is f^(n-1) sum_a chi(a) B_n(a/f) expanded by powers of a
+    (Washington, Introduction to Cyclotomic Fields, Prop. 4.1).  ``value``
+    maps a to chi(a), an int or a :class:`Scalar`; the result is a Fraction
+    or a Scalar accordingly.
+    """
+    # chi takes few distinct values: S_m = sum_v v * (sum of a^m with chi(a) = v)
+    values: list = []
+    int_sums: list[list[int]] = []
+    for a in range(1, modulus + 1):
+        v = value(a)
+        if not v:
+            continue
+        if v in values:
+            row = int_sums[values.index(v)]
+        else:
+            values.append(v)
+            row = [0] * (n + 1)
+            int_sums.append(row)
+        apow = 1
+        for m in range(n + 1):
+            row[m] += apow
+            apow *= a
+    total = 0
     for j in range(n + 1):
-        acc += apow / factorial(j) * inv[n - j]
-        apow *= a
-    return acc * factorial(n)
+        b = _bernoulli_number(j)
+        if b:
+            scale = comb(n, j) * modulus ** j * b
+            for v, row in zip(values, int_sums):
+                total = total + v * (row[n - j] * scale)
+    return total * Fraction(1, modulus)
 
 
 def generalized_bernoulli(n: int, chi) -> Scalar:
-    """B_{n,chi}, exactly, from the defining exponential generating series.
+    """B_{n,chi}, exactly, from integer power sums of chi.
 
     ``chi`` is any Dirichlet-character-like object exposing ``modulus`` and
     ``value(a) -> Scalar``.  The trivial character mod 1 yields the Bernoulli
@@ -484,25 +510,13 @@ def generalized_bernoulli(n: int, chi) -> Scalar:
     """
     if n < 0:
         raise ValueError("Bernoulli index must be >= 0")
-    f = chi.modulus
-    total = Scalar.zero()
-    for a in range(1, f + 1):
-        v = chi.value(a)
-        if v.is_zero():
-            continue
-        total = total + v * _bernoulli_term(n, f, a)
-    return total
+    return Scalar.coerce(_bernoulli_from_power_sums(n, chi.modulus, chi.value))
 
 
+@lru_cache(maxsize=None)
 def _bernoulli_kronecker(n: int, disc: int) -> Fraction:
     """B_{n,chi_D} for the quadratic character chi_D = (disc / .), rational."""
-    f = abs(disc) if disc != 1 else 1
-    acc = _ZERO
-    for a in range(1, f + 1):
-        v = kronecker_symbol(disc, a)
-        if v:
-            acc += v * _bernoulli_term(n, f, a)
-    return acc
+    return _bernoulli_from_power_sums(n, abs(disc), lambda a: kronecker_symbol(disc, a))
 
 
 def _zeta_negative(m: int) -> Fraction:
@@ -524,7 +538,10 @@ class CohenCache:
         H <r> <N> <numerator>/<denominator>
 
     Records may repeat; repeated records must agree.  The file is created
-    lazily on first write.
+    lazily on first write.  An unterminated last record, left by a writer
+    that was interrupted, is ignored on load and cut off before the next
+    append.  If the file cannot be written, values are kept in memory only
+    and a warning is printed once to stderr.
     """
 
     FILENAME = "cohen_h.txt"
@@ -533,6 +550,7 @@ class CohenCache:
         self._lock = threading.Lock()
         self._path: str | None = None
         self._values: dict[tuple[int, int], Fraction] = {}
+        self._writable = True
 
     def _resolve_path(self) -> str:
         base = os.environ.get("SK_CACHE_DIR", ".skcache")
@@ -544,21 +562,21 @@ class CohenCache:
         values: dict[tuple[int, int], Fraction] = {}
         if os.path.exists(path):
             with open(path, "r", encoding="ascii") as fh:
-                for raw in fh:
-                    line = raw.strip()
-                    if not line:
-                        continue
-                    parts = line.split()
-                    if len(parts) != 4 or parts[0] != "H":
-                        raise ValueError(f"malformed cache record: {line!r}")
-                    key = (int(parts[1]), int(parts[2]))
-                    num, den = parts[3].split("/")
-                    val = Fraction(int(num), int(den))
-                    if key in values and values[key] != val:
-                        raise ValueError(f"conflicting cache records for H{key}")
-                    values[key] = val
+                records = fh.read().split("\n")
+            # the last piece is empty, or a record cut off before its newline
+            for line_no, raw in enumerate(records[:-1], start=1):
+                line = raw.strip()
+                if not line:
+                    continue
+                key, val = _parse_cache_record(line, path, line_no)
+                if key in values and values[key] != val:
+                    raise ValueError(
+                        f"{path} line {line_no}: conflicting cache records for H{key}"
+                    )
+                values[key] = val
         self._path = path
         self._values = values
+        self._writable = True
 
     def get(self, r: int, nval: int) -> Fraction | None:
         with self._lock:
@@ -576,9 +594,38 @@ class CohenCache:
                     raise ValueError(f"conflicting cache records for H{key}")
                 return
             self._values[key] = value
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            with open(path, "a", encoding="ascii") as fh:
-                fh.write(f"H {r} {nval} {value.numerator}/{value.denominator}\n")
+            if not self._writable:
+                return
+            try:
+                _append_record(path, f"H {r} {nval} {value.numerator}/{value.denominator}\n")
+            except OSError as exc:
+                self._writable = False
+                print(f"warning: cannot write the H cache {path} ({exc}); "
+                      "keeping values in memory", file=sys.stderr)
+
+
+def _parse_cache_record(line: str, path: str, line_no: int) -> tuple[tuple[int, int], Fraction]:
+    parts = line.split()
+    try:
+        if len(parts) != 4 or parts[0] != "H":
+            raise ValueError
+        num, den = parts[3].split("/")
+        return (int(parts[1]), int(parts[2])), Fraction(int(num), int(den))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{path} line {line_no}: malformed cache record {line!r}") from None
+
+
+def _append_record(path: str, record: str) -> None:
+    """Append one newline-terminated record, first cutting off a torn last one."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "a+b") as fh:
+        end = fh.seek(0, os.SEEK_END)
+        if end:
+            fh.seek(end - 1)
+            if fh.read(1) != b"\n":
+                fh.seek(0)
+                fh.truncate(fh.read().rfind(b"\n") + 1)
+        fh.write(record.encode("ascii"))
 
 
 #: Process-wide H(r, N) cache.

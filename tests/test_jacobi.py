@@ -1,4 +1,10 @@
-"""Jacobi expansions, index-shift operators and the SKJF format."""
+"""Jacobi expansions, index-shift operators and the SKJF format.
+
+Two independent references live here: the plain double loop over Scalar
+coefficients that ``mul_elliptic``'s integer kernel must reproduce, and the
+Eichler-Zagier product for phi_{-2,1}, which gives phi_{10,1} = Delta
+phi_{-2,1} in integer arithmetic without Cohen's H-function.
+"""
 
 import random
 from fractions import Fraction
@@ -18,12 +24,32 @@ from sklift.jacobi import (
     v_diag,
     write_skjf,
 )
-from sklift.numtheory import divisors, sigma
+from sklift.numtheory import Scalar, divisors, sigma
 from sklift.serialize import ParseError
 
 from synth import odd_table_character_mod4, order4_table_character_mod5, random_jacobi
 
 TRIV = DirichletCharacter.trivial(1)
+
+
+def mul_elliptic_reference(phi, f):
+    """phi * f by the double loop over nonzero Scalar coefficients."""
+    n_max = min(phi.n_max, f.n_max)
+    out = {}
+    for (n1, r), c1 in phi.nonzero_items():
+        for (n2, _), c2 in f.nonzero_items():
+            n = n1 + n2
+            if n <= n_max:
+                key = (n, r)
+                term = c1 * c2
+                if key in out:
+                    out[key] = out[key] + term
+                else:
+                    out[key] = term
+    return JacobiExpansion(
+        phi.weight + f.weight, phi.index, phi.level, phi.character, n_max, out,
+        cusp=phi.cusp,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +97,45 @@ def test_cusp_generators_vanish_on_boundary():
                     assert phi.coeff(n, r) == 0, (name, n, r)
     assert builtin_form("phi10_1", 4).coeff(1, 1) == 1
     assert builtin_form("phi12_1", 4).coeff(1, 0) == 10
+
+
+def _times_one_minus(rows, m, e=0):
+    """Multiply a series (rows[n] = {r: int}) in place by 1 - q^m zeta^e."""
+    for n in range(len(rows) - 1, m - 1, -1):
+        for r, c in rows[n - m].items():
+            rows[n][r + e] = rows[n].get(r + e, 0) - c
+
+
+def _over_one_minus(rows, m):
+    """Divide a series (rows[n] = {r: int}) in place by 1 - q^m."""
+    for n in range(m, len(rows)):
+        for r, c in rows[n - m].items():
+            rows[n][r] = rows[n].get(r, 0) + c
+
+
+def test_phi10_is_delta_times_weak_phi_minus2():
+    # phi_{-2,1} = (zeta - 2 + zeta^-1) prod_{n>=1} (1 - q^n zeta)^2
+    #              (1 - q^n zeta^-1)^2 (1 - q^n)^-4        (Eichler-Zagier)
+    # and Delta = q prod (1 - q^n)^24, in integers only, up to q^12
+    n_max = 12
+    weak = [{1: 1, 0: -2, -1: 1}] + [{} for _ in range(n_max)]
+    delta = [{}, {0: 1}] + [{} for _ in range(n_max - 1)]
+    for m in range(1, n_max + 1):
+        for e in (1, 1, -1, -1):
+            _times_one_minus(weak, m, e)
+        for _ in range(4):
+            _over_one_minus(weak, m)
+        for _ in range(24):
+            _times_one_minus(delta, m)
+    product = {}
+    for n1, row in enumerate(weak):
+        for n2 in range(n_max + 1 - n1):
+            for r, c in row.items():
+                product[(n1 + n2, r)] = product.get((n1 + n2, r), 0) + c * delta[n2].get(0, 0)
+    assert all(c == 0 for (n, r), c in product.items() if 4 * n - r * r <= 0)
+    phi = builtin_form("phi10_1", n_max)
+    for n, r in phi.region_cells():
+        assert phi.coeff(n, r) == product.get((n, r), 0), (n, r)
 
 
 def test_unknown_builtin():
@@ -128,6 +193,55 @@ def test_mul_elliptic_hand_convolution():
     assert prod.weight == 14
     assert prod.coeff(0, 0) == 1 and prod.coeff(1, 0) == 240
     assert prod.coeff(1, 1) == 1 and prod.coeff(2, 1) == 240
+
+
+def _random_cyclotomic_jacobi(chi, n_max, rng, index=1):
+    """Weight-9 coefficients in Q(zeta_4), some of them rational, some zero."""
+    coeffs = {}
+    for n in range(n_max + 1):
+        for r in region_r_values(index, n):
+            kind = rng.randrange(3)
+            if kind == 0:
+                coeffs[(n, r)] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+            elif kind == 1:
+                coeffs[(n, r)] = Scalar(4, [Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                                            rng.randint(-9, 9), 0, 0])
+    return JacobiExpansion(9, index, chi.modulus, chi, n_max, coeffs)
+
+
+def _elliptic(level, n_max, coeffs, weight=4):
+    return JacobiExpansion(weight, 0, level, DirichletCharacter.trivial(level), n_max,
+                           {(n, 0): c for n, c in coeffs.items()})
+
+
+def test_mul_elliptic_matches_reference_cyclotomic():
+    chi = order4_table_character_mod5()
+    rng = random.Random(11)
+    phi = _random_cyclotomic_jacobi(chi, 12, rng)
+    assert any(c.as_rational() is None for _, c in phi.nonzero_items())
+    rational_f = _elliptic(5, 12, {n: Fraction(rng.randint(-30, 30), rng.randint(1, 7))
+                                   for n in range(13)})
+    cyclotomic_f = _elliptic(5, 12, {0: 1, 2: Fraction(-3, 2), 5: Scalar.zeta(3) + 2,
+                                     7: 11})
+    zero_f = _elliptic(5, 12, {})
+    for f in (rational_f, cyclotomic_f, zero_f):
+        for got_max, f_max in ((12, 12), (12, 7), (5, 12)):
+            left, right = phi.truncate(got_max), f.truncate(f_max)
+            got = mul_elliptic(left, right)
+            assert got == mul_elliptic_reference(left, right)
+            assert got.n_max == min(got_max, f_max) and got.weight == 13
+    assert mul_elliptic(phi, zero_f).is_zero()
+
+
+def test_mul_elliptic_matches_reference_on_cusp_forms():
+    rng = random.Random(3)
+    phi = random_jacobi(10, 1, TRIV, 10, rng, index=2, cuspidal=True)
+    f = _elliptic(1, 14, {n: Fraction(rng.randint(-30, 30), rng.randint(1, 5))
+                          for n in range(1, 15)}, weight=12)
+    got = mul_elliptic(phi, f)
+    assert got.cusp and got.n_max == 10
+    assert got == mul_elliptic_reference(phi, f)
+    assert mul_elliptic(f, f) == mul_elliptic_reference(f, f)
 
 
 def test_mul_elliptic_rejects_nonzero_index():

@@ -2,14 +2,16 @@
 
 The independent oracles live here: Akiyama-Tanigawa Bernoulli numbers, the
 Bernoulli-polynomial formula B_{n,chi} = f^(n-1) sum_a chi(a) B_n(a/f),
-Euler's criterion for quadratic residues, and the weighted count of reduced
-binary quadratic forms for Hurwitz class numbers.
+generalized Bernoulli numbers read off their exponential generating series
+by series inversion, Euler's criterion for quadratic residues, and the
+weighted count of reduced binary quadratic forms for Hurwitz class numbers.
 """
 
 import os
 import threading
 from fractions import Fraction
-from math import comb, isqrt
+from functools import lru_cache
+from math import comb, factorial, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 from sklift.characters import DirichletCharacter
 from sklift.numtheory import (
     Scalar,
+    _bernoulli_kronecker,
     cohen_h,
     cohen_cache,
     cyclotomic_polynomial,
@@ -66,6 +69,42 @@ def bernoulli_chi_oracle(n, chi):
         if not v.is_zero():
             total = total + v * bernoulli_polynomial_value(n, Fraction(a, f))
     return total * Fraction(f) ** (n - 1)
+
+
+@lru_cache(maxsize=None)
+def _inv_denominator_series(modulus, order):
+    """Series inverse of q(t) = (e^{modulus*t} - 1)/t, up to t^order."""
+    # q_j = modulus^(j+1) / (j+1)!
+    q = [Fraction(modulus ** (j + 1), factorial(j + 1)) for j in range(order + 1)]
+    inv = [Fraction(1) / q[0]]
+    for n in range(1, order + 1):
+        acc = Fraction(0)
+        for j in range(1, n + 1):
+            acc += q[j] * inv[n - j]
+        inv.append(-acc / q[0])
+    return tuple(inv)
+
+
+def _bernoulli_term(n, modulus, a):
+    """n! * [t^n] of t e^{at} / (e^{modulus*t} - 1)."""
+    inv = _inv_denominator_series(modulus, n)
+    acc = Fraction(0)
+    apow = Fraction(1)
+    for j in range(n + 1):
+        acc += apow / factorial(j) * inv[n - j]
+        apow *= a
+    return acc * factorial(n)
+
+
+def bernoulli_series_oracle(n, chi):
+    """B_{n,chi} as n! [t^n] sum_{a=1..f} chi(a) t e^{at} / (e^{ft} - 1)."""
+    f = chi.modulus
+    total = Scalar.zero()
+    for a in range(1, f + 1):
+        v = chi.value(a)
+        if not v.is_zero():
+            total = total + v * _bernoulli_term(n, f, a)
+    return total
 
 
 def hurwitz_oracle(nval):
@@ -233,22 +272,43 @@ def test_bernoulli_trivial_matches_akiyama_tanigawa():
         assert generalized_bernoulli(n, triv) == bs[n]
 
 
-@pytest.mark.parametrize(
-    "chi",
-    [
-        DirichletCharacter.trivial(1),
-        DirichletCharacter.trivial(6),
-        DirichletCharacter.kronecker(-3),
-        DirichletCharacter.kronecker(-4),
-        DirichletCharacter.kronecker(5),
-        DirichletCharacter.kronecker(8),
-        DirichletCharacter.from_table(5, [(0, 1), (1, 4), (3, 4), (2, 4), None]),
-    ],
-    ids=lambda chi: f"{chi.to_spec()}@{chi.modulus}",
-)
+ORACLE_CHARACTERS = [
+    DirichletCharacter.trivial(1),
+    DirichletCharacter.trivial(6),
+    DirichletCharacter.kronecker(-3),
+    DirichletCharacter.kronecker(-4),
+    DirichletCharacter.kronecker(5),
+    DirichletCharacter.kronecker(8),
+    DirichletCharacter.from_table(5, [(0, 1), (1, 4), (3, 4), (2, 4), None]),
+]
+
+
+def _character_id(chi):
+    return f"{chi.to_spec()}@{chi.modulus}"
+
+
+@pytest.mark.parametrize("chi", ORACLE_CHARACTERS, ids=_character_id)
 def test_bernoulli_matches_polynomial_formula(chi):
     for n in range(9):
         assert generalized_bernoulli(n, chi) == bernoulli_chi_oracle(n, chi)
+
+
+@pytest.mark.parametrize("chi", ORACLE_CHARACTERS, ids=_character_id)
+def test_bernoulli_matches_series_oracle(chi):
+    for n in range(9):
+        assert generalized_bernoulli(n, chi) == bernoulli_series_oracle(n, chi), n
+
+
+def test_bernoulli_kronecker_matches_series_oracle():
+    # the rational path cohen_h takes, for every fundamental |D| <= 200
+    discs = [d for d in range(-200, 201) if is_fundamental_discriminant(d)]
+    assert len(discs) == 123
+    for disc in discs:
+        chi = DirichletCharacter.kronecker(disc)
+        for n in range(1, 7):
+            expected = bernoulli_series_oracle(n, chi)
+            assert _bernoulli_kronecker(n, disc) == expected, (disc, n)
+            assert generalized_bernoulli(n, chi) == expected, (disc, n)
 
 
 # ---------------------------------------------------------------------------
@@ -326,4 +386,53 @@ def test_cache_concurrent_reads(tmp_path, monkeypatch):
         t.join()
     baseline = results[0]
     assert all(results[i] == baseline for i in range(4))
+    cohen_cache._path = None
+
+
+def test_cache_drops_torn_last_record(tmp_path, monkeypatch):
+    # a writer interrupted mid-record leaves a line without its newline
+    path = tmp_path / "cohen_h.txt"
+    path.write_text("H 1 3 1/3\nH 1 6 1/")
+    monkeypatch.setenv("SK_CACHE_DIR", str(tmp_path))
+    cohen_cache._path = None
+    assert cohen_h(1, 3) == Fraction(1, 3)
+    assert cohen_cache.get(1, 6) is None
+    assert cohen_h(1, 6) == 0
+    cohen_cache._path = None
+
+
+def test_cache_append_after_torn_record_starts_new_line(tmp_path, monkeypatch):
+    path = tmp_path / "cohen_h.txt"
+    path.write_text("H 1 3 1/3\nH 1 6 1/")
+    monkeypatch.setenv("SK_CACHE_DIR", str(tmp_path))
+    cohen_cache._path = None
+    value = cohen_h(1, 23)
+    assert path.read_text() == f"H 1 3 1/3\nH 1 23 {value.numerator}/{value.denominator}\n"
+    cohen_cache._path = None  # the repaired file loads cleanly
+    assert cohen_h(1, 23) == value
+    cohen_cache._path = None
+
+
+def test_cache_malformed_terminated_record_names_its_line(tmp_path, monkeypatch):
+    path = tmp_path / "cohen_h.txt"
+    path.write_text("H 1 3 1/3\n\nH 1 6 1/\nH 1 4 1/2\n")
+    monkeypatch.setenv("SK_CACHE_DIR", str(tmp_path))
+    cohen_cache._path = None
+    with pytest.raises(ValueError, match=r"line 3: malformed cache record 'H 1 6 1/'"):
+        cohen_h(1, 3)
+    cohen_cache._path = None
+
+
+def test_cache_unwritable_dir_falls_back_to_memory(tmp_path, monkeypatch, capsys):
+    # a path under a regular file can be neither created nor written, even by root
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    monkeypatch.setenv("SK_CACHE_DIR", str(blocker / "cache"))
+    cohen_cache._path = None
+    values = [cohen_h(1, n) for n in range(30)]
+    assert values == [cohen_h(1, 0)] + [hurwitz_oracle(n) for n in range(1, 30)]
+    assert cohen_cache.get(1, 29) == values[29]
+    err = capsys.readouterr().err
+    assert err.count("cannot write the H cache") == 1, err
+    assert blocker.read_text() == ""
     cohen_cache._path = None
