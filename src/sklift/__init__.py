@@ -11,7 +11,6 @@ from .characters import (
     DirichletCharacter,
     Mat2,
     char_on_delta,
-    char_value,
     parity_compatible,
     parse_character,
 )
@@ -39,12 +38,9 @@ from .jacobi import (
     write_skjf,
 )
 from .numtheory import (
-    Rational,
     Scalar,
     cohen_h,
     divisors,
-    divisors_coprime_to,
-    gcd,
     generalized_bernoulli,
     kronecker_symbol,
 )

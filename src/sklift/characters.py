@@ -33,7 +33,6 @@ from .numtheory import Scalar, is_fundamental_discriminant, kronecker_symbol
 __all__ = [
     "Mat2",
     "DirichletCharacter",
-    "char_value",
     "char_on_delta",
     "parity_compatible",
     "delta_membership_violation",
@@ -225,11 +224,6 @@ def parse_character(spec: str, modulus: int) -> DirichletCharacter:
             entries.append((int(m.group(1)), int(m.group(2))))
         return DirichletCharacter.from_table(modulus, entries)
     raise ValueError(f"unknown character spec {spec!r}")
-
-
-def char_value(chi: DirichletCharacter, a: int) -> Scalar:
-    """chi(a mod N); zero exactly when gcd(a, N) > 1."""
-    return chi.value(a)
 
 
 def char_on_delta(chi: DirichletCharacter, g: Mat2) -> Scalar:

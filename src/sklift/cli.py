@@ -160,6 +160,10 @@ def main(argv: list[str] | None = None) -> int:
         for name in needs:
             if getattr(args, name) is None:
                 parser.error(f"hecke --sub={args.sub} requires --{name}")
+    if args.verb == "verify":
+        for name, mode in (("l", "symmetric"), ("p", "plocal")):
+            if getattr(args, name) is not None and args.mode != mode:
+                parser.error(f"verify --{name} requires --mode={mode}")
     try:
         return args.func(args)
     except ParseError as exc:

@@ -34,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .characters import DirichletCharacter, parity_compatible, parse_character
+from .characters import DirichletCharacter, parity_compatible
 from .numtheory import (
     Scalar,
     cohen_h,
@@ -44,7 +44,7 @@ from .numtheory import (
     sigma,
     unity_root_table,
 )
-from .serialize import ParseError, parse_header, parse_int, scalar_from_text, scalar_to_text
+from .serialize import parse_table, scalar_to_text
 
 __all__ = [
     "JacobiExpansion",
@@ -488,54 +488,26 @@ def write_skjf(phi: JacobiExpansion) -> str:
 
 def parse_skjf(text: str) -> JacobiExpansion:
     """Parse SKJF text; every in-region pair must be present exactly once."""
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != "SKJF 1":
-        raise ParseError(1, "expected header 'SKJF 1'")
-    if len(lines) < 2:
-        raise ParseError(2, "missing metadata line")
-    fields = parse_header(lines[1], ("k", "m", "N", "chi", "nmax", "cusp"), 2)
-    weight = parse_int(fields["k"], 2, "weight")
-    index = parse_int(fields["m"], 2, "index")
-    level = parse_int(fields["N"], 2, "level")
-    n_max = parse_int(fields["nmax"], 2, "nmax")
-    cusp_flag = fields["cusp"]
-    if cusp_flag not in ("0", "1"):
-        raise ParseError(2, f"bad cusp flag {cusp_flag!r}")
-    if index < 0 or level < 1 or n_max < 0:
-        raise ParseError(2, "index/level/nmax out of range")
-    try:
-        chi = parse_character(fields["chi"], level)
-    except ValueError as exc:
-        raise ParseError(2, str(exc)) from None
-    coeffs: dict[tuple[int, int], Scalar] = {}
-    seen: set[tuple[int, int]] = set()
-    for line_no, raw in enumerate(lines[2:], start=3):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError(line_no, "expected '<n> <r> <value>'")
-        n = parse_int(parts[0], line_no, "n")
-        r = parse_int(parts[1], line_no, "r")
-        if n < 0:
-            raise ParseError(line_no, "negative n is not allowed")
-        if n > n_max:
-            raise ParseError(line_no, f"n={n} exceeds nmax={n_max}")
-        if 4 * n * index - r * r < 0 or (index == 0 and r != 0):
-            raise ParseError(line_no, f"({n},{r}) outside the support region")
-        if (n, r) in seen:
-            raise ParseError(line_no, f"duplicate coefficient ({n},{r})")
-        seen.add((n, r))
-        coeffs[(n, r)] = scalar_from_text(parts[2], line_no)
-    for n in range(n_max + 1):
-        for r in region_r_values(index, n):
-            if (n, r) not in seen:
-                raise ParseError(
-                    len(lines) + 1, f"missing in-region coefficient ({n},{r})"
-                )
-    try:
-        return JacobiExpansion(weight, index, level, chi, n_max, coeffs,
-                               cusp=cusp_flag == "1")
-    except ValueError as exc:
-        raise ParseError(2, str(exc)) from None
+    return parse_table(
+        text, "SKJF 1",
+        (("k", "weight"), ("m", "index"), ("N", "level"), ("chi", None),
+         ("nmax", "nmax"), ("cusp", None)),
+        ("n", "r"), _skjf_cell_error,
+        lambda meta: ((n, r) for n in range(meta["nmax"] + 1)
+                      for r in region_r_values(meta["m"], n)),
+        lambda meta, coeffs: JacobiExpansion(
+            meta["k"], meta["m"], meta["N"], meta["chi"], meta["nmax"], coeffs,
+            cusp=meta["cusp"]),
+    )
+
+
+def _skjf_cell_error(cell, meta) -> str | None:
+    n, r = cell
+    if n < 0:
+        return "negative n is not allowed"
+    if n > meta["nmax"]:
+        return f"n={n} exceeds nmax={meta['nmax']}"
+    index = meta["m"]
+    if 4 * n * index - r * r < 0 or (index == 0 and r != 0):
+        return f"({n},{r}) outside the support region"
+    return None

@@ -37,14 +37,11 @@ import sys
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd as _gcd, isqrt, lcm
+from math import comb, isqrt, lcm
 
 __all__ = [
-    "Rational",
     "Scalar",
-    "gcd",
     "divisors",
-    "divisors_coprime_to",
     "is_prime",
     "primes_up_to",
     "moebius",
@@ -56,9 +53,6 @@ __all__ = [
     "cyclotomic_polynomial",
 ]
 
-#: Exact rational scalar type: always in lowest terms, positive denominator.
-Rational = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -67,11 +61,6 @@ _ONE = Fraction(1)
 # Divisor combinatorics.  "d | (a, b, c)" always means d divides the gcd;
 # the condition "d | (0, 0, 0)" is vacuous and never enumerated.
 # ---------------------------------------------------------------------------
-
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor, with gcd(0, 0) = 0."""
-    return _gcd(a, b)
-
 
 @lru_cache(maxsize=None)
 def divisors(n: int) -> tuple[int, ...]:
@@ -85,13 +74,6 @@ def divisors(n: int) -> tuple[int, ...]:
             if d != n // d:
                 large.append(n // d)
     return tuple(small + large[::-1])
-
-
-def divisors_coprime_to(n: int, level: int) -> list[int]:
-    """Positive divisors d of n with gcd(d, level) = 1, ascending."""
-    if n < 1 or level < 1:
-        raise ValueError("divisors_coprime_to() requires positive arguments")
-    return [d for d in divisors(n) if _gcd(d, level) == 1]
 
 
 def is_prime(n: int) -> bool:

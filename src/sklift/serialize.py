@@ -11,10 +11,11 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from .characters import parse_character
 from .numtheory import Scalar
 
 __all__ = ["ParseError", "rational_to_text", "scalar_to_text", "scalar_from_text",
-           "parse_int", "parse_header"]
+           "parse_int", "parse_header", "parse_table"]
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)/(\d+)$")
 
@@ -75,3 +76,64 @@ def parse_header(line: str, keys: tuple[str, ...], line_no: int) -> dict[str, st
             raise ParseError(line_no, f"expected field {key}=..., got {token!r}")
         out[key] = token[len(prefix):]
     return out
+
+
+def parse_table(text: str, magic: str, header: tuple[tuple[str, str | None], ...],
+                cell_names: tuple[str, ...], check_cell, region, build):
+    """Parse a coefficient table: the ``magic`` line, one metadata line,
+    then one ``<cell> <value>`` row per in-region cell.
+
+    ``header`` lists the metadata keys in order, each with the name its
+    integer value goes by in error messages, or None for the character
+    ``chi`` and the cusp flag ``cusp``.  The level ``N`` must be >= 1 and
+    every other integer except the weight ``k`` >= 0.  The metadata reach
+    the callbacks as a dict of those integers plus ``chi`` (the parsed
+    character) and ``cusp`` (a bool): ``check_cell(cell, meta)`` returns
+    an error message for a row outside the format's region, or None;
+    ``region(meta)`` yields every cell that must be present; ``build(meta,
+    coeffs)`` makes the object, and a ValueError from it is reported at the
+    metadata line.
+    """
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != magic:
+        raise ParseError(1, f"expected header {magic!r}")
+    if len(lines) < 2:
+        raise ParseError(2, "missing metadata line")
+    fields = parse_header(lines[1], tuple(key for key, _ in header), 2)
+    meta: dict = {key: parse_int(fields[key], 2, what) for key, what in header if what}
+    if fields["cusp"] not in ("0", "1"):
+        raise ParseError(2, f"bad cusp flag {fields['cusp']!r}")
+    bounded = [(key, what) for key, what in header if what and key != "k"]
+    if any(meta[key] < (1 if key == "N" else 0) for key, _ in bounded):
+        raise ParseError(2, "/".join(what for _, what in bounded) + " out of range")
+    try:
+        meta["chi"] = parse_character(fields["chi"], meta["N"])
+    except ValueError as exc:
+        raise ParseError(2, str(exc)) from None
+    meta["cusp"] = fields["cusp"] == "1"
+    usage = " ".join(f"<{name}>" for name in cell_names + ("value",))
+    coeffs: dict[tuple[int, ...], Scalar] = {}
+    for line_no, raw in enumerate(lines[2:], start=3):
+        parts = raw.split()
+        if not parts:
+            continue
+        if len(parts) != len(cell_names) + 1:
+            raise ParseError(line_no, f"expected '{usage}'")
+        cell = tuple(parse_int(part, line_no, name) for part, name in zip(parts, cell_names))
+        error = check_cell(cell, meta)
+        if error is not None:
+            raise ParseError(line_no, error)
+        if cell in coeffs:
+            raise ParseError(line_no, f"duplicate coefficient {_cell_text(cell)}")
+        coeffs[cell] = scalar_from_text(parts[-1], line_no)
+    for cell in region(meta):
+        if cell not in coeffs:
+            raise ParseError(len(lines) + 1, f"missing in-region coefficient {_cell_text(cell)}")
+    try:
+        return build(meta, coeffs)
+    except ValueError as exc:
+        raise ParseError(2, str(exc)) from None
+
+
+def _cell_text(cell: tuple[int, ...]) -> str:
+    return "(" + ",".join(map(str, cell)) + ")"

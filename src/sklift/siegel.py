@@ -5,9 +5,7 @@ A :class:`SiegelExpansion` stores Fourier coefficients A(n, r, m) indexed
 by half-integral positive semidefinite matrices (n, r/2; r/2, m), i.e.
 n, m >= 0 and 4nm - r^2 >= 0, on the truncation box n <= n_max,
 m <= m_max.  Lookup is total with A(T) = 0 outside the semidefinite cone;
-lookups beyond the box are refused rather than guessed, and every relation
-instance that would reference a coefficient outside the box is skipped and
-counted in the report.
+lookups beyond the box are refused rather than guessed.
 
 The lift of an index-1 Jacobi expansion phi with vanishing constant term
 assembles A(n, r, l) from the index shifts V_{l,chi}(phi), which makes the
@@ -23,22 +21,31 @@ Three equivalent relation families are checked coefficient-wise:
                   = A(n,r,pm) + p^(k-1) chi(p) A(n, r/p, m/p)
 
 with the convention that coefficients at non-integral or non-semidefinite
-arguments are zero.  For p | N the character kills the twisted terms and
-the p-local relation degenerates to A(np, r, m) = A(n, r, pm).  The
-rank-<=1 ("singular") coefficients a(l) = A(l, 0, 0) of any member of the
-lift image satisfy a(l) = (sum_{d | l} d^(k-1) chi(d)) a(1).
+arguments are zero.  The divisors of gcd(n, r, p) are 1 and p, so the
+p-local relation is term for term the symmetric relation at l = p, and is
+checked as such.  For p | N the character kills the twisted terms and it
+degenerates to A(np, r, m) = A(n, r, pm).  The rank-<=1 ("singular")
+coefficients a(l) = A(l, 0, 0) of any member of the lift image satisfy
+a(l) = (sum_{d | l} d^(k-1) chi(d)) a(1).
+
+One engine evaluates every family: an instance is a cell with two lists of
+twisted references.  In each family the d = 1 references bound all the
+others, so the instances whose references stay inside the box form a
+sub-region known up front (nm <= n_max for classical, nl <= n_max and
+ml <= m_max for symmetric_l, all of l <= n_max for the singular law).  Only
+that sub-region is evaluated; the box cells outside it are counted in the
+report as skipped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt
 
-from .characters import parity_compatible, parse_character
+from .characters import parity_compatible
 from .jacobi import JacobiExpansion, index_shift
 from .numtheory import Scalar, divisors, is_prime, pow_fraction
-from .serialize import ParseError, parse_header, parse_int, scalar_from_text, scalar_to_text
+from .serialize import ParseError, parse_int, parse_table, scalar_from_text, scalar_to_text
 
 __all__ = [
     "SiegelExpansion",
@@ -61,6 +68,17 @@ __all__ = [
 def in_cone(n: int, r: int, m: int) -> bool:
     """Membership in the positive semidefinite half-integral cone."""
     return n >= 0 and m >= 0 and 4 * n * m - r * r >= 0
+
+
+def _cells(n_max: int, m_max: int):
+    """Every (n, r, m) != (0, 0, 0) with n <= n_max, m <= m_max and
+    r^2 <= 4nm, in (n, m, r) order."""
+    for n in range(n_max + 1):
+        for m in range(m_max + 1):
+            bound = isqrt(4 * n * m)
+            for r in range(-bound, bound + 1):
+                if (n, r, m) != (0, 0, 0):
+                    yield (n, r, m)
 
 
 @dataclass(frozen=True)
@@ -148,31 +166,12 @@ class SiegelExpansion:
             raise ValueError(f"coefficient ({n},{r},{m}) outside the stored box")
         return self._coeffs.get((n, r, m), Scalar.zero())
 
-    def _boxed(self, n, r, m) -> Scalar | None:
-        """Like :meth:`a` but with fractional-argument and out-of-box
-        conventions for the checkers: non-integral arguments and points
-        outside the cone give zero; in-cone points beyond the box give
-        None (the instance must be skipped)."""
-        if any(isinstance(x, Fraction) and x.denominator != 1 for x in (n, r, m)):
-            return Scalar.zero()
-        n, r, m = int(n), int(r), int(m)
-        if not in_cone(n, r, m):
-            return Scalar.zero()
-        if n > self.n_max or m > self.m_max:
-            return None
-        return self._coeffs.get((n, r, m), Scalar.zero())
-
     def nonzero_items(self):
         return self._coeffs.items()
 
     def box_cells(self):
         """All (n, r, m) in the box with (n, r/2; r/2, m) >= 0 and != 0."""
-        for n in range(self.n_max + 1):
-            for m in range(self.m_max + 1):
-                bound = isqrt(4 * n * m)
-                for r in range(-bound, bound + 1):
-                    if (n, r, m) != (0, 0, 0):
-                        yield (n, r, m)
+        return _cells(self.n_max, self.m_max)
 
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -261,122 +260,100 @@ def lift(phi: JacobiExpansion, m_max: int) -> SiegelExpansion:
 
 
 # ---------------------------------------------------------------------------
-# Relation checkers
+# Relation checkers: one engine, each family a term list over its region
 # ---------------------------------------------------------------------------
 
-def _twist(chi, k: int, d: int) -> Scalar:
-    return chi.value(d) * pow_fraction(d, k - 1)
+def _cell_count(n_max: int, m_max: int) -> int:
+    """The number of cells :func:`_cells` yields."""
+    return sum(2 * isqrt(4 * n * m) + 1
+               for n in range(n_max + 1) for m in range(m_max + 1)) - 1
+
+
+def _check(F: SiegelExpansion, relation: str, shift: int, instances,
+           enumerated: int) -> RelationReport:
+    """Evaluate relation instances (cell, left, right), where each side is a
+    list of terms (d, (n, r, m)) standing for d^(k-1) chi(d) A(n, r, m).
+
+    The instances come from the family's evaluable sub-region, so every
+    reference is read with :meth:`SiegelExpansion.a`, which refuses cells
+    beyond the box; of the ``enumerated`` box instances, those not
+    evaluated are reported as skipped.
+    """
+    chi, k = F.character, F.weight
+    twists: dict[int, Scalar] = {}
+
+    def side(terms) -> Scalar:
+        total = Scalar.zero()
+        for d, cell in terms:
+            ref = F.a(*cell)
+            if not ref.is_zero():
+                if d not in twists:
+                    twists[d] = chi.value(d) * pow_fraction(d, k - 1)
+                total = total + twists[d] * ref
+        return total
+
+    violations: list[Violation] = []
+    evaluated = 0
+    for (n, r, m), left_terms, right_terms in instances:
+        evaluated += 1
+        left, right = side(left_terms), side(right_terms)
+        if left != right:
+            violations.append(Violation(relation, n, r, m, shift, left, right))
+    return RelationReport(violations, enumerated - evaluated)
 
 
 def check_classical(F: SiegelExpansion) -> RelationReport:
-    """A(n,r,m) = sum_{d | (n,r,m)} d^(k-1) chi(d) A(nm/d^2, r/d, 1)."""
-    chi, k = F.character, F.weight
-    violations: list[Violation] = []
-    skipped = 0
-    for n, r, m in F.box_cells():
-        g = gcd(gcd(n, r), m)
-        refs = []
-        out_of_box = False
-        for d in divisors(g):
-            ref = F._boxed(n * m // (d * d), r // d, 1)
-            if ref is None:
-                out_of_box = True
-                break
-            refs.append((d, ref))
-        if out_of_box:
-            skipped += 1
-            continue
-        right = Scalar.zero()
-        for d, ref in refs:
-            if not ref.is_zero():
-                right = right + _twist(chi, k, d) * ref
-        left = F.a(n, r, m)
-        if left != right:
-            violations.append(Violation("classical", n, r, m, 0, left, right))
-    return RelationReport(violations, skipped)
+    """A(n,r,m) = sum_{d | (n,r,m)} d^(k-1) chi(d) A(nm/d^2, r/d, 1).
+
+    The d = 1 reference A(nm, r, 1) bounds the others, so the instance is
+    evaluable exactly when nm <= n_max, and nowhere when m_max = 0."""
+    cells = _cells(F.n_max, F.m_max) if F.m_max >= 1 else ()
+    instances = (
+        ((n, r, m), [(1, (n, r, m))],
+         [(d, (n * m // (d * d), r // d, 1)) for d in divisors(gcd(gcd(n, r), m))])
+        for n, r, m in cells if n * m <= F.n_max
+    )
+    return _check(F, "classical", 0, instances, _cell_count(F.n_max, F.m_max))
+
+
+def _symmetric(F: SiegelExpansion, l: int, relation: str) -> RelationReport:
+    """The symmetric family at shift l, reported under ``relation``.
+
+    The d = 1 references A(nl, r, m) and A(n, r, ml) bound the others, so
+    the instance is evaluable exactly on the sub-box nl <= n_max,
+    ml <= m_max."""
+    instances = (
+        ((n, r, m),
+         [(d, (n * l // (d * d), r // d, m)) for d in divisors(gcd(gcd(n, r), l))],
+         [(d, (n, r // d, m * l // (d * d))) for d in divisors(gcd(gcd(l, r), m))])
+        for n, r, m in _cells(F.n_max // l, F.m_max // l)
+    )
+    return _check(F, relation, l, instances, _cell_count(F.n_max, F.m_max))
 
 
 def check_symmetric(F: SiegelExpansion, l: int) -> RelationReport:
     """The symmetric family at shift l; l = 1 is identically true."""
     if l < 1:
         raise ValueError("shift must be >= 1")
-    chi, k = F.character, F.weight
-    violations: list[Violation] = []
-    skipped = 0
-    for n, r, m in F.box_cells():
-        left_terms = []
-        right_terms = []
-        out_of_box = False
-        for d in divisors(gcd(gcd(n, r), l)):
-            ref = F._boxed(n * l // (d * d), r // d, m)
-            if ref is None:
-                out_of_box = True
-                break
-            left_terms.append((d, ref))
-        if not out_of_box:
-            for d in divisors(gcd(gcd(l, r), m)):
-                ref = F._boxed(n, r // d, m * l // (d * d))
-                if ref is None:
-                    out_of_box = True
-                    break
-                right_terms.append((d, ref))
-        if out_of_box:
-            skipped += 1
-            continue
-        left = Scalar.zero()
-        for d, ref in left_terms:
-            if not ref.is_zero():
-                left = left + _twist(chi, k, d) * ref
-        right = Scalar.zero()
-        for d, ref in right_terms:
-            if not ref.is_zero():
-                right = right + _twist(chi, k, d) * ref
-        if left != right:
-            violations.append(Violation("symmetric", n, r, m, l, left, right))
-    return RelationReport(violations, skipped)
+    return _symmetric(F, l, "symmetric")
 
 
 def check_p_relations(F: SiegelExpansion, p: int) -> RelationReport:
-    """The two-term local relation at a prime p; for p | N it degenerates
-    to A(np, r, m) = A(n, r, pm)."""
+    """The two-term local relation at a prime p.  The divisors of
+    gcd(n, r, p) are 1 and p, so it is term for term the symmetric relation
+    at l = p; for p | N it degenerates to A(np, r, m) = A(n, r, pm)."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    chi, k = F.character, F.weight
-    factor = _twist(chi, k, p)
-    violations: list[Violation] = []
-    skipped = 0
-    for n, r, m in F.box_cells():
-        a_up = F._boxed(n * p, r, m)
-        a_right = F._boxed(n, r, m * p)
-        if a_up is None or a_right is None:
-            skipped += 1
-            continue
-        a_down_l = F._boxed(Fraction(n, p), Fraction(r, p), m)
-        a_down_r = F._boxed(n, Fraction(r, p), Fraction(m, p))
-        # down-scaled arguments stay inside the box whenever they are integral
-        left = a_up + factor * a_down_l
-        right = a_right + factor * a_down_r
-        if left != right:
-            violations.append(Violation("plocal", n, r, m, p, left, right))
-    return RelationReport(violations, skipped)
+    return _symmetric(F, p, "plocal")
 
 
 def check_singular_law(F: SiegelExpansion) -> RelationReport:
     """A(l, 0, 0) = (sum_{d | l} d^(k-1) chi(d)) A(1, 0, 0) for l <= n_max."""
-    chi, k = F.character, F.weight
-    violations: list[Violation] = []
-    if F.n_max < 1:
-        return RelationReport(violations, 0)
-    base = F.a(1, 0, 0)
-    for l in range(1, F.n_max + 1):
-        expected = Scalar.zero()
-        if not base.is_zero():
-            for d in divisors(l):
-                expected = expected + _twist(chi, k, d) * base
-        got = F.a(l, 0, 0)
-        if got != expected:
-            violations.append(Violation("singular", l, 0, 0, 0, got, expected))
-    return RelationReport(violations, 0)
+    instances = (
+        ((l, 0, 0), [(1, (l, 0, 0))], [(d, (1, 0, 0)) for d in divisors(l)])
+        for l in range(1, F.n_max + 1)
+    )
+    return _check(F, "singular", 0, instances, F.n_max)
 
 
 def is_maass(F: SiegelExpansion, p_list: list[int]) -> RelationReport:
@@ -412,60 +389,28 @@ def write_sksf(F: SiegelExpansion) -> str:
 
 
 def parse_sksf(text: str) -> SiegelExpansion:
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != "SKSF 1":
-        raise ParseError(1, "expected header 'SKSF 1'")
-    if len(lines) < 2:
-        raise ParseError(2, "missing metadata line")
-    fields = parse_header(lines[1], ("k", "N", "chi", "nmax", "mmax", "cusp"), 2)
-    weight = parse_int(fields["k"], 2, "weight")
-    level = parse_int(fields["N"], 2, "level")
-    n_max = parse_int(fields["nmax"], 2, "nmax")
-    m_max = parse_int(fields["mmax"], 2, "mmax")
-    cusp_flag = fields["cusp"]
-    if cusp_flag not in ("0", "1"):
-        raise ParseError(2, f"bad cusp flag {cusp_flag!r}")
-    if level < 1 or n_max < 0 or m_max < 0:
-        raise ParseError(2, "level/nmax/mmax out of range")
-    try:
-        chi = parse_character(fields["chi"], level)
-    except ValueError as exc:
-        raise ParseError(2, str(exc)) from None
-    coeffs: dict[tuple[int, int, int], Scalar] = {}
-    seen: set[tuple[int, int, int]] = set()
-    for line_no, raw in enumerate(lines[2:], start=3):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 4:
-            raise ParseError(line_no, "expected '<n> <r> <m> <value>'")
-        n = parse_int(parts[0], line_no, "n")
-        r = parse_int(parts[1], line_no, "r")
-        m = parse_int(parts[2], line_no, "m")
-        if (n, r, m) == (0, 0, 0):
-            raise ParseError(line_no, "(0,0,0) is excluded from the support")
-        if not in_cone(n, r, m):
-            raise ParseError(line_no, f"({n},{r},{m}) outside the semidefinite cone")
-        if n > n_max or m > m_max:
-            raise ParseError(line_no, f"({n},{r},{m}) outside the box")
-        if (n, r, m) in seen:
-            raise ParseError(line_no, f"duplicate coefficient ({n},{r},{m})")
-        seen.add((n, r, m))
-        coeffs[(n, r, m)] = scalar_from_text(parts[3], line_no)
-    for n in range(n_max + 1):
-        for m in range(m_max + 1):
-            bound = isqrt(4 * n * m)
-            for r in range(-bound, bound + 1):
-                if (n, r, m) != (0, 0, 0) and (n, r, m) not in seen:
-                    raise ParseError(
-                        len(lines) + 1, f"missing in-region coefficient ({n},{r},{m})"
-                    )
-    try:
-        return SiegelExpansion(weight, level, chi, n_max, m_max, coeffs,
-                               cusp=cusp_flag == "1")
-    except ValueError as exc:
-        raise ParseError(2, str(exc)) from None
+    """Parse SKSF text; every box cell must be present exactly once."""
+    return parse_table(
+        text, "SKSF 1",
+        (("k", "weight"), ("N", "level"), ("chi", None), ("nmax", "nmax"),
+         ("mmax", "mmax"), ("cusp", None)),
+        ("n", "r", "m"), _sksf_cell_error,
+        lambda meta: _cells(meta["nmax"], meta["mmax"]),
+        lambda meta, coeffs: SiegelExpansion(
+            meta["k"], meta["N"], meta["chi"], meta["nmax"], meta["mmax"], coeffs,
+            cusp=meta["cusp"]),
+    )
+
+
+def _sksf_cell_error(cell, meta) -> str | None:
+    n, r, m = cell
+    if cell == (0, 0, 0):
+        return "(0,0,0) is excluded from the support"
+    if not in_cone(n, r, m):
+        return f"({n},{r},{m}) outside the semidefinite cone"
+    if n > meta["nmax"] or m > meta["mmax"]:
+        return f"({n},{r},{m}) outside the box"
+    return None
 
 
 def report_to_text(report: RelationReport) -> str:

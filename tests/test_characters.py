@@ -8,7 +8,6 @@ from sklift.characters import (
     DirichletCharacter,
     Mat2,
     char_on_delta,
-    char_value,
     delta_membership_violation,
     parity_compatible,
     parse_character,
@@ -31,12 +30,12 @@ def all_test_characters(modulus):
 
 
 def test_char_value_examples():
-    assert char_value(DirichletCharacter.trivial(1), 12345) == 1
-    assert char_value(DirichletCharacter.kronecker(-4), 3) == -1
+    assert DirichletCharacter.trivial(1).value(12345) == 1
+    assert DirichletCharacter.kronecker(-4).value(3) == -1
     chi6 = DirichletCharacter.trivial(6)
-    assert char_value(chi6, 2) == 0
-    assert char_value(chi6, 3) == 0
-    assert char_value(chi6, 5) == 1
+    assert chi6.value(2) == 0
+    assert chi6.value(3) == 0
+    assert chi6.value(5) == 1
 
 
 def test_char_value_multiplicative_and_periodic_exhaustive():

@@ -111,6 +111,19 @@ def test_verify_single_shift_flags(tmp_path, capsys):
     assert run(["verify", f"--in={sksf}", "--mode=plocal", "--p=2"], capsys)[0] == 0
 
 
+@pytest.mark.parametrize("mode,flag", [
+    ("plocal", "--l=3"), ("classical", "--l=2"), ("all", "--l=2"),
+    ("symmetric", "--p=2"), ("classical", "--p=3"), ("all", "--p=2"),
+])
+def test_verify_rejects_shift_flag_of_another_mode(capsys, mode, flag):
+    # a usage error, raised before the input file is read
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--in=missing.sksf", f"--mode={mode}", flag])
+    assert exc.value.code == 2
+    wanted = "--mode=symmetric" if flag.startswith("--l") else "--mode=plocal"
+    assert f"verify {flag.split('=')[0]} requires {wanted}" in capsys.readouterr().err
+
+
 def test_verify_plocal_degenerate_level(tmp_path, capsys):
     # p | N: the checker enforces A(2n, r, m) = A(n, r, 2m)
     import random

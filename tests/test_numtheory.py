@@ -25,8 +25,6 @@ from sklift.numtheory import (
     cohen_cache,
     cyclotomic_polynomial,
     divisors,
-    divisors_coprime_to,
-    gcd,
     generalized_bernoulli,
     is_fundamental_discriminant,
     kronecker_symbol,
@@ -131,18 +129,6 @@ def hurwitz_oracle(nval):
 # ---------------------------------------------------------------------------
 # divisor combinatorics
 # ---------------------------------------------------------------------------
-
-def test_gcd_examples():
-    assert gcd(12, 18) == 6
-    assert gcd(0, 0) == 0
-    assert gcd(7, 0) == 7
-
-
-def test_divisors_coprime_to():
-    assert divisors_coprime_to(12, 1) == [1, 2, 3, 4, 6, 12]
-    assert divisors_coprime_to(12, 2) == [1, 3]
-    assert divisors_coprime_to(1, 5) == [1]
-
 
 def test_divisors_sorted_and_complete():
     for n in range(1, 200):

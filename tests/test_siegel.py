@@ -1,15 +1,19 @@
 """Lifts, Fourier-Jacobi slices, relation checkers and the SKSF format."""
 
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from sklift.characters import DirichletCharacter
 from sklift.jacobi import JacobiExpansion, builtin_form, index_shift
-from sklift.numtheory import primes_up_to
+from sklift.numtheory import Scalar, divisors, is_prime, pow_fraction, primes_up_to
 from sklift.serialize import ParseError
 from sklift.siegel import (
+    RelationReport,
     SiegelExpansion,
+    Violation,
     check_classical,
     check_p_relations,
     check_singular_law,
@@ -26,6 +30,7 @@ from sklift.siegel import (
 from synth import (
     degenerate_level2_siegel,
     odd_table_character_mod4,
+    order4_table_character_mod5,
     random_jacobi,
     random_siegel,
 )
@@ -237,6 +242,142 @@ def test_family_equivalence_quick():
         symmetric = all(check_symmetric(F, p).verdict for p in primes)
         plocal = all(check_p_relations(F, p).verdict for p in primes)
         assert classical == symmetric == plocal
+
+
+# ---------------------------------------------------------------------------
+# independent oracle: one hand-written loop per family, skipping an instance
+# as soon as any in-cone reference leaves the box
+# ---------------------------------------------------------------------------
+
+def _boxed(F, n, r, m):
+    """A(n, r, m) with zero at non-integral or non-semidefinite arguments,
+    None for in-cone cells beyond the box."""
+    if any(isinstance(x, Fraction) and x.denominator != 1 for x in (n, r, m)):
+        return Scalar.zero()
+    n, r, m = int(n), int(r), int(m)
+    if n < 0 or m < 0 or 4 * n * m - r * r < 0:
+        return Scalar.zero()
+    if n > F.n_max or m > F.m_max:
+        return None
+    return F.a(n, r, m)
+
+
+def _twist(F, d):
+    return F.character.value(d) * pow_fraction(d, F.weight - 1)
+
+
+def _twisted_sum(F, refs):
+    total = Scalar.zero()
+    for d, ref in refs:
+        if not ref.is_zero():
+            total = total + _twist(F, d) * ref
+    return total
+
+
+def _boxed_refs(F, terms):
+    """[(d, A(cell))] or None when a reference leaves the box."""
+    refs = []
+    for d, cell in terms:
+        ref = _boxed(F, *cell)
+        if ref is None:
+            return None
+        refs.append((d, ref))
+    return refs
+
+
+def relation_oracle(F, relation, shift=0):
+    """The report of one relation family, computed cell by cell over the
+    whole box: "classical", "symmetric" (shift l), "plocal" (prime p, the
+    two-term form with fractional arguments) or "singular"."""
+    violations = []
+    skipped = 0
+    if relation == "singular":
+        base = F.a(1, 0, 0) if F.n_max >= 1 else Scalar.zero()
+        for l in range(1, F.n_max + 1):
+            expected = _twisted_sum(F, [(d, base) for d in divisors(l)])
+            got = F.a(l, 0, 0)
+            if got != expected:
+                violations.append(Violation("singular", l, 0, 0, 0, got, expected))
+        return RelationReport(violations, 0)
+    for n, r, m in F.box_cells():
+        if relation == "classical":
+            right_refs = _boxed_refs(
+                F, [(d, (n * m // (d * d), r // d, 1)) for d in divisors(gcd(gcd(n, r), m))])
+            if right_refs is None:
+                skipped += 1
+                continue
+            left, right = F.a(n, r, m), _twisted_sum(F, right_refs)
+        elif relation == "symmetric":
+            l = shift
+            left_refs = _boxed_refs(
+                F, [(d, (n * l // (d * d), r // d, m)) for d in divisors(gcd(gcd(n, r), l))])
+            right_refs = None if left_refs is None else _boxed_refs(
+                F, [(d, (n, r // d, m * l // (d * d))) for d in divisors(gcd(gcd(l, r), m))])
+            if right_refs is None:
+                skipped += 1
+                continue
+            left, right = _twisted_sum(F, left_refs), _twisted_sum(F, right_refs)
+        else:  # plocal
+            p = shift
+            assert is_prime(p)
+            a_up, a_right = _boxed(F, n * p, r, m), _boxed(F, n, r, m * p)
+            if a_up is None or a_right is None:
+                skipped += 1
+                continue
+            factor = _twist(F, p)
+            left = a_up + factor * _boxed(F, Fraction(n, p), Fraction(r, p), m)
+            right = a_right + factor * _boxed(F, n, Fraction(r, p), Fraction(m, p))
+        if left != right:
+            violations.append(Violation(relation, n, r, m, shift, left, right))
+    return RelationReport(violations, skipped)
+
+
+ENGINE = {
+    "classical": lambda F, _: check_classical(F),
+    "symmetric": check_symmetric,
+    "plocal": check_p_relations,
+    "singular": lambda F, _: check_singular_law(F),
+}
+
+
+def _family_runs():
+    yield "classical", 0
+    yield "singular", 0
+    for l in range(1, 7):
+        yield "symmetric", l
+    for p in (2, 3, 5, 7):
+        yield "plocal", p
+
+
+def _assert_engine_matches_oracle(F):
+    for relation, shift in _family_runs():
+        engine = report_to_text(ENGINE[relation](F, shift))
+        oracle = report_to_text(relation_oracle(F, relation, shift))
+        assert engine == oracle, (F, relation, shift)
+
+
+@pytest.mark.parametrize("weight,chi", [(10, TRIV), (9, order4_table_character_mod5())],
+                         ids=["trivial", "order4-mod5"])
+def test_engine_matches_oracle_on_every_small_box(weight, chi):
+    rng = random.Random(77)
+    for n_max in range(5):
+        for m_max in range(5):
+            F = random_siegel(weight, chi.modulus, chi, n_max, m_max, rng)
+            _assert_engine_matches_oracle(F)
+            _assert_engine_matches_oracle(SiegelExpansion(
+                weight, chi.modulus, chi, n_max, m_max, {}))
+
+
+def test_engine_matches_oracle_on_perturbed_lifts():
+    rng = random.Random(78)
+    chi3 = DirichletCharacter.kronecker(-3)
+    lifts = [lift(builtin_form("phi10_1", 24), 4),
+             lift(random_jacobi(9, 3, chi3, 24, rng), 3)]
+    for F in lifts:
+        _assert_engine_matches_oracle(F)
+        cells = [c for c in F.box_cells() if c[1] >= 0]
+        for cell in rng.sample(cells, 4):
+            _assert_engine_matches_oracle(F.perturbed(*cell))
 
 
 # ---------------------------------------------------------------------------
