@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
-from .hecke import coset_representatives, multiply, tl_element, verify_theorem_identity
+from .hecke import _identity_sides, coset_representatives, multiply, tl_element
 from .jacobi import BUILTIN_FORMS, builtin_form, parse_skjf, write_skjf
 from .numtheory import cohen_h, primes_up_to
 from .serialize import ParseError, rational_to_text
@@ -91,8 +92,8 @@ def cmd_hecke(args) -> int:
         _emit(f"T({args.m}) o T({args.n}) = {product}\n", args.out)
         return 0
     # verify-identity
-    ok = verify_theorem_identity(args.level, args.m, args.n)
-    product = multiply(tl_element(args.level, args.m), tl_element(args.level, args.n))
+    product, right = _identity_sides(args.level, args.m, args.n)
+    ok = product == right
     status = "OK" if ok else "FAIL"
     _emit(f"{status}: T({args.m}) o T({args.n}) = {product}\n", args.out)
     return 0 if ok else 1
@@ -152,8 +153,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on first use and shared by later calls
+    in the process."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.verb == "hecke":
         needs = ("l",) if args.sub == "cosets" else ("m", "n")

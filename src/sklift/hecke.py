@@ -12,10 +12,17 @@ ad = l, gcd(a, N) = 1, 0 <= b < d.  An upper-triangular representative
 a0 (elementary divisors away from N).
 
 Products of double cosets are computed by brute force: expand both factors
-into right cosets, multiply all pairs, sort each product into its right
-coset, and read off the multiplicity of each double coset from the pair
+into right cosets, multiply all pairs, and count the pairs landing in each
+right coset.  The product of two canonical representatives,
+
+    (a1 b1; 0 d1)(a2 b2; 0 d2) = (a1 a2, a1 b2 + b1 d2; 0, d1 d2),
+
+is again upper triangular with gcd(a1 a2, N) = 1, so its right coset is
+read off in closed form as (a1 a2, (a1 b2 + b1 d2) mod d1 d2, d1 d2) with
+no matrix reduction.  The multiplicity of each double coset is the pair
 count at any one of its cosets (the count is verified to be constant
 across the cosets of each double coset, which is a strong internal check).
+`canonicalize_coset` reduces arbitrary matrices of Delta_N.
 """
 
 from __future__ import annotations
@@ -250,19 +257,34 @@ def tl_element(level: int, l: int) -> HeckeElement:
 
 @lru_cache(maxsize=None)
 def _basis_product(level: int, a1: int, d1: int, a2: int, d2: int) -> tuple[tuple[int, int, int], ...]:
-    """T(a1,d1) o T(a2,d2) as ((a, d, coefficient), ...), by coset counting."""
-    reps1 = double_coset_right_cosets(DoubleCoset(a1, d1, level))
-    reps2 = double_coset_right_cosets(DoubleCoset(a2, d2, level))
-    counts: dict[CosetRep, int] = {}
-    for r1 in reps1:
-        m1 = r1.matrix()
-        for r2 in reps2:
-            rep = canonicalize_coset(m1 * r2.matrix(), level)
-            counts[rep] = counts.get(rep, 0) + 1
-    seen: set[DoubleCoset] = {double_coset_of(rep) for rep in counts}
+    """T(a1,d1) o T(a2,d2) as ((a, d, coefficient), ...), by coset counting.
+
+    Every pair of right cosets is multiplied; the product of two canonical
+    representatives has the canonical form (a1 a2, (a1 b2 + b1 d2) mod d1 d2,
+    d1 d2), counted as a plain (a, b, d) triple."""
+    right = [(r.a, r.b, r.d) for r in double_coset_right_cosets(DoubleCoset(a2, d2, level))]
+    counts: dict[tuple[int, int, int], int] = {}
+    for r in double_coset_right_cosets(DoubleCoset(a1, d1, level)):
+        a, b, d = r.a, r.b, r.d
+        for a_, b_, d_ in right:
+            dd = d * d_
+            key = (a * a_, (a * b_ + b * d_) % dd, dd)
+            counts[key] = counts.get(key, 0) + 1
+    return _multiplicities(level, counts)
+
+
+def _multiplicities(level: int, counts: dict[tuple[int, int, int], int]) -> tuple[tuple[int, int, int], ...]:
+    """((a, d, coefficient), ...) from pair counts per canonical right coset
+    (a, b, d): each double coset's coefficient is its per-coset count, which
+    must be the same on all of its right cosets."""
+    seen = set()
+    for a, b, d in counts:
+        content = gcd(gcd(a, b), d)
+        seen.add((content, a * d // content))
     out = []
-    for dc in sorted(seen):
-        per_coset = [counts.get(rep, 0) for rep in double_coset_right_cosets(dc)]
+    for a, d in sorted(seen):
+        dc = DoubleCoset(a, d, level)
+        per_coset = [counts.get((r.a, r.b, r.d), 0) for r in double_coset_right_cosets(dc)]
         if len(set(per_coset)) != 1:
             raise ArithmeticError(
                 f"pair counts not constant on T({dc.a},{dc.d}) at level {level}"
@@ -295,10 +317,8 @@ def diagonal_shift(d: int, x: HeckeElement) -> HeckeElement:
     return HeckeElement(x.level, out)
 
 
-def verify_theorem_identity(level: int, m: int, n: int) -> bool:
-    """Check T(m) o T(n) = sum_{d | (m,n), (d,N)=1} d T(d,d) T(mn/d^2),
-    with the left side computed by brute-force coset partitioning and the
-    right side assembled from determinant sums and diagonal shifts."""
+def _identity_sides(level: int, m: int, n: int) -> tuple[HeckeElement, HeckeElement]:
+    """(left, right) of the identity that `verify_theorem_identity` checks."""
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
     left = multiply(tl_element(level, m), tl_element(level, n))
@@ -306,4 +326,12 @@ def verify_theorem_identity(level: int, m: int, n: int) -> bool:
     for d in divisors(gcd(m, n)):
         if gcd(d, level) == 1:
             right = right + d * diagonal_shift(d, tl_element(level, (m * n) // (d * d)))
+    return left, right
+
+
+def verify_theorem_identity(level: int, m: int, n: int) -> bool:
+    """Check T(m) o T(n) = sum_{d | (m,n), (d,N)=1} d T(d,d) T(mn/d^2),
+    with the left side computed by brute-force coset partitioning and the
+    right side assembled from determinant sums and diagonal shifts."""
+    left, right = _identity_sides(level, m, n)
     return left == right

@@ -1,8 +1,14 @@
 """The command-line surface: verbs, exit codes, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from sklift.cli import main
+import sklift
+from sklift.cli import build_parser, main
 from sklift.jacobi import parse_skjf
 from sklift.siegel import parse_report, parse_sksf
 
@@ -181,6 +187,33 @@ def test_hecke_verify_identity(capsys):
 def test_hecke_missing_params(capsys):
     with pytest.raises(SystemExit):
         main(["hecke", "--sub=mul", "--level=1", "--m=2"])
+
+
+def test_parser_reuse_across_main_calls(tmp_path, capsys):
+    skjf = tmp_path / "in.skjf"
+    sksf = tmp_path / "lift.sksf"
+    run(["gen", "--form=phi10_1", "--nmax=12", f"--out={skjf}"], capsys)
+    run(["lift", f"--in={skjf}", "--mmax=3", f"--out={sksf}"], capsys)
+    # each report equals a fresh interpreter's; --l from the call before
+    # must not leak into the plocal run
+    for argv in (["verify", f"--in={sksf}", "--mode=symmetric", "--l=3"],
+                 ["verify", f"--in={sksf}", "--mode=plocal"]):
+        code, out, _ = run(argv, capsys)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "sklift.cli", *argv], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(sklift.__file__).parents[1])},
+        )
+        assert code == fresh.returncode == 0
+        assert out == fresh.stdout
+        assert parse_report(out).verdict
+
+    assert run(["hecke", "--sub=cosets", "--level=1", "--l=2"], capsys)[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["hecke", "--sub=mul", "--level=1", "--m=2"])
+    assert exc.value.code == 2
+    assert "hecke --sub=mul requires --n" in capsys.readouterr().err
+
+    assert build_parser() is not build_parser()
 
 
 def test_cohen_lines(capsys):

@@ -10,6 +10,8 @@ from sklift.hecke import (
     CosetRep,
     DoubleCoset,
     HeckeElement,
+    _basis_product,
+    _multiplicities,
     canonicalize_coset,
     coset_equal,
     coset_representatives,
@@ -21,6 +23,29 @@ from sklift.hecke import (
     tl_element,
     verify_theorem_identity,
 )
+
+
+def basis_product_oracle(level, a1, d1, a2, d2):
+    """T(a1,d1) o T(a2,d2) as ((a, d, coefficient), ...): every pair product
+    reduced as a matrix by `canonicalize_coset`, then counted per coset."""
+    reps1 = double_coset_right_cosets(DoubleCoset(a1, d1, level))
+    reps2 = double_coset_right_cosets(DoubleCoset(a2, d2, level))
+    counts = {}
+    for r1 in reps1:
+        m1 = r1.matrix()
+        for r2 in reps2:
+            rep = canonicalize_coset(m1 * r2.matrix(), level)
+            counts[rep] = counts.get(rep, 0) + 1
+    seen = {double_coset_of(rep) for rep in counts}
+    out = []
+    for dc in sorted(seen):
+        per_coset = [counts.get(rep, 0) for rep in double_coset_right_cosets(dc)]
+        if len(set(per_coset)) != 1:
+            raise ArithmeticError(
+                f"pair counts not constant on T({dc.a},{dc.d}) at level {level}"
+            )
+        out.append((dc.a, dc.d, per_coset[0]))
+    return tuple(out)
 
 
 def test_representatives_examples():
@@ -188,3 +213,27 @@ def test_double_coset_validation():
         DoubleCoset(2, 3, 1)
     with pytest.raises(ValueError, match="gcd"):
         DoubleCoset(2, 4, 2)
+
+
+def test_basis_product_matches_oracle():
+    # every basis product that T(m) o T(n) touches for N <= 6, m, n <= 12
+    products = set()
+    for level in range(1, 7):
+        for m in range(1, 13):
+            for n in range(1, 13):
+                for dc1 in tl_element(level, m).coefficients():
+                    for dc2 in tl_element(level, n).coefficients():
+                        products.add((level, dc1.a, dc1.d, dc2.a, dc2.d))
+    assert len(products) == 1219
+    for args in sorted(products):
+        assert _basis_product(*args) == basis_product_oracle(*args), args
+
+
+def test_multiplicities_rejects_non_constant_pair_counts():
+    # T(1) o T(4) at level 3 lands once on each right coset of T(1,4) and
+    # T(2,2); one bumped count on T(1,4) must be reported, not averaged
+    counts = {(r.a, r.b, r.d): 1 for r in coset_representatives(3, 4)}
+    assert _multiplicities(3, counts) == ((1, 4, 1), (2, 2, 1))
+    counts[(1, 3, 4)] += 1
+    with pytest.raises(ArithmeticError, match=r"not constant on T\(1,4\) at level 3"):
+        _multiplicities(3, counts)
