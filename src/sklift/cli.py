@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from functools import cache
 
 from .hecke import _identity_sides, coset_representatives, multiply, tl_element
@@ -20,6 +21,7 @@ from .siegel import (
     RelationReport,
     check_classical,
     check_p_relations,
+    check_singular_law,
     check_symmetric,
     is_maass,
     lift,
@@ -72,9 +74,17 @@ def cmd_verify(args) -> int:
         for p in primes:
             report = report.merged_with(check_p_relations(F, p))
     else:  # all
-        report = check_classical(F).merged_with(is_maass(F, box_primes))
+        # is_maass at the box primes, then p-local at each of them; p-local
+        # at p is the symmetric relation at l = p, so each prime is
+        # evaluated once and its report is taken under both labels
+        report = check_classical(F).merged_with(check_singular_law(F))
         for p in box_primes:
-            report = report.merged_with(check_p_relations(F, p))
+            symmetric = check_symmetric(F, p)
+            plocal = RelationReport(
+                [replace(v, relation="plocal") for v in symmetric.violations],
+                symmetric.skipped,
+            )
+            report = report.merged_with(symmetric).merged_with(plocal)
     _emit(report_to_text(report), args.out)
     return 0 if report.verdict else 1
 
@@ -139,8 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sub", required=True, choices=("cosets", "mul", "verify-identity"))
     p.add_argument("--level", required=True, type=int)
     p.add_argument("--l", type=int, help="determinant for sub=cosets")
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
+    p.add_argument("--m", type=int, help="left factor for sub=mul and verify-identity")
+    p.add_argument("--n", type=int, help="right factor for sub=mul and verify-identity")
     p.add_argument("--out")
     p.set_defaults(func=cmd_hecke)
 
@@ -168,6 +178,10 @@ def main(argv: list[str] | None = None) -> int:
         for name in needs:
             if getattr(args, name) is None:
                 parser.error(f"hecke --sub={args.sub} requires --{name}")
+        for name in ("l", "m", "n"):
+            if name not in needs and getattr(args, name) is not None:
+                wanted = "--sub=cosets" if name == "l" else "--sub=mul or verify-identity"
+                parser.error(f"hecke --{name} requires {wanted}")
     if args.verb == "verify":
         for name, mode in (("l", "symmetric"), ("p", "plocal")):
             if getattr(args, name) is not None and args.mode != mode:

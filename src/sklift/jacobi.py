@@ -42,7 +42,6 @@ from .numtheory import (
     divisors,
     pow_fraction,
     sigma,
-    unity_root_table,
 )
 from .serialize import parse_table, scalar_to_text
 
@@ -231,26 +230,50 @@ def index_shift(phi: JacobiExpansion, l: int) -> JacobiExpansion:
         raise ValueError("shift parameter must be >= 1")
     if phi.n_max < l:
         raise ValueError(f"need n_max >= {l} to shift by {l}")
-    k, level, chi = phi.weight, phi.level, phi.character
     out_n_max = phi.n_max // l
-    out_index = phi.index * l
+    return JacobiExpansion(
+        phi.weight, phi.index * l, phi.level, phi.character, out_n_max,
+        _shifted_coeffs(phi, l, out_n_max), cusp=phi.cusp,
+    )
+
+
+def _shifted_coeffs(phi: JacobiExpansion, l: int,
+                    out_n_max: int) -> dict[tuple[int, int], Scalar]:
+    """The nonzero coefficients of V_{l,chi}(phi) on the rows n <= out_n_max.
+
+    The largest reference is c(out_n_max l, r), so out_n_max l must not
+    exceed phi.n_max.  The twists chi(a) a^(k-1) are taken once per divisor
+    a of l; a cell with gcd(n, r, l) = 1 has the single term c(nl, r), which
+    is copied as it is.
+    """
+    if out_n_max * l > phi.n_max:
+        raise ValueError(f"rows up to {out_n_max} of V_{l} need n_max >= {out_n_max * l}")
+    chi = phi.character
+    twists = [
+        (a, chi.value(a) * pow_fraction(a, phi.weight - 1))
+        for a in divisors(l)
+        if gcd(a, phi.level) == 1 and not chi.value(a).is_zero()
+    ]
+    coeffs = phi._coeffs
     out: dict[tuple[int, int], Scalar] = {}
     for n in range(out_n_max + 1):
-        for r in region_r_values(out_index, n):
+        nl = n * l
+        for r in region_r_values(phi.index * l, n):
             g = gcd(gcd(n, r), l)
+            if g == 1:
+                c = coeffs.get((nl, r))
+                if c is not None:
+                    out[(n, r)] = c
+                continue
             total = Scalar.zero()
-            for a in divisors(g):
-                if gcd(a, level) != 1:
-                    continue
-                va = chi.value(a)
-                if va.is_zero():
-                    continue
-                c = phi.coeff(n * l // (a * a), r // a)
-                if not c.is_zero():
-                    total = total + va * (pow_fraction(a, k - 1) * c)
+            for a, twist in twists:
+                if g % a == 0:
+                    c = coeffs.get((nl // (a * a), r // a))
+                    if c is not None:
+                        total = total + twist * c
             if not total.is_zero():
                 out[(n, r)] = total
-    return JacobiExpansion(k, out_index, level, chi, out_n_max, out, cusp=phi.cusp)
+    return out
 
 
 def index_shift_oracle(phi: JacobiExpansion, l: int) -> JacobiExpansion:
@@ -259,10 +282,14 @@ def index_shift_oracle(phi: JacobiExpansion, l: int) -> JacobiExpansion:
     Sums chi(a) d^{-k} Phi((a tau + b)/d, az) over the upper-triangular
     representatives (ad = l, gcd(a, N) = 1, b mod d): every input monomial
     q^n zeta^r contributes e(nb/d) q^{na/d} zeta^{ra}, with the phase taken
-    exactly in Q(zeta_lcm(l, ord chi)).  The b-sum must cancel all
-    fractional q-exponents; a nonzero fractional residue is an internal
-    error.  The result carries the l^(k-1) normalization and the same
-    truncation as :func:`index_shift`.
+    exactly in Q(zeta_M), M the lcm of l, ord chi and the orders of the
+    input values.  Each monomial q^{na/d} zeta^{ra} = q^{na^2/l} zeta^{ra}
+    accumulates rational coordinates indexed by the exponent of zeta_M, so a
+    phase only moves coordinates; one scalar is built per monomial at the
+    end.  The b-sum must cancel all fractional q-exponents; a nonzero
+    fractional residue is an internal error.  The l^(k-1) normalization is
+    folded into the weight of each representative, and the truncation is
+    that of :func:`index_shift`.
     """
     if l < 1:
         raise ValueError("shift parameter must be >= 1")
@@ -271,9 +298,11 @@ def index_shift_oracle(phi: JacobiExpansion, l: int) -> JacobiExpansion:
     k, level, chi = phi.weight, phi.level, phi.character
     out_n_max = phi.n_max // l
     out_index = phi.index * l
-    ring = lcm(l, chi.order)
-    phases = unity_root_table(ring)
-    acc: dict[tuple[Fraction, int], Scalar] = {}
+    ring = lcm(l, chi.order, *(c.order for _, c in phi.nonzero_items()))
+    scale = pow_fraction(l, k - 1)
+    zero = Fraction(0)
+    # (numerator of the q-exponent over l, r) -> coordinates in zeta_ring
+    acc: dict[tuple[int, int], list[Fraction]] = {}
     for a in divisors(l):
         if gcd(a, level) != 1:
             continue
@@ -281,27 +310,27 @@ def index_shift_oracle(phi: JacobiExpansion, l: int) -> JacobiExpansion:
         if va.is_zero():
             continue
         d = l // a
-        weight_ad = va * pow_fraction(d, -k)
-        for b in range(d):
-            for (n, r), c in phi.nonzero_items():
-                phase = phases[(n * b * (ring // d)) % ring]
-                key = (Fraction(n * a, d), r * a)
-                term = weight_ad * phase * c
-                if key in acc:
-                    acc[key] = acc[key] + term
-                else:
-                    acc[key] = term
-    scale = pow_fraction(l, k - 1)
+        step = ring // d
+        weight_ad = va * (pow_fraction(d, -k) * scale)
+        for (n, r), c in phi.nonzero_items():
+            term = weight_ad * c
+            spread = ring // term.order
+            coords = [(i * spread, x) for i, x in enumerate(term.coords) if x]
+            slot = acc.setdefault((n * a * a, r * a), [zero] * ring)
+            for b in range(d):
+                phase = n * b * step
+                for i, x in coords:
+                    slot[(i + phase) % ring] += x
     out: dict[tuple[int, int], Scalar] = {}
-    for (n_frac, r), value in acc.items():
-        value = value * scale
+    for (num, r), coords in acc.items():
+        value = Scalar(ring, coords)
         if value.is_zero():
             continue
-        if n_frac.denominator != 1:
+        if num % l:
             raise ArithmeticError(
-                f"fractional exponent {n_frac} survived the b-sum at r={r}"
+                f"fractional exponent {Fraction(num, l)} survived the b-sum at r={r}"
             )
-        n = int(n_frac)
+        n = num // l
         if n <= out_n_max:
             out[(n, r)] = value
     return JacobiExpansion(k, out_index, level, chi, out_n_max, out, cusp=phi.cusp)

@@ -10,7 +10,9 @@ lookups beyond the box are refused rather than guessed.
 The lift of an index-1 Jacobi expansion phi with vanishing constant term
 assembles A(n, r, l) from the index shifts V_{l,chi}(phi), which makes the
 m-th Fourier-Jacobi slice of the output equal to V_{m,chi}(phi) by
-construction.
+construction.  Each shift is evaluated only on the rows of the truncation
+box, n <= floor(phi.n_max / m_max), not on all the rows
+:func:`~sklift.jacobi.index_shift` would return.
 
 Three equivalent relation families are checked coefficient-wise:
 
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .characters import parity_compatible
-from .jacobi import JacobiExpansion, index_shift
+from .jacobi import JacobiExpansion, _shifted_coeffs
 from .numtheory import Scalar, divisors, is_prime, pow_fraction
 from .serialize import ParseError, parse_int, parse_table, scalar_from_text, scalar_to_text
 
@@ -235,7 +237,8 @@ def lift(phi: JacobiExpansion, m_max: int) -> SiegelExpansion:
 
     Inputs with nonzero constant term would need an Eisenstein part and are
     rejected.  The output is boxed at n <= floor(phi.n_max / m_max) so the
-    whole box is determined by stored input coefficients.
+    whole box is determined by stored input coefficients, and each shift is
+    evaluated on the box rows only.
     """
     if phi.index != 1:
         raise ValueError(f"lift requires an index-1 expansion, got index {phi.index}")
@@ -250,10 +253,8 @@ def lift(phi: JacobiExpansion, m_max: int) -> SiegelExpansion:
     n_max = phi.n_max // m_max
     coeffs: dict[tuple[int, int, int], Scalar] = {}
     for l in range(1, m_max + 1):
-        shifted = index_shift(phi, l)
-        for (n, r), c in shifted.nonzero_items():
-            if n <= n_max:
-                coeffs[(n, r, l)] = c
+        for (n, r), c in _shifted_coeffs(phi, l, n_max).items():
+            coeffs[(n, r, l)] = c
     return SiegelExpansion(
         phi.weight, phi.level, phi.character, n_max, m_max, coeffs, cusp=phi.cusp
     )

@@ -8,9 +8,22 @@ from pathlib import Path
 import pytest
 
 import sklift
+from sklift.characters import DirichletCharacter
 from sklift.cli import build_parser, main
-from sklift.jacobi import parse_skjf
-from sklift.siegel import parse_report, parse_sksf
+from sklift.jacobi import builtin_form, parse_skjf
+from sklift.numtheory import primes_up_to
+from sklift.siegel import (
+    check_classical,
+    check_p_relations,
+    is_maass,
+    lift,
+    parse_report,
+    parse_sksf,
+    report_to_text,
+    write_sksf,
+)
+
+from synth import order4_table_character_mod5, random_jacobi
 
 
 def run(argv, capsys):
@@ -156,6 +169,41 @@ def test_verify_plocal_degenerate_level(tmp_path, capsys):
     assert "REL=plocal T=(1,1,1) l=2" in out
 
 
+def verify_all_oracle(F):
+    """`verify --mode=all` as the composition of the public checkers:
+    classical, is_maass at the box primes, then p-local at each of them."""
+    box_primes = primes_up_to(max(F.n_max, F.m_max))
+    report = check_classical(F).merged_with(is_maass(F, box_primes))
+    for p in box_primes:
+        report = report.merged_with(check_p_relations(F, p))
+    return report
+
+
+def test_verify_all_matches_oracle(tmp_path, capsys):
+    import random
+
+    rng = random.Random(41)
+    lifts = {
+        "trivial": lift(builtin_form("phi10_1", 30), 3),
+        "order4-mod5": lift(random_jacobi(9, 5, order4_table_character_mod5(), 24, rng), 4),
+        "kronecker-3": lift(random_jacobi(9, 3, DirichletCharacter.kronecker(-3), 24, rng), 2),
+    }
+    both_labels = 0
+    for name, F in lifts.items():
+        # single-cell +1 at the shapes (2j, r, 1) and (j, r, 2), and at a
+        # singular cell (l, 0, 0) that only the singular law sees
+        cells = [(2, 0, 1), (2, 1, 1), (4, 2, 1), (1, 1, 2), (2, 2, 2), (3, -1, 2), (2, 0, 0)]
+        for cell in [None, *cells]:
+            G = F if cell is None else F.perturbed(*cell)
+            path = tmp_path / f"{name}.sksf"
+            path.write_text(write_sksf(G))
+            code, out, _ = run(["verify", f"--in={path}", "--mode=all"], capsys)
+            assert out == report_to_text(verify_all_oracle(G)), (name, cell)
+            assert code == (0 if cell is None else 1), (name, cell)
+            both_labels += "REL=symmetric" in out and "REL=plocal" in out
+    assert both_labels > 0
+
+
 def test_verify_malformed_file(tmp_path, capsys):
     bad = tmp_path / "bad.sksf"
     bad.write_text("SKSF 1\nk=10 N=1 chi=trivial nmax=1 mmax=1 cusp=0\n0 0 1 oops\n")
@@ -187,6 +235,19 @@ def test_hecke_verify_identity(capsys):
 def test_hecke_missing_params(capsys):
     with pytest.raises(SystemExit):
         main(["hecke", "--sub=mul", "--level=1", "--m=2"])
+
+
+@pytest.mark.parametrize("argv,flag,wanted", [
+    (["--sub=cosets", "--l=2", "--m=5", "--n=7"], "--m", "--sub=mul or verify-identity"),
+    (["--sub=cosets", "--l=2", "--n=7"], "--n", "--sub=mul or verify-identity"),
+    (["--sub=mul", "--m=2", "--n=3", "--l=9"], "--l", "--sub=cosets"),
+    (["--sub=verify-identity", "--m=2", "--n=2", "--l=4"], "--l", "--sub=cosets"),
+])
+def test_hecke_rejects_flags_of_another_sub(capsys, argv, flag, wanted):
+    with pytest.raises(SystemExit) as exc:
+        main(["hecke", "--level=1", *argv])
+    assert exc.value.code == 2
+    assert f"hecke {flag} requires {wanted}" in capsys.readouterr().err
 
 
 def test_parser_reuse_across_main_calls(tmp_path, capsys):

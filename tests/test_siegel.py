@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 
 from sklift.characters import DirichletCharacter
-from sklift.jacobi import JacobiExpansion, builtin_form, index_shift
+from sklift.jacobi import JacobiExpansion, builtin_form, index_shift, index_shift_oracle
 from sklift.numtheory import Scalar, divisors, is_prime, pow_fraction, primes_up_to
 from sklift.serialize import ParseError
 from sklift.siegel import (
@@ -102,6 +102,44 @@ def test_lift_of_random_level4_form():
     for p in (2, 3, 5):
         assert check_symmetric(F, p).verdict
         assert check_p_relations(F, p).verdict
+
+
+def lift_oracle(phi, m_max, shift=index_shift):
+    """The lift as the composition of whole index shifts: each V_l(phi) on
+    all of its rows n <= phi.n_max // l, truncated to the box afterwards."""
+    n_max = phi.n_max // m_max
+    coeffs = {}
+    for l in range(1, m_max + 1):
+        for (n, r), c in shift(phi, l).nonzero_items():
+            if n <= n_max:
+                coeffs[(n, r, l)] = c
+    return SiegelExpansion(
+        phi.weight, phi.level, phi.character, n_max, m_max, coeffs, cusp=phi.cusp
+    )
+
+
+def _lift_oracle_inputs():
+    rng = random.Random(31)
+    chi3 = DirichletCharacter.kronecker(-3)
+    chi5 = order4_table_character_mod5()
+    yield builtin_form("phi10_1", 24)
+    yield builtin_form("phi12_1", 18)
+    yield random_jacobi(9, 3, chi3, 24, rng)
+    yield random_jacobi(9, 5, chi5, 20, rng)
+    yield JacobiExpansion(9, 1, 5, chi5, 12, {}, cusp=True)
+
+
+def test_lift_matches_oracle():
+    for phi in _lift_oracle_inputs():
+        for n_max in sorted({phi.n_max, phi.n_max - 1, 9}):
+            psi = phi.truncate(n_max)
+            for m_max in sorted({1, 2, 3, 4, 7, n_max}):
+                # byte-identical SKSF: same header, same cells, same values
+                fast, oracle = lift(psi, m_max), lift_oracle(psi, m_max)
+                assert write_sksf(fast) == write_sksf(oracle), (psi, m_max)
+        # and against the slash-action evaluation, independent of the
+        # divisor-sum code both lifts share
+        assert lift(phi, 4) == lift_oracle(phi, 4, shift=index_shift_oracle), phi
 
 
 def test_fj_slice_of_cusp_form_at_zero():
