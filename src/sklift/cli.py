@@ -110,6 +110,8 @@ def cmd_hecke(args) -> int:
 
 
 def cmd_cohen(args) -> int:
+    if args.nmax < 0:
+        raise ValueError("n_max must be >= 0")
     lines = [
         f"H {args.r} {n} {rational_to_text(cohen_h(args.r, n))}"
         for n in range(args.nmax + 1)

@@ -22,11 +22,23 @@ diagonal operator V^0(a, a) sends Phi(tau, z) to chi(a) a^{-k} Phi(tau, az)
 and multiplies the index by a^2.
 
 Built-in generators (level 1): the elliptic series E4, E6, Delta as
-index-0 expansions, the Jacobi Eisenstein series E_{4,1}, E_{6,1} with
-coefficients H(k-1, 4n-r^2)/H(k-1, 0), and the Jacobi cusp forms
+index-0 expansions, and four index-1 forms built in integer q-series
+arithmetic from the two generators of Eichler-Zagier, *The Theory of
+Jacobi Forms* (EZ), Sec. 9,
 
-    phi_{10,1} = (E6 E_{4,1} - E4 E_{6,1}) / 144
-    phi_{12,1} = (E4^2 E_{4,1} - E6 E_{6,1}) / 144.
+    phi_{-2,1} = theta_1(tau, z)^2 / eta^6
+    phi_{0,1}  = 4 sum_{i=2,3,4} theta_i(tau, z)^2 / theta_i(tau, 0)^2,
+
+as phi_{10,1} = Delta phi_{-2,1}, phi_{12,1} = Delta phi_{0,1} and the
+Jacobi Eisenstein series
+
+    E_{4,1} = (E4 phi_{0,1} - E6 phi_{-2,1}) / 12
+    E_{6,1} = (E6 phi_{0,1} - E4^2 phi_{-2,1}) / 12.
+
+An index-1 form has c(n, r) = C(4n - r^2) (EZ, Sec. 2), so each of them is
+computed as its two rows r = 0 and r = 1, each one q-series: theta sums,
+powers of prod (1 - q^n) from Euler's pentagonal series, and divisions by
+sparse theta series.  No Cohen H value is computed.
 """
 
 from __future__ import annotations
@@ -37,7 +49,6 @@ from math import gcd, isqrt, lcm
 from .characters import DirichletCharacter, parity_compatible
 from .numtheory import (
     Scalar,
-    cohen_h,
     cyclotomic_polynomial,
     divisors,
     pow_fraction,
@@ -422,56 +433,170 @@ def _integer_coordinates(expansion: JacobiExpansion, order: int, deg: int, n_max
 
 # ---------------------------------------------------------------------------
 # Built-in generators (level 1, trivial character)
+#
+# Every q-series here is a list of plain ints, the coefficients of q^0 up to
+# q^(length - 1).  An index-1 form has c(n, r) = C(4n - r^2), so it is kept
+# as its rows r = 0 and r = 1 until the expansion is built.
 # ---------------------------------------------------------------------------
 
-def _elliptic_eisenstein(weight: int, factor: int, power: int, n_max: int) -> JacobiExpansion:
-    chi = DirichletCharacter.trivial(1)
-    coeffs: dict[tuple[int, int], Scalar] = {(0, 0): Scalar.one()}
-    for n in range(1, n_max + 1):
-        coeffs[(n, 0)] = Scalar.from_rational(factor * sigma(power, n))
-    return JacobiExpansion(weight, 0, 1, chi, n_max, coeffs)
+def _theta(length: int, a: int, b: int) -> list[int]:
+    """sum over j in Z of q^(a j^2 + b j), for 0 <= b <= a (so every exponent
+    is >= 0, and >= length once |j| > sqrt(length) + 1)."""
+    out = [0] * length
+    bound = isqrt(length) + 1
+    for j in range(-bound, bound + 1):
+        e = a * j * j + b * j
+        if e < length:
+            out[e] += 1
+    return out
 
 
-def _delta(n_max: int) -> JacobiExpansion:
-    # q * prod (1 - q^i)^24, truncated
-    poly = [Fraction(0)] * (n_max + 1)
-    poly[0] = Fraction(1)
-    for _ in range(24):
-        for i in range(1, n_max + 1):
-            for j in range(n_max, i - 1, -1):
-                poly[j] -= poly[j - i]
-    chi = DirichletCharacter.trivial(1)
-    coeffs = {(n, 0): poly[n - 1] for n in range(1, n_max + 1)}
-    return JacobiExpansion(12, 0, 1, chi, n_max, coeffs)
+def _shift(series: list[int]) -> list[int]:
+    """q times the series, at the same length."""
+    return [0] + series[:-1]
 
 
-def _eisenstein_index1(weight: int, n_max: int) -> JacobiExpansion:
-    # c(n, r) = H(k-1, 4n - r^2) / H(k-1, 0)
-    chi = DirichletCharacter.trivial(1)
-    norm = cohen_h(weight - 1, 0)
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    """a b at the length of a; the zeros of a are skipped."""
+    length = len(a)
+    out = [0] * length
+    for i, x in enumerate(a):
+        if x:
+            for j in range(length - i):
+                out[i + j] += x * b[j]
+    return out
+
+
+def _divide(num: list[int], den: list[int]) -> list[int]:
+    """num / den at the length of num, for den[0] = 1; the recurrence runs
+    over the nonzero terms of den only."""
+    terms = [(j, c) for j, c in enumerate(den[:len(num)]) if c and j]
+    out = list(num)
+    for k in range(len(out)):
+        total = out[k]
+        for j, c in terms:
+            if j > k:
+                break
+            total -= c * out[k - j]
+        out[k] = total
+    return out
+
+
+def _pentagonal(length: int) -> list[int]:
+    """prod_{n>=1} (1 - q^n) = sum_{j in Z} (-1)^j q^(j(3j-1)/2) (Euler); the
+    exponent is >= j^2, so |j| <= sqrt(length) + 1 covers the series."""
+    out = [0] * length
+    bound = isqrt(length) + 1
+    for j in range(-bound, bound + 1):
+        e = j * (3 * j - 1) // 2
+        if e < length:
+            out[e] = -1 if j % 2 else 1
+    return out
+
+
+def _eta_power(e: int, length: int) -> list[int]:
+    """prod_{n>=1} (1 - q^n)^e for e of either sign.
+
+    With g the pentagonal series, f = g^e satisfies g f' = e g' f, that is
+    k f_k = sum_{j=1..k} ((e+1) j - k) g_j f_(k-j) (Knuth, TAOCP vol. 2,
+    4.7), a recurrence over the sparse terms of g; the division by k is
+    exact because f has integer coefficients.
+    """
+    g = [(j, c) for j, c in enumerate(_pentagonal(length)) if c and j]
+    f = [1] + [0] * (length - 1)
+    for k in range(1, length):
+        total = 0
+        for j, c in g:
+            if j > k:
+                break
+            total += ((e + 1) * j - k) * c * f[k - j]
+        f[k] = total // k
+    return f
+
+
+def _eisenstein_series(factor: int, power: int, length: int) -> list[int]:
+    """1 + factor sum_{n>=1} sigma_power(n) q^n."""
+    return [1] + [factor * sigma(power, n) for n in range(1, length)]
+
+
+def _delta_series(length: int) -> list[int]:
+    """Delta = q prod (1 - q^n)^24."""
+    return _shift(_eta_power(24, length))
+
+
+def _theta1_rows(length: int) -> list[list[int]]:
+    """The zeta^0 and zeta^1 coefficients of theta_1(tau, z)^2 / q^(1/4):
+    -sum_{j in Z} q^(j^2 + j) and sum_{j in Z} q^(j^2)."""
+    return [[-c for c in _theta(length, 1, 1)], _theta(length, 1, 0)]
+
+
+def _phi_minus2_rows(length: int) -> list[list[int]]:
+    """phi_{-2,1} = theta_1(tau, z)^2 / eta^6 (EZ, Sec. 9)."""
+    eta = _eta_power(-6, length)
+    return [_mul(row, eta) for row in _theta1_rows(length)]
+
+
+def _phi0_rows(length: int) -> list[list[int]]:
+    """phi_{0,1} = 4 sum_{i=2,3,4} theta_i(tau, z)^2 / theta_i(tau, 0)^2
+    (EZ, Sec. 9).
+
+    theta_2: the zeta^0 and zeta^1 coefficients of theta_2(tau, z)^2 are
+    q^(1/4) sum_{j in Z} q^(j^2 + j) and q^(1/4) sum_{j in Z} q^(j^2), and
+    theta_2(tau, 0)^2 = 4 q^(1/4) T^2 with T = sum_{j in Z} q^(2j^2 + j),
+    the triangular numbers once each.  theta_3 and theta_4: in
+    x = q^(1/2) the coefficients of theta_3(tau, z)^2 are
+    F_0 = sum_j x^(2j^2) and F_1 = x sum_j x^(2j^2 + 2j), with
+    theta_3(tau, 0) = sum_j x^(j^2); theta_4 is theta_3 at -x, so their two
+    terms add to twice the even part of F_r / theta_3(tau, 0)^2 and the
+    half-integral powers of q cancel.
+    """
+    triangular = _theta(length, 2, 1)
+    rows = [_divide(_divide(_theta(length, 1, b), triangular), triangular) for b in (1, 0)]
+    x_length = 2 * length - 1
+    theta3 = _theta(x_length, 1, 0)
+    numerators = (_theta(x_length, 2, 0), _shift(_theta(x_length, 2, 2)))
+    for row, numerator in zip(rows, numerators):
+        h = _divide(_divide(numerator, theta3), theta3)
+        for n in range(length):
+            row[n] += 8 * h[2 * n]
+    return rows
+
+
+def _elliptic(weight: int, series: list[int]) -> JacobiExpansion:
+    """The index-0 expansion of a q-series."""
+    coeffs = {(n, 0): c for n, c in enumerate(series)}
+    return JacobiExpansion(weight, 0, 1, DirichletCharacter.trivial(1), len(series) - 1, coeffs)
+
+
+def _index1(weight: int, rows: list[list[int]], cusp: bool = False,
+            den: int = 1) -> JacobiExpansion:
+    """The index-1 expansion whose rows r = 0 and r = 1 are rows / den:
+    c(n, r) = rows[r mod 2][n - (r^2 - r mod 2) / 4] / den."""
+    n_max = len(rows[0]) - 1
+    values = [[Scalar.from_rational(Fraction(c, den)) for c in row] for row in rows]
     coeffs: dict[tuple[int, int], Scalar] = {}
     for n in range(n_max + 1):
         for r in region_r_values(1, n):
-            coeffs[(n, r)] = Scalar.from_rational(cohen_h(weight - 1, 4 * n - r * r) / norm)
-    return JacobiExpansion(weight, 1, 1, chi, n_max, coeffs)
+            parity = r % 2
+            value = values[parity][n - (r * r - parity) // 4]
+            if value:
+                coeffs[(n, r)] = value
+    return JacobiExpansion(weight, 1, 1, DirichletCharacter.trivial(1), n_max, coeffs,
+                           cusp=cusp)
 
 
-def _phi10(n_max: int) -> JacobiExpansion:
-    e4 = _elliptic_eisenstein(4, 240, 3, n_max)
-    e6 = _elliptic_eisenstein(6, -504, 5, n_max)
-    combo = mul_elliptic(_eisenstein_index1(4, n_max), e6) - mul_elliptic(
-        _eisenstein_index1(6, n_max), e4
-    )
-    return (combo * Fraction(1, 144)).with_cusp_flag()
-
-
-def _phi12(n_max: int) -> JacobiExpansion:
-    e4 = _elliptic_eisenstein(4, 240, 3, n_max)
-    e6 = _elliptic_eisenstein(6, -504, 5, n_max)
-    combo = mul_elliptic(_eisenstein_index1(4, n_max), mul_elliptic(e4, e4)) - mul_elliptic(
-        _eisenstein_index1(6, n_max), e6
-    )
-    return (combo * Fraction(1, 144)).with_cusp_flag()
+def _eisenstein_index1(weight: int, length: int) -> JacobiExpansion:
+    """E_{4,1} = (E4 phi_{0,1} - E6 phi_{-2,1}) / 12 and
+    E_{6,1} = (E6 phi_{0,1} - E4^2 phi_{-2,1}) / 12 (EZ, Sec. 9)."""
+    e4 = _eisenstein_series(240, 3, length)
+    e6 = _eisenstein_series(-504, 5, length)
+    if weight == 4:
+        f0, f2 = e4, e6
+    else:
+        f0, f2 = e6, _mul(e4, e4)
+    rows = [[a - b for a, b in zip(_mul(f0, r0), _mul(f2, r2))]
+            for r0, r2 in zip(_phi0_rows(length), _phi_minus2_rows(length))]
+    return _index1(weight, rows, den=12)
 
 
 BUILTIN_FORMS = ("E4", "E6", "Delta", "E4_1", "E6_1", "phi10_1", "phi12_1")
@@ -481,20 +606,24 @@ def builtin_form(name: str, n_max: int) -> JacobiExpansion:
     """A built-in level-1 expansion; elliptic forms come back with index 0."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    length = n_max + 1
     if name == "E4":
-        return _elliptic_eisenstein(4, 240, 3, n_max)
+        return _elliptic(4, _eisenstein_series(240, 3, length))
     if name == "E6":
-        return _elliptic_eisenstein(6, -504, 5, n_max)
+        return _elliptic(6, _eisenstein_series(-504, 5, length))
     if name == "Delta":
-        return _delta(n_max)
+        return _elliptic(12, _delta_series(length))
     if name == "E4_1":
-        return _eisenstein_index1(4, n_max)
+        return _eisenstein_index1(4, length)
     if name == "E6_1":
-        return _eisenstein_index1(6, n_max)
+        return _eisenstein_index1(6, length)
     if name == "phi10_1":
-        return _phi10(n_max)
+        # Delta phi_{-2,1} = q theta_1(tau, z)^2 prod (1 - q^n)^18
+        eta = _eta_power(18, length)
+        return _index1(10, [_shift(_mul(row, eta)) for row in _theta1_rows(length)], cusp=True)
     if name == "phi12_1":
-        return _phi12(n_max)
+        delta = _delta_series(length)
+        return _index1(12, [_mul(row, delta) for row in _phi0_rows(length)], cusp=True)
     raise ValueError(f"unknown built-in form {name!r} (know {', '.join(BUILTIN_FORMS)})")
 
 

@@ -26,8 +26,8 @@ classical Bernoulli numbers B_j (B_1 = -1/2),
               = sum_{j=0..n} C(n, j) B_j f^(j-1) S_{n-j}
 
 (Washington, Introduction to Cyclotomic Fields, Prop. 4.1).  H(1, N) is the
-Hurwitz class number.  Because H values are reused heavily when generating
-Jacobi Eisenstein series, they are memoised on disk (see :data:`cohen_cache`).
+Hurwitz class number.  H values are memoised on disk (see
+:data:`cohen_cache`); the built-in Jacobi forms are computed without them.
 """
 
 from __future__ import annotations
@@ -421,12 +421,6 @@ class Scalar:
 
 _SCALAR_ZERO = Scalar(1, (_ZERO,), _reduced=True)
 _SCALAR_ONE = Scalar(1, (_ONE,), _reduced=True)
-
-
-@lru_cache(maxsize=None)
-def unity_root_table(order: int) -> tuple[Scalar, ...]:
-    """All powers zeta_order^j, j = 0..order-1, in canonical form."""
-    return tuple(Scalar.zeta(order, j) for j in range(order))
 
 
 def pow_fraction(base: int, exponent: int) -> Fraction:

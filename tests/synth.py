@@ -1,6 +1,7 @@
 """Deterministic synthetic test data: orbit-consistent Jacobi expansions,
-random boxed Siegel expansions, and level-2 data satisfying the degenerate
-local relation A(2n, r, m) = A(n, r, 2m)."""
+random boxed Siegel expansions, level-2 data satisfying the degenerate
+local relation A(2n, r, m) = A(n, r, 2m), and the exact product of two
+boxed Siegel expansions."""
 
 from __future__ import annotations
 
@@ -86,3 +87,22 @@ def degenerate_level2_siegel(weight, n_max, m_max, rng) -> SiegelExpansion:
                     assigned[key] = Fraction(rng.randint(-60, 60))
                 coeffs[(n, r, m)] = assigned[key]
     return SiegelExpansion(weight, 2, chi, n_max, m_max, coeffs)
+
+
+def siegel_product(F: SiegelExpansion, G: SiegelExpansion) -> SiegelExpansion:
+    """F G on the common box: A(T) = sum over T1 + T2 = T of A_F(T1) A_G(T2),
+    T1 and T2 positive semidefinite.  Both summands of a box cell have
+    n, m >= 0 and so lie in the box again: the truncated product is exact.
+    G must carry the trivial character at F's level."""
+    if G.level != F.level or not G.character.is_trivial():
+        raise ValueError("the second factor needs the trivial character at the same level")
+    n_max, m_max = min(F.n_max, G.n_max), min(F.m_max, G.m_max)
+    g_items = list(G.nonzero_items())
+    out = {}
+    for (n1, r1, m1), a in F.nonzero_items():
+        for (n2, r2, m2), b in g_items:
+            if n1 + n2 <= n_max and m1 + m2 <= m_max:
+                key = (n1 + n2, r1 + r2, m1 + m2)
+                out[key] = out[key] + a * b if key in out else a * b
+    return SiegelExpansion(F.weight + G.weight, F.level, F.character, n_max, m_max, out,
+                           cusp=F.cusp and G.cusp)

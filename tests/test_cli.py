@@ -277,6 +277,13 @@ def test_parser_reuse_across_main_calls(tmp_path, capsys):
     assert build_parser() is not build_parser()
 
 
+def test_cohen_rejects_negative_nmax(capsys):
+    code, out, err = run(["cohen", "--r=1", "--nmax=-5"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "error: n_max must be >= 0" in err
+
+
 def test_cohen_lines(capsys):
     code, out, _ = run(["cohen", "--r=1", "--nmax=4"], capsys)
     assert code == 0

@@ -1,9 +1,13 @@
 """Jacobi expansions, index-shift operators and the SKJF format.
 
-Two independent references live here: the plain double loop over Scalar
-coefficients that ``mul_elliptic``'s integer kernel must reproduce, and the
-Eichler-Zagier product for phi_{-2,1}, which gives phi_{10,1} = Delta
-phi_{-2,1} in integer arithmetic without Cohen's H-function.
+Independent references live here: the plain double loop over Scalar
+coefficients that ``mul_elliptic``'s integer kernel must reproduce; the
+construction of the built-ins from Cohen's H-function, E_{k,1} with
+c(n, r) = H(k-1, 4n-r^2)/H(k-1, 0) and phi_{10,1}, phi_{12,1} as
+combinations of them through ``mul_elliptic``, which the two-row theta
+construction must reproduce byte for byte; and the Eichler-Zagier product
+for phi_{-2,1}, which gives phi_{10,1} = Delta phi_{-2,1} as a product
+over (1 - q^n zeta^e).
 """
 
 import random
@@ -13,6 +17,7 @@ import pytest
 
 from sklift.characters import DirichletCharacter
 from sklift.jacobi import (
+    BUILTIN_FORMS,
     JacobiExpansion,
     builtin_form,
     index_shift,
@@ -24,7 +29,7 @@ from sklift.jacobi import (
     v_diag,
     write_skjf,
 )
-from sklift.numtheory import Scalar, divisors, sigma
+from sklift.numtheory import Scalar, cohen_h, divisors, sigma
 from sklift.serialize import ParseError
 
 from synth import odd_table_character_mod4, order4_table_character_mod5, random_jacobi
@@ -55,6 +60,66 @@ def mul_elliptic_reference(phi, f):
 # ---------------------------------------------------------------------------
 # built-in generators
 # ---------------------------------------------------------------------------
+
+def _elliptic_eisenstein_oracle(weight, factor, power, n_max):
+    coeffs = {(0, 0): 1}
+    for n in range(1, n_max + 1):
+        coeffs[(n, 0)] = factor * sigma(power, n)
+    return JacobiExpansion(weight, 0, 1, TRIV, n_max, coeffs)
+
+
+def _delta_oracle(n_max):
+    # q * prod (1 - q^i)^24, one factor (1 - q^i) at a time
+    poly = [Fraction(0)] * (n_max + 1)
+    poly[0] = Fraction(1)
+    for _ in range(24):
+        for i in range(1, n_max + 1):
+            for j in range(n_max, i - 1, -1):
+                poly[j] -= poly[j - i]
+    return JacobiExpansion(12, 0, 1, TRIV, n_max,
+                           {(n, 0): poly[n - 1] for n in range(1, n_max + 1)})
+
+
+def _eisenstein_index1_oracle(weight, n_max):
+    # c(n, r) = H(k-1, 4n - r^2) / H(k-1, 0)
+    norm = cohen_h(weight - 1, 0)
+    coeffs = {(n, r): cohen_h(weight - 1, 4 * n - r * r) / norm
+              for n in range(n_max + 1) for r in region_r_values(1, n)}
+    return JacobiExpansion(weight, 1, 1, TRIV, n_max, coeffs)
+
+
+def builtin_form_oracle(name, n_max):
+    """The built-ins from Cohen's H and mul_elliptic:
+    phi_{10,1} = (E6 E_{4,1} - E4 E_{6,1}) / 144 and
+    phi_{12,1} = (E4^2 E_{4,1} - E6 E_{6,1}) / 144."""
+    e4 = _elliptic_eisenstein_oracle(4, 240, 3, n_max)
+    e6 = _elliptic_eisenstein_oracle(6, -504, 5, n_max)
+    if name == "E4":
+        return e4
+    if name == "E6":
+        return e6
+    if name == "Delta":
+        return _delta_oracle(n_max)
+    e41 = _eisenstein_index1_oracle(4, n_max)
+    e61 = _eisenstein_index1_oracle(6, n_max)
+    if name == "E4_1":
+        return e41
+    if name == "E6_1":
+        return e61
+    if name == "phi10_1":
+        combo = mul_elliptic(e41, e6) - mul_elliptic(e61, e4)
+    else:
+        combo = mul_elliptic(e41, mul_elliptic(e4, e4)) - mul_elliptic(e61, e6)
+    return (combo * Fraction(1, 144)).with_cusp_flag()
+
+
+@pytest.mark.parametrize("name", BUILTIN_FORMS)
+def test_builtins_match_the_cohen_h_oracle(name):
+    sizes = list(range(17)) + [40] + ([120] if name.startswith("phi") else [])
+    for n_max in sizes:
+        assert write_skjf(builtin_form(name, n_max)) == write_skjf(
+            builtin_form_oracle(name, n_max)), (name, n_max)
+
 
 def test_e4_e6_divisor_sums():
     e4 = builtin_form("E4", 12)

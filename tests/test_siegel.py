@@ -33,6 +33,7 @@ from synth import (
     order4_table_character_mod5,
     random_jacobi,
     random_siegel,
+    siegel_product,
 )
 
 TRIV = DirichletCharacter.trivial(1)
@@ -268,6 +269,30 @@ def test_is_maass():
     assert any(v.relation == "symmetric" and v.shift in (2, 3) for v in report.violations)
     with pytest.raises(ValueError, match="prime"):
         is_maass(F, [6])
+
+
+def test_genuine_non_lift_fails():
+    # chi_10^2 is a Siegel cusp form of weight 20 for Sp_4(Z) outside the
+    # Maass Spezialschar; the lifts chi_10 and chi_12 are in it.  Box 12 x 4
+    # from the built-ins at nmax 48.
+    chi10 = lift(builtin_form("phi10_1", 48), 4)
+    chi12 = lift(builtin_form("phi12_1", 48), 4)
+    primes = primes_up_to(max(chi10.n_max, chi10.m_max))
+    for F in (chi10, chi12):
+        assert check_classical(F).verdict and is_maass(F, primes).verdict
+    square = siegel_product(chi10, chi10)
+    assert (square.weight, square.n_max, square.m_max) == (20, 12, 4) and square.cusp
+    # A(2, r, 2) = sum over r1 of A(1, r1, 1) A(1, r - r1, 1), A(1, 0, 1) = -2
+    assert square.a(2, 0, 2) == 6 and square.a(2, 2, 2) == 1
+    assert fj_coefficient(square, 1).is_zero()
+    classical = check_classical(square)
+    maass = is_maass(square, primes)
+    assert len(classical.violations) == 92
+    assert len(maass.violations) == 111
+    per_prime = {p: len(check_symmetric(square, p).violations) for p in primes}
+    assert per_prime == {2: 90, 3: 21, 5: 0, 7: 0, 11: 0}
+    assert check_singular_law(square).verdict  # every singular coefficient is 0
+    assert not check_p_relations(square, 2).verdict
 
 
 def test_family_equivalence_quick():
