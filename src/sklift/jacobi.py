@@ -16,7 +16,9 @@ and a slash-action evaluation that averages the substitutions
 
     chi(a) d^{-k} Phi((a tau + b)/d, a z),      ad = l, (a, N) = 1, b mod d
 
-with exact root-of-unity phase bookkeeping, times the normalization
+over the right cosets (a b; 0 d) of T(l) listed by
+:func:`sklift.hecke.coset_representatives`, with exact root-of-unity phase
+bookkeeping, times the normalization
 l^(k-1).  V^0 denotes the same operator without the l^(k-1) prefactor; the
 diagonal operator V^0(a, a) sends Phi(tau, z) to chi(a) a^{-k} Phi(tau, az)
 and multiplies the index by a^2.
@@ -47,6 +49,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .characters import DirichletCharacter, parity_compatible
+from .hecke import coset_representatives
 from .numtheory import (
     Scalar,
     cyclotomic_polynomial,
@@ -290,17 +293,20 @@ def _shifted_coeffs(phi: JacobiExpansion, l: int,
 def index_shift_oracle(phi: JacobiExpansion, l: int) -> JacobiExpansion:
     """V_{l,chi}(phi) by direct slash-action evaluation.
 
-    Sums chi(a) d^{-k} Phi((a tau + b)/d, az) over the upper-triangular
-    representatives (ad = l, gcd(a, N) = 1, b mod d): every input monomial
-    q^n zeta^r contributes e(nb/d) q^{na/d} zeta^{ra}, with the phase taken
-    exactly in Q(zeta_M), M the lcm of l, ord chi and the orders of the
-    input values.  Each monomial q^{na/d} zeta^{ra} = q^{na^2/l} zeta^{ra}
-    accumulates rational coordinates indexed by the exponent of zeta_M, so a
-    phase only moves coordinates; one scalar is built per monomial at the
-    end.  The b-sum must cancel all fractional q-exponents; a nonzero
-    fractional residue is an internal error.  The l^(k-1) normalization is
-    folded into the weight of each representative, and the truncation is
-    that of :func:`index_shift`.
+    Sums chi(a) d^{-k} Phi((a tau + b)/d, az) over the right cosets
+    Gamma_0(N) (a b; 0 d) of Delta_N(l) that
+    :func:`~sklift.hecke.coset_representatives` lists (ad = l,
+    gcd(a, N) = 1, b mod d), so this operator and the Hecke operator T(l)
+    share one coset enumeration: every input monomial q^n zeta^r
+    contributes e(nb/d) q^{na/d} zeta^{ra}, with the phase taken exactly in
+    Q(zeta_M), M the lcm of l, ord chi and the orders of the input values.
+    Each monomial q^{na/d} zeta^{ra} = q^{na^2/l} zeta^{ra} accumulates
+    rational coordinates indexed by the exponent of zeta_M, so a phase only
+    moves coordinates; one scalar is built per monomial at the end.  The
+    b-sum must cancel all fractional q-exponents; a nonzero fractional
+    residue is an internal error.  The l^(k-1) normalization is folded into
+    the weight of each representative, and the truncation is that of
+    :func:`index_shift`.
     """
     if l < 1:
         raise ValueError("shift parameter must be >= 1")
@@ -314,24 +320,25 @@ def index_shift_oracle(phi: JacobiExpansion, l: int) -> JacobiExpansion:
     zero = Fraction(0)
     # (numerator of the q-exponent over l, r) -> coordinates in zeta_ring
     acc: dict[tuple[int, int], list[Fraction]] = {}
-    for a in divisors(l):
-        if gcd(a, level) != 1:
-            continue
-        va = chi.value(a)
-        if va.is_zero():
-            continue
-        d = l // a
+    # a -> [(accumulator slot, n, nonzero coordinates of the weighted term)],
+    # shared by the d cosets (a b; 0 d), which differ only in the phase
+    terms: dict[int, list] = {}
+    for rep in coset_representatives(level, l):
+        a, b, d = rep.a, rep.b, rep.d
+        if a not in terms:
+            weight_ad = chi.value(a) * (pow_fraction(d, -k) * scale)
+            terms[a] = []
+            for (n, r), c in phi.nonzero_items():
+                term = weight_ad * c
+                spread = ring // term.order
+                coords = [(i * spread, x) for i, x in enumerate(term.coords) if x]
+                slot = acc.setdefault((n * a * a, r * a), [zero] * ring)
+                terms[a].append((slot, n, coords))
         step = ring // d
-        weight_ad = va * (pow_fraction(d, -k) * scale)
-        for (n, r), c in phi.nonzero_items():
-            term = weight_ad * c
-            spread = ring // term.order
-            coords = [(i * spread, x) for i, x in enumerate(term.coords) if x]
-            slot = acc.setdefault((n * a * a, r * a), [zero] * ring)
-            for b in range(d):
-                phase = n * b * step
-                for i, x in coords:
-                    slot[(i + phase) % ring] += x
+        for slot, n, coords in terms[a]:
+            phase = n * b * step
+            for i, x in coords:
+                slot[(i + phase) % ring] += x
     out: dict[tuple[int, int], Scalar] = {}
     for (num, r), coords in acc.items():
         value = Scalar(ring, coords)

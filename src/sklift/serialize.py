@@ -4,6 +4,12 @@ Rational values serialize as ``<numerator>/<denominator>``; scalars with
 irrational cyclotomic coordinates serialize as the comma-joined coordinate
 vector (one rational per power-basis coordinate, length = ring order).
 Parse failures carry 1-based line numbers.
+
+:func:`parse_table` is the one parser behind SKJF and SKSF.  Their values
+repeat heavily (an index-1 Jacobi form has c(n, r) = C(4n - r^2); a lift's
+A(n, r, m) depends only on 4nm - r^2 and gcd(n, r, m)), so each distinct
+value text is parsed once per call and its immutable :class:`Scalar` is
+shared by every cell that carries it.
 """
 
 from __future__ import annotations
@@ -92,7 +98,8 @@ def parse_table(text: str, magic: str, header: tuple[tuple[str, str | None], ...
     an error message for a row outside the format's region, or None;
     ``region(meta)`` yields every cell that must be present; ``build(meta,
     coeffs)`` makes the object, and a ValueError from it is reported at the
-    metadata line.
+    metadata line.  Each distinct value text is parsed once, so a bad value
+    is reported at the first row that carries it.
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != magic:
@@ -112,20 +119,28 @@ def parse_table(text: str, magic: str, header: tuple[tuple[str, str | None], ...
         raise ParseError(2, str(exc)) from None
     meta["cusp"] = fields["cusp"] == "1"
     usage = " ".join(f"<{name}>" for name in cell_names + ("value",))
+    columns = len(cell_names) + 1
     coeffs: dict[tuple[int, ...], Scalar] = {}
+    values: dict[str, Scalar] = {}  # value text -> its (immutable, shared) Scalar
     for line_no, raw in enumerate(lines[2:], start=3):
         parts = raw.split()
         if not parts:
             continue
-        if len(parts) != len(cell_names) + 1:
+        if len(parts) != columns:
             raise ParseError(line_no, f"expected '{usage}'")
-        cell = tuple(parse_int(part, line_no, name) for part, name in zip(parts, cell_names))
+        try:
+            cell = tuple(map(int, parts[:-1]))
+        except ValueError:  # name the first bad field
+            cell = tuple(parse_int(part, line_no, name) for part, name in zip(parts, cell_names))
         error = check_cell(cell, meta)
         if error is not None:
             raise ParseError(line_no, error)
         if cell in coeffs:
             raise ParseError(line_no, f"duplicate coefficient {_cell_text(cell)}")
-        coeffs[cell] = scalar_from_text(parts[-1], line_no)
+        value = values.get(parts[-1])
+        if value is None:
+            value = values[parts[-1]] = scalar_from_text(parts[-1], line_no)
+        coeffs[cell] = value
     for cell in region(meta):
         if cell not in coeffs:
             raise ParseError(len(lines) + 1, f"missing in-region coefficient {_cell_text(cell)}")

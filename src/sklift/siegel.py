@@ -36,7 +36,10 @@ others, so the instances whose references stay inside the box form a
 sub-region known up front (nm <= n_max for classical, nl <= n_max and
 ml <= m_max for symmetric_l, all of l <= n_max for the singular law).  Only
 that sub-region is evaluated; the box cells outside it are counted in the
-report as skipped.
+report as skipped.  The two sides of an instance are compared as sums of
+the stored nonzero coefficients, with the d = 1 term taken as it is
+(chi(1) 1^(k-1) = 1); only a violated instance is summed again term by
+term, from zero, for the sides its report line prints.
 """
 
 from __future__ import annotations
@@ -275,31 +278,53 @@ def _check(F: SiegelExpansion, relation: str, shift: int, instances,
     """Evaluate relation instances (cell, left, right), where each side is a
     list of terms (d, (n, r, m)) standing for d^(k-1) chi(d) A(n, r, m).
 
-    The instances come from the family's evaluable sub-region, so every
-    reference is read with :meth:`SiegelExpansion.a`, which refuses cells
-    beyond the box; of the ``enumerated`` box instances, those not
-    evaluated are reported as skipped.
+    The instances come from the family's evaluable sub-region; of the
+    ``enumerated`` box instances, those not evaluated are reported as
+    skipped.  Each reference is read from the stored nonzero coefficients,
+    and an absent one through :meth:`SiegelExpansion.a`, which is zero
+    outside the cone and refuses cells beyond the box.  The sides are first
+    compared as cheap sums: the d = 1 term is taken as it is, since
+    chi(1) 1^(k-1) = 1, and a sum starts at its first nonzero term.  Only a
+    violated instance is summed again from Scalar.zero() over every twisted
+    term, so the reported sides do not depend on the shortcut.
     """
     chi, k = F.character, F.weight
+    coeffs = F._coeffs
+    zero = Scalar.zero()
     twists: dict[int, Scalar] = {}
+
+    def twist(d: int) -> Scalar:
+        if d not in twists:
+            twists[d] = chi.value(d) * pow_fraction(d, k - 1)
+        return twists[d]
+
+    def fast_side(terms) -> Scalar:
+        total = None
+        for d, cell in terms:
+            ref = coeffs.get(cell)
+            if ref is None:
+                F.a(*cell)  # zero, or beyond the box and refused
+                continue
+            if d != 1:
+                ref = twist(d) * ref
+            total = ref if total is None else total + ref
+        return zero if total is None else total
 
     def side(terms) -> Scalar:
         total = Scalar.zero()
         for d, cell in terms:
             ref = F.a(*cell)
             if not ref.is_zero():
-                if d not in twists:
-                    twists[d] = chi.value(d) * pow_fraction(d, k - 1)
-                total = total + twists[d] * ref
+                total = total + twist(d) * ref
         return total
 
     violations: list[Violation] = []
     evaluated = 0
     for (n, r, m), left_terms, right_terms in instances:
         evaluated += 1
-        left, right = side(left_terms), side(right_terms)
-        if left != right:
-            violations.append(Violation(relation, n, r, m, shift, left, right))
+        if fast_side(left_terms) != fast_side(right_terms):
+            violations.append(Violation(relation, n, r, m, shift,
+                                        side(left_terms), side(right_terms)))
     return RelationReport(violations, enumerated - evaluated)
 
 
@@ -426,14 +451,18 @@ def report_to_text(report: RelationReport) -> str:
 
 
 def parse_report(text: str) -> RelationReport:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] not in ("VERDICT=PASS", "VERDICT=FAIL"):
-        raise ParseError(1, "expected VERDICT=PASS or VERDICT=FAIL")
-    if not lines[-1].startswith("SKIPPED="):
-        raise ParseError(len(lines), "expected trailing SKIPPED=<count>")
-    skipped = parse_int(lines[-1][len("SKIPPED="):], len(lines), "skip count")
+    """Parse report text.  Blank lines are skipped; errors carry the line
+    numbers of the text itself."""
+    lines = [(line_no, line) for line_no, line in enumerate(text.splitlines(), start=1)
+             if line.strip()]
+    if not lines or lines[0][1] not in ("VERDICT=PASS", "VERDICT=FAIL"):
+        raise ParseError(lines[0][0] if lines else 1, "expected VERDICT=PASS or VERDICT=FAIL")
+    (verdict_no, verdict), (last_no, last) = lines[0], lines[-1]
+    if not last.startswith("SKIPPED="):
+        raise ParseError(last_no, "expected trailing SKIPPED=<count>")
+    skipped = parse_int(last[len("SKIPPED="):], last_no, "skip count")
     violations = []
-    for line_no, line in enumerate(lines[1:-1], start=2):
+    for line_no, line in lines[1:-1]:
         parts = line.split()
         if len(parts) != 5:
             raise ParseError(line_no, "expected 'REL=.. T=(..) l=.. L=.. R=..'")
@@ -450,6 +479,6 @@ def parse_report(text: str) -> RelationReport:
             raise ParseError(line_no, f"malformed violation line: {line!r}") from None
         violations.append(Violation(rel, n, r, m, shift, left, right))
     report = RelationReport(violations, skipped)
-    if report.verdict != (lines[0] == "VERDICT=PASS"):
-        raise ParseError(1, "verdict line inconsistent with violation list")
+    if report.verdict != (verdict == "VERDICT=PASS"):
+        raise ParseError(verdict_no, "verdict line inconsistent with violation list")
     return report

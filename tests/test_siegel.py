@@ -434,13 +434,17 @@ def test_engine_matches_oracle_on_every_small_box(weight, chi):
 def test_engine_matches_oracle_on_perturbed_lifts():
     rng = random.Random(78)
     chi3 = DirichletCharacter.kronecker(-3)
-    lifts = [lift(builtin_form("phi10_1", 24), 4),
-             lift(random_jacobi(9, 3, chi3, 24, rng), 3)]
-    for F in lifts:
+    chi5 = order4_table_character_mod5()
+    # (lift, perturbation): +zeta_4 under the order-4 character pins the
+    # comma-joined L=/R= text of irrational sides
+    lifts = [(lift(builtin_form("phi10_1", 24), 4), 1),
+             (lift(random_jacobi(9, 3, chi3, 24, rng), 3), 1),
+             (lift(random_jacobi(9, 5, chi5, 24, rng), 3), Scalar.zeta(4))]
+    for F, delta in lifts:
         _assert_engine_matches_oracle(F)
         cells = [c for c in F.box_cells() if c[1] >= 0]
         for cell in rng.sample(cells, 4):
-            _assert_engine_matches_oracle(F.perturbed(*cell))
+            _assert_engine_matches_oracle(F.perturbed(*cell, delta=delta))
 
 
 # ---------------------------------------------------------------------------
@@ -488,3 +492,20 @@ def test_report_text_shape():
     assert lines[0] == "VERDICT=FAIL"
     assert lines[1].startswith("REL=classical T=(")
     assert lines[-1].startswith("SKIPPED=")
+
+
+@pytest.mark.parametrize("text,line_no,message", [
+    ("VERDICT=PASS\n\nSKIPPED=x\n", 3, "bad skip count 'x'"),
+    ("VERDICT=FAIL\n\n\nREL=classical T=(1,0,1) l=0 L=1/x R=0/1\nSKIPPED=0\n", 4,
+     "bad rational '1/x' (expected num/den)"),
+    ("VERDICT=FAIL\n\nREL=classical T=(1,0) l=0 L=1/1 R=0/1\n\nSKIPPED=0\n", 3,
+     "malformed violation line: 'REL=classical T=(1,0) l=0 L=1/1 R=0/1'"),
+    ("\n\nVERDICT=FAIL\nSKIPPED=0\n", 3, "verdict line inconsistent with violation list"),
+    ("\nVERDICT=MAYBE\nSKIPPED=0\n", 2, "expected VERDICT=PASS or VERDICT=FAIL"),
+], ids=["skip-count", "bad-rational", "malformed-violation", "inconsistent-verdict",
+        "bad-verdict"])
+def test_report_parse_errors_keep_the_text_line_numbers(text, line_no, message):
+    with pytest.raises(ParseError) as exc:
+        parse_report(text)
+    assert exc.value.line_no == line_no
+    assert str(exc.value) == f"line {line_no}: {message}"
