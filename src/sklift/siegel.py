@@ -322,7 +322,8 @@ def _check(F: SiegelExpansion, relation: str, shift: int, instances,
     evaluated = 0
     for (n, r, m), left_terms, right_terms in instances:
         evaluated += 1
-        if fast_side(left_terms) != fast_side(right_terms):
+        left, right = fast_side(left_terms), fast_side(right_terms)
+        if left != right:
             violations.append(Violation(relation, n, r, m, shift,
                                         side(left_terms), side(right_terms)))
     return RelationReport(violations, enumerated - evaluated)
