@@ -96,7 +96,6 @@ def test_parse_error_table(fmt, case, edit, line_no, message):
     assert str(exc.value) == f"line {line_no}: {message}"
 
 
-
 # ---------------------------------------------------------------------------
 # oracle: scalar_from_text on every row, no value shared between rows
 # ---------------------------------------------------------------------------
@@ -119,9 +118,9 @@ def _oracle_tables():
     for chi, factor in ((DirichletCharacter.kronecker(-3), 1),
                         (order4_table_character_mod5(), Scalar.zeta(4, 1) + 2)):
         phi = random_jacobi(9, chi.modulus, chi, 30, rng) * factor
-        yield write_skjf(phi), parse_skjf, lambda phi, cell: phi.coeff(*cell)
+        yield write_skjf(phi), parse_skjf, lambda form, cell: form.coeff(*cell)
         for m_max in (2, 5):
-            yield write_sksf(lift(phi, m_max)), parse_sksf, lambda F, cell: F.a(*cell)
+            yield write_sksf(lift(phi, m_max)), parse_sksf, lambda form, cell: form.a(*cell)
 
 
 def test_parsers_match_the_row_by_row_oracle():
