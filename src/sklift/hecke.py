@@ -19,9 +19,14 @@ right coset.  The product of two canonical representatives,
 
 is again upper triangular with gcd(a1 a2, N) = 1, so its right coset is
 read off in closed form as (a1 a2, (a1 b2 + b1 d2) mod d1 d2, d1 d2) with
-no matrix reduction.  The multiplicity of each double coset is the pair
-count at any one of its cosets (the count is verified to be constant
-across the cosets of each double coset, which is a strong internal check).
+no matrix reduction.  The multiplicity of each double coset is its
+per-coset pair count, checked in one pass over the counted cosets: each
+coset (a, b, d) joins T(e, ad/e), e = gcd(a, b, d), and must carry the
+same count as the others there, and at the end the number of cosets hit in
+each T(a, d) must equal its number of right cosets, an integer count over
+the same canonical triples (`_right_coset_count`).  So every right coset
+of every double coset in a product gets the same count, a strong internal
+check, with no coset list built for the targets.
 `canonicalize_coset` reduces arbitrary matrices of Delta_N.
 """
 
@@ -81,6 +86,8 @@ class DoubleCoset:
     level: int
 
     def __post_init__(self):
+        if self.level < 1:
+            raise ValueError(f"T({self.a},{self.d}) requires level N >= 1")
         if self.a < 1 or self.d < self.a or self.d % self.a:
             raise ValueError(f"T({self.a},{self.d}) requires 1 <= a and a | d")
         if gcd(self.a, self.level) != 1:
@@ -180,6 +187,20 @@ def double_coset_right_cosets(dc: DoubleCoset) -> tuple[CosetRep, ...]:
     )
 
 
+@lru_cache(maxsize=None)
+def _right_coset_count(level: int, a: int, d: int) -> int:
+    """len(double_coset_right_cosets(T(a, d))), counted over the same
+    canonical triples (a', b, d') with no objects built: a'd' = ad,
+    gcd(a', N) = 1, 0 <= b < d' and content gcd(a', b, d') = a."""
+    l = a * d
+    count = 0
+    for a_ in divisors(l):
+        if a_ % a == 0 and gcd(a_, level) == 1:
+            d_ = l // a_
+            count += sum(1 for b in range(0, d_, a) if gcd(a_, b, d_) == a)
+    return count
+
+
 class HeckeElement:
     """A finite integer combination of double cosets at a fixed level."""
 
@@ -275,22 +296,31 @@ def _basis_product(level: int, a1: int, d1: int, a2: int, d2: int) -> tuple[tupl
 
 def _multiplicities(level: int, counts: dict[tuple[int, int, int], int]) -> tuple[tuple[int, int, int], ...]:
     """((a, d, coefficient), ...) from pair counts per canonical right coset
-    (a, b, d): each double coset's coefficient is its per-coset count, which
-    must be the same on all of its right cosets."""
-    seen = set()
-    for a, b, d in counts:
-        content = gcd(gcd(a, b), d)
-        seen.add((content, a * d // content))
+    (a, b, d), in one pass: each coset joins the double coset T(e, ad/e),
+    e = gcd(a, b, d), whose coefficient is its per-coset count.  The count
+    must be the same on every coset of a double coset, and every one of its
+    `_right_coset_count` cosets must be hit."""
+    per_dc: dict[tuple[int, int], list[int]] = {}  # (a, d) -> [count, cosets hit]
+    for (a, b, d), c in counts.items():
+        e = gcd(a, b, d)
+        key = (e, a * d // e)
+        entry = per_dc.get(key)
+        if entry is None:
+            per_dc[key] = [c, 1]
+        elif entry[0] == c:
+            entry[1] += 1
+        else:
+            raise _non_constant(level, *key)
     out = []
-    for a, d in sorted(seen):
-        dc = DoubleCoset(a, d, level)
-        per_coset = [counts.get((r.a, r.b, r.d), 0) for r in double_coset_right_cosets(dc)]
-        if len(set(per_coset)) != 1:
-            raise ArithmeticError(
-                f"pair counts not constant on T({dc.a},{dc.d}) at level {level}"
-            )
-        out.append((dc.a, dc.d, per_coset[0]))
+    for (a, d), (c, hit) in sorted(per_dc.items()):
+        if hit != _right_coset_count(level, a, d):
+            raise _non_constant(level, a, d)
+        out.append((a, d, c))
     return tuple(out)
+
+
+def _non_constant(level: int, a: int, d: int) -> ArithmeticError:
+    return ArithmeticError(f"pair counts not constant on T({a},{d}) at level {level}")
 
 
 def multiply(x: HeckeElement, y: HeckeElement) -> HeckeElement:

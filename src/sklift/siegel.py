@@ -44,13 +44,14 @@ term, from zero, for the sides its report line prints.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .characters import parity_compatible
 from .jacobi import JacobiExpansion, _shifted_coeffs
 from .numtheory import Scalar, divisors, is_prime, pow_fraction
-from .serialize import ParseError, parse_int, parse_table, scalar_from_text, scalar_to_text
+from .serialize import ParseError, parse_header, parse_int, parse_table, scalar_from_text, scalar_to_text
 
 __all__ = [
     "SiegelExpansion",
@@ -451,9 +452,13 @@ def report_to_text(report: RelationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+_REPORT_RELATIONS = ("classical", "symmetric", "plocal", "singular")
+
+
 def parse_report(text: str) -> RelationReport:
-    """Parse report text.  Blank lines are skipped; errors carry the line
-    numbers of the text itself."""
+    """Parse report text, rejecting what `report_to_text` never writes.
+    Blank lines are skipped; errors carry the line numbers of the text
+    itself."""
     lines = [(line_no, line) for line_no, line in enumerate(text.splitlines(), start=1)
              if line.strip()]
     if not lines or lines[0][1] not in ("VERDICT=PASS", "VERDICT=FAIL"):
@@ -462,22 +467,23 @@ def parse_report(text: str) -> RelationReport:
     if not last.startswith("SKIPPED="):
         raise ParseError(last_no, "expected trailing SKIPPED=<count>")
     skipped = parse_int(last[len("SKIPPED="):], last_no, "skip count")
+    if skipped < 0:
+        raise ParseError(last_no, f"negative skip count {skipped}")
     violations = []
     for line_no, line in lines[1:-1]:
-        parts = line.split()
-        if len(parts) != 5:
-            raise ParseError(line_no, "expected 'REL=.. T=(..) l=.. L=.. R=..'")
-        try:
-            rel = parts[0].removeprefix("REL=")
-            triple = parts[1].removeprefix("T=").strip("()").split(",")
-            n, r, m = (int(x) for x in triple)
-            shift = int(parts[2].removeprefix("l="))
-            left = scalar_from_text(parts[3].removeprefix("L="), line_no)
-            right = scalar_from_text(parts[4].removeprefix("R="), line_no)
-        except (ValueError, IndexError) as exc:
-            if isinstance(exc, ParseError):
-                raise
-            raise ParseError(line_no, f"malformed violation line: {line!r}") from None
+        fields = parse_header(line, ("REL", "T", "l", "L", "R"), line_no)
+        rel = fields["REL"]
+        if rel not in _REPORT_RELATIONS:
+            raise ParseError(line_no, f"unknown relation {rel!r}")
+        cell = re.fullmatch(r"\((-?[0-9]+),(-?[0-9]+),(-?[0-9]+)\)", fields["T"])
+        if cell is None:
+            raise ParseError(line_no, f"malformed violation line: {line!r}")
+        n, r, m = map(int, cell.groups())
+        shift = parse_int(fields["l"], line_no, "shift")
+        left = scalar_from_text(fields["L"], line_no)
+        right = scalar_from_text(fields["R"], line_no)
+        if left == right:
+            raise ParseError(line_no, "violation with equal sides")
         violations.append(Violation(rel, n, r, m, shift, left, right))
     report = RelationReport(violations, skipped)
     if report.verdict != (verdict == "VERDICT=PASS"):

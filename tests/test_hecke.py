@@ -12,6 +12,7 @@ from sklift.hecke import (
     HeckeElement,
     _basis_product,
     _multiplicities,
+    _right_coset_count,
     canonicalize_coset,
     coset_equal,
     coset_representatives,
@@ -213,6 +214,10 @@ def test_double_coset_validation():
         DoubleCoset(2, 3, 1)
     with pytest.raises(ValueError, match="gcd"):
         DoubleCoset(2, 4, 2)
+    for build in (lambda: DoubleCoset(1, 1, 0), lambda: t_ad(0, 1, 2),
+                  lambda: tl_element(-1, 4)):
+        with pytest.raises(ValueError, match="level N >= 1"):
+            build()
 
 
 def test_basis_product_matches_oracle():
@@ -231,9 +236,27 @@ def test_basis_product_matches_oracle():
 
 def test_multiplicities_rejects_non_constant_pair_counts():
     # T(1) o T(4) at level 3 lands once on each right coset of T(1,4) and
-    # T(2,2); one bumped count on T(1,4) must be reported, not averaged
+    # T(2,2); on T(1,4) a bumped count, a coset never hit, or one coset
+    # hit once where all the others are hit twice must be reported
     counts = {(r.a, r.b, r.d): 1 for r in coset_representatives(3, 4)}
     assert _multiplicities(3, counts) == ((1, 4, 1), (2, 2, 1))
-    counts[(1, 3, 4)] += 1
-    with pytest.raises(ArithmeticError, match=r"not constant on T\(1,4\) at level 3"):
-        _multiplicities(3, counts)
+    bumped = dict(counts)
+    bumped[(1, 3, 4)] += 1
+    dropped = dict(counts)
+    del dropped[(1, 3, 4)]
+    uneven = {key: 2 for key in counts}
+    uneven[(1, 2, 4)] = 1
+    for bad in (bumped, dropped, uneven):
+        with pytest.raises(ArithmeticError, match=r"not constant on T\(1,4\) at level 3"):
+            _multiplicities(3, bad)
+
+
+def test_right_coset_count_matches_enumeration():
+    # every T(a, d) with ad <= 256 at N <= 8: all the benchmark's targets
+    for level in range(1, 9):
+        for a in range(1, 17):
+            if gcd(a, level) != 1:
+                continue
+            for d in range(a, 256 // a + 1, a):
+                dc = DoubleCoset(a, d, level)
+                assert _right_coset_count(level, a, d) == len(double_coset_right_cosets(dc))

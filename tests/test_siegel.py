@@ -476,12 +476,16 @@ def test_sksf_parse_errors():
 
 def test_report_roundtrip():
     F = small_lift().perturbed(2, 1, 1)
-    for report in (check_classical(F), check_p_relations(F, 2), is_maass(F, [2, 3])):
+    reports = (check_classical(F), check_p_relations(F, 2), is_maass(F, [2, 3]),
+               check_singular_law(small_lift().perturbed(2, 0, 0)))
+    for report in reports:
         text = report_to_text(report)
         back = parse_report(text)
         assert back.verdict == report.verdict
         assert back.skipped == report.skipped
         assert back.violations == report.violations
+    relations = {v.relation for report in reports for v in report.violations}
+    assert relations == {"classical", "symmetric", "plocal", "singular"}
     clean = check_classical(small_lift())
     assert parse_report(report_to_text(clean)).verdict
 
@@ -502,8 +506,26 @@ def test_report_text_shape():
      "malformed violation line: 'REL=classical T=(1,0) l=0 L=1/1 R=0/1'"),
     ("\n\nVERDICT=FAIL\nSKIPPED=0\n", 3, "verdict line inconsistent with violation list"),
     ("\nVERDICT=MAYBE\nSKIPPED=0\n", 2, "expected VERDICT=PASS or VERDICT=FAIL"),
+    ("VERDICT=PASS\n\nSKIPPED=-3\n", 3, "negative skip count -3"),
+    ("VERDICT=FAIL\n\nREL=bogus T=(1,0,1) l=0 L=1/1 R=0/1\nSKIPPED=0\n", 3,
+     "unknown relation 'bogus'"),
+    ("VERDICT=FAIL\nclassical T=(1,0,1) l=0 L=1/1 R=0/1\nSKIPPED=0\n", 2,
+     "expected field REL=..., got 'classical'"),
+    ("VERDICT=FAIL\nREL=classical (1,0,1) l=0 L=1/1 R=0/1\nSKIPPED=0\n", 2,
+     "expected field T=..., got '(1,0,1)'"),
+    ("VERDICT=FAIL\nREL=classical T=1,0,1 l=0 L=1/1 R=0/1\nSKIPPED=0\n", 2,
+     "malformed violation line: 'REL=classical T=1,0,1 l=0 L=1/1 R=0/1'"),
+    ("VERDICT=FAIL\nREL=classical T=(1,0,1) 0 L=1/1 R=0/1\nSKIPPED=0\n", 2,
+     "expected field l=..., got '0'"),
+    ("VERDICT=FAIL\nREL=classical T=(1,0,1) l=0 1/1 R=0/1\nSKIPPED=0\n", 2,
+     "expected field L=..., got '1/1'"),
+    ("VERDICT=FAIL\nREL=classical T=(1,0,1) l=0 L=1/1 0/1\nSKIPPED=0\n", 2,
+     "expected field R=..., got '0/1'"),
+    ("VERDICT=FAIL\n\n\nREL=plocal T=(2,1,1) l=2 L=3/1 R=3/1\nSKIPPED=0\n", 4,
+     "violation with equal sides"),
 ], ids=["skip-count", "bad-rational", "malformed-violation", "inconsistent-verdict",
-        "bad-verdict"])
+        "bad-verdict", "negative-skip-count", "unknown-relation", "bare-rel", "bare-t",
+        "t-without-parens", "bare-l", "bare-left", "bare-right", "equal-sides"])
 def test_report_parse_errors_keep_the_text_line_numbers(text, line_no, message):
     with pytest.raises(ParseError) as exc:
         parse_report(text)
