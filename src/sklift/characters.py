@@ -203,22 +203,27 @@ class DirichletCharacter:
         return f"DirichletCharacter({self.to_spec()!r}, modulus={self.modulus})"
 
 
-_TABLE_VALUE_RE = re.compile(r"^zeta\^(-?\d+)/(\d+)$")
+_KRONECKER_RE = re.compile(r"kronecker:(-?[0-9]+)")
+_TABLE_VALUE_RE = re.compile(r"zeta\^(-?[0-9]+)/([0-9]+)")
 
 
 def parse_character(spec: str, modulus: int) -> DirichletCharacter:
-    """Parse the character grammar at a given modulus."""
+    """Parse the character grammar at a given modulus.  Integers must read
+    -?[0-9]+, the form :meth:`DirichletCharacter.to_spec` writes."""
     if spec == "trivial":
         return DirichletCharacter.trivial(modulus)
     if spec.startswith("kronecker:"):
-        return DirichletCharacter.kronecker(int(spec[len("kronecker:"):]), modulus)
+        m = _KRONECKER_RE.fullmatch(spec)
+        if not m:
+            raise ValueError(f"bad kronecker discriminant {spec[len('kronecker:'):]!r}")
+        return DirichletCharacter.kronecker(int(m.group(1)), modulus)
     if spec.startswith("table:"):
         entries: list[tuple[int, int] | None] = []
         for token in spec[len("table:"):].split(","):
             if token == "0":
                 entries.append(None)
                 continue
-            m = _TABLE_VALUE_RE.match(token)
+            m = _TABLE_VALUE_RE.fullmatch(token)
             if not m:
                 raise ValueError(f"bad table value {token!r}")
             entries.append((int(m.group(1)), int(m.group(2))))

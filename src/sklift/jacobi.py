@@ -41,6 +41,12 @@ An index-1 form has c(n, r) = C(4n - r^2) (EZ, Sec. 2), so each of them is
 computed as its two rows r = 0 and r = 1, each one q-series: theta sums,
 powers of prod (1 - q^n) from Euler's pentagonal series, and divisions by
 sparse theta series.  No Cohen H value is computed.
+
+The same repetition makes the divisor sum of V_{l,chi} repeat: each
+distinct list of (twist, coefficient) terms is summed once per call, with a
+memo keyed by the twist index and the id of each stored coefficient.  Only
+objects alive for the whole call are keyed, never a temporary whose id
+could be reused, so a memo miss only costs a recomputation.
 """
 
 from __future__ import annotations
@@ -259,6 +265,13 @@ def _shifted_coeffs(phi: JacobiExpansion, l: int,
     exceed phi.n_max.  The twists chi(a) a^(k-1) are taken once per divisor
     a of l; a cell with gcd(n, r, l) = 1 has the single term c(nl, r), which
     is copied as it is.
+
+    Coefficient values repeat heavily (an index-1 form has c(n, r) =
+    C(4n - r^2)), so every other cell's sum is done once per distinct term
+    list: the key is the (twist index, id(c)) of each term present, and a
+    repeated key reuses the same Scalar.  Only objects alive for the whole
+    call are keyed, the stored coefficients and the twist list, so an id is
+    never reused under the memo and a miss only costs a recomputation.
     """
     if out_n_max * l > phi.n_max:
         raise ValueError(f"rows up to {out_n_max} of V_{l} need n_max >= {out_n_max * l}")
@@ -270,6 +283,7 @@ def _shifted_coeffs(phi: JacobiExpansion, l: int,
     ]
     coeffs = phi._coeffs
     out: dict[tuple[int, int], Scalar] = {}
+    sums: dict[tuple, Scalar] = {}  # ((twist index, id(c)), ...) -> the sum
     for n in range(out_n_max + 1):
         nl = n * l
         for r in region_r_values(phi.index * l, n):
@@ -279,12 +293,19 @@ def _shifted_coeffs(phi: JacobiExpansion, l: int,
                 if c is not None:
                     out[(n, r)] = c
                 continue
-            total = Scalar.zero()
-            for a, twist in twists:
+            terms = []
+            for i, (a, _) in enumerate(twists):
                 if g % a == 0:
                     c = coeffs.get((nl // (a * a), r // a))
                     if c is not None:
-                        total = total + twist * c
+                        terms.append((i, c))
+            key = tuple((i, id(c)) for i, c in terms)
+            total = sums.get(key)
+            if total is None:
+                total = Scalar.zero()
+                for i, c in terms:
+                    total = total + twists[i][1] * c
+                sums[key] = total
             if not total.is_zero():
                 out[(n, r)] = total
     return out

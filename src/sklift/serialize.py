@@ -23,7 +23,10 @@ from .numtheory import Scalar
 __all__ = ["ParseError", "rational_to_text", "scalar_to_text", "scalar_from_text",
            "parse_int", "parse_header", "parse_table"]
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)/(\d+)$")
+# the only integer texts the writers emit; int() alone would also read
+# '+4', '0_0' and non-ASCII digits
+_INT_RE = re.compile(r"-?[0-9]+")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)/([0-9]+)")
 
 
 class ParseError(ValueError):
@@ -46,7 +49,7 @@ def scalar_to_text(value: Scalar) -> str:
 
 
 def _rational_from_text(text: str, line_no: int) -> Fraction:
-    m = _RATIONAL_RE.match(text)
+    m = _RATIONAL_RE.fullmatch(text)
     if not m:
         raise ParseError(line_no, f"bad rational {text!r} (expected num/den)")
     den = int(m.group(2))
@@ -64,10 +67,10 @@ def scalar_from_text(text: str, line_no: int) -> Scalar:
 
 
 def parse_int(text: str, line_no: int, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(line_no, f"bad {what} {text!r}") from None
+    """An integer field of the form -?[0-9]+."""
+    if _INT_RE.fullmatch(text) is None:
+        raise ParseError(line_no, f"bad {what} {text!r}")
+    return int(text)
 
 
 def parse_header(line: str, keys: tuple[str, ...], line_no: int) -> dict[str, str]:
@@ -99,7 +102,10 @@ def parse_table(text: str, magic: str, header: tuple[tuple[str, str | None], ...
     ``region(meta)`` yields every cell that must be present; ``build(meta,
     coeffs)`` makes the object, and a ValueError from it is reported at the
     metadata line.  Each distinct value text is parsed once, so a bad value
-    is reported at the first row that carries it.
+    is reported at the first row that carries it.  Every integer field must
+    read -?[0-9]+ (see :func:`parse_int`); on a text that is ASCII and holds
+    no '_' or '+', int() accepts exactly those, so the rows of such a text
+    are read with it.
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != magic:
@@ -120,6 +126,7 @@ def parse_table(text: str, magic: str, header: tuple[tuple[str, str | None], ...
     meta["cusp"] = fields["cusp"] == "1"
     usage = " ".join(f"<{name}>" for name in cell_names + ("value",))
     columns = len(cell_names) + 1
+    plain = text.isascii() and "_" not in text and "+" not in text
     coeffs: dict[tuple[int, ...], Scalar] = {}
     values: dict[str, Scalar] = {}  # value text -> its (immutable, shared) Scalar
     for line_no, raw in enumerate(lines[2:], start=3):
@@ -129,8 +136,10 @@ def parse_table(text: str, magic: str, header: tuple[tuple[str, str | None], ...
         if len(parts) != columns:
             raise ParseError(line_no, f"expected '{usage}'")
         try:
-            cell = tuple(map(int, parts[:-1]))
-        except ValueError:  # name the first bad field
+            cell = tuple(map(int, parts[:-1])) if plain else None
+        except ValueError:
+            cell = None
+        if cell is None:  # strict, naming the first bad field
             cell = tuple(parse_int(part, line_no, name) for part, name in zip(parts, cell_names))
         error = check_cell(cell, meta)
         if error is not None:

@@ -40,6 +40,14 @@ report as skipped.  The two sides of an instance are compared as sums of
 the stored nonzero coefficients, with the d = 1 term taken as it is
 (chi(1) 1^(k-1) = 1); only a violated instance is summed again term by
 term, from zero, for the sides its report line prints.
+
+Coefficient values repeat heavily: a lift's A(n, r, m) depends only on
+4nm - r^2 and gcd(n, r, m).  So the per-value work is done once per
+distinct value, with a memo that lives for one call: the lift's index-shift
+sums, the engine's side sums and the SKSF value texts.  A memo keys only
+objects alive for its whole lifetime (stored coefficients, and indices into
+lists it holds) by their id, never a temporary, whose id could be reused;
+a miss then only costs a recomputation and never changes a result.
 """
 
 from __future__ import annotations
@@ -274,21 +282,11 @@ def _cell_count(n_max: int, m_max: int) -> int:
                for n in range(n_max + 1) for m in range(m_max + 1)) - 1
 
 
-def _check(F: SiegelExpansion, relation: str, shift: int, instances,
-           enumerated: int) -> RelationReport:
-    """Evaluate relation instances (cell, left, right), where each side is a
-    list of terms (d, (n, r, m)) standing for d^(k-1) chi(d) A(n, r, m).
-
-    The instances come from the family's evaluable sub-region; of the
-    ``enumerated`` box instances, those not evaluated are reported as
-    skipped.  Each reference is read from the stored nonzero coefficients,
-    and an absent one through :meth:`SiegelExpansion.a`, which is zero
-    outside the cone and refuses cells beyond the box.  The sides are first
-    compared as cheap sums: the d = 1 term is taken as it is, since
-    chi(1) 1^(k-1) = 1, and a sum starts at its first nonzero term.  Only a
-    violated instance is summed again from Scalar.zero() over every twisted
-    term, so the reported sides do not depend on the shortcut.
-    """
+def _side_sums(F: SiegelExpansion):
+    """The two evaluations ``(fast, full)`` of an instance side over F, a
+    side being a list of terms (d, (n, r, m)) standing for
+    d^(k-1) chi(d) A(n, r, m); see :func:`_check`.  The twists and the
+    memo of ``fast`` live as long as the two functions."""
     chi, k = F.character, F.weight
     coeffs = F._coeffs
     zero = Scalar.zero()
@@ -299,19 +297,31 @@ def _check(F: SiegelExpansion, relation: str, shift: int, instances,
             twists[d] = chi.value(d) * pow_fraction(d, k - 1)
         return twists[d]
 
-    def fast_side(terms) -> Scalar:
-        total = None
+    sums: dict[tuple, Scalar] = {}  # ((d, id(ref)), ...) -> the fast sum
+
+    def fast(terms) -> Scalar:
+        if len(terms) == 1 and terms[0][0] == 1:  # the reference as it is
+            ref = coeffs.get(terms[0][1])
+            return F.a(*terms[0][1]) if ref is None else ref
+        refs, key = [], []
         for d, cell in terms:
             ref = coeffs.get(cell)
             if ref is None:
                 F.a(*cell)  # zero, or beyond the box and refused
-                continue
-            if d != 1:
-                ref = twist(d) * ref
-            total = ref if total is None else total + ref
-        return zero if total is None else total
+            else:
+                refs.append((d, ref))
+                key.append((d, id(ref)))
+        key = tuple(key)
+        total = sums.get(key)
+        if total is None:
+            for d, ref in refs:
+                if d != 1:
+                    ref = twist(d) * ref
+                total = ref if total is None else total + ref
+            total = sums[key] = zero if total is None else total
+        return total
 
-    def side(terms) -> Scalar:
+    def full(terms) -> Scalar:
         total = Scalar.zero()
         for d, cell in terms:
             ref = F.a(*cell)
@@ -319,6 +329,31 @@ def _check(F: SiegelExpansion, relation: str, shift: int, instances,
                 total = total + twist(d) * ref
         return total
 
+    return fast, full
+
+
+def _check(F: SiegelExpansion, relation: str, shift: int, instances,
+           enumerated: int) -> RelationReport:
+    """Evaluate relation instances (cell, left, right), where each side is a
+    list of terms (d, (n, r, m)) standing for d^(k-1) chi(d) A(n, r, m).
+
+    The instances come from the family's evaluable sub-region; of the
+    ``enumerated`` box instances, those not evaluated are reported as
+    skipped.  Each reference is read from the stored nonzero coefficients,
+    and an absent one through :meth:`SiegelExpansion.a`, which is zero
+    outside the cone and refuses cells beyond the box.  The sides are first
+    compared as cheap sums: a lone d = 1 term is the reference itself, since
+    chi(1) 1^(k-1) = 1, and a longer sum starts at its first nonzero term.
+    Coefficient values repeat heavily (a lift's A(n, r, m) depends only on
+    4nm - r^2 and gcd(n, r, m)), so a longer sum is done once per distinct
+    list of present references: the key is the (d, id(ref)) of each, and a
+    repeated key reuses the same Scalar.  Only stored coefficients are keyed,
+    and they stay alive for the whole call, so an id is never reused under
+    the memo and a miss only costs a recomputation.  Only a violated
+    instance is summed again from Scalar.zero() over every twisted term, so
+    the reported sides do not depend on the shortcuts.
+    """
+    fast_side, side = _side_sums(F)
     violations: list[Violation] = []
     evaluated = 0
     for (n, r, m), left_terms, right_terms in instances:
@@ -344,19 +379,24 @@ def check_classical(F: SiegelExpansion) -> RelationReport:
     return _check(F, "classical", 0, instances, _cell_count(F.n_max, F.m_max))
 
 
-def _symmetric(F: SiegelExpansion, l: int, relation: str) -> RelationReport:
-    """The symmetric family at shift l, reported under ``relation``.
+def _symmetric_instances(F: SiegelExpansion, l: int):
+    """The evaluable instances of the symmetric family at shift l.
 
     The d = 1 references A(nl, r, m) and A(n, r, ml) bound the others, so
     the instance is evaluable exactly on the sub-box nl <= n_max,
     ml <= m_max."""
-    instances = (
+    return (
         ((n, r, m),
          [(d, (n * l // (d * d), r // d, m)) for d in divisors(gcd(gcd(n, r), l))],
          [(d, (n, r // d, m * l // (d * d))) for d in divisors(gcd(gcd(l, r), m))])
         for n, r, m in _cells(F.n_max // l, F.m_max // l)
     )
-    return _check(F, relation, l, instances, _cell_count(F.n_max, F.m_max))
+
+
+def _symmetric(F: SiegelExpansion, l: int, relation: str) -> RelationReport:
+    """The symmetric family at shift l, reported under ``relation``."""
+    return _check(F, relation, l, _symmetric_instances(F, l),
+                  _cell_count(F.n_max, F.m_max))
 
 
 def check_symmetric(F: SiegelExpansion, l: int) -> RelationReport:
@@ -405,14 +445,25 @@ def is_maass(F: SiegelExpansion, p_list: list[int]) -> RelationReport:
 
 def write_sksf(F: SiegelExpansion) -> str:
     """Serialize to SKSF text: every in-cone box cell except (0,0,0),
-    explicit zeros included, sorted by (n, r, m)."""
+    explicit zeros included, sorted by (n, r, m).
+
+    Each cell's value is read from the stored coefficients, and each
+    distinct value object is turned into text once, keyed by its id; the
+    stored coefficients and the shared zero stay alive for the whole call,
+    so an id is never reused under the memo."""
     lines = [
         "SKSF 1",
         f"k={F.weight} N={F.level} chi={F.character.to_spec()} "
         f"nmax={F.n_max} mmax={F.m_max} cusp={int(F.cusp)}",
     ]
-    for n, r, m in sorted(F.box_cells()):
-        lines.append(f"{n} {r} {m} {scalar_to_text(F.a(n, r, m))}")
+    coeffs, zero = F._coeffs, Scalar.zero()
+    texts: dict[int, str] = {}  # id of a stored value (or of zero) -> its text
+    for cell in sorted(_cells(F.n_max, F.m_max)):
+        value = coeffs.get(cell, zero)
+        text = texts.get(id(value))
+        if text is None:
+            text = texts[id(value)] = scalar_to_text(value)
+        lines.append("%d %d %d %s" % (*cell, text))
     return "\n".join(lines) + "\n"
 
 

@@ -201,3 +201,8 @@ def test_spec_grammar_errors():
         parse_character("table:zeta^1", 1)
     with pytest.raises(ValueError, match="table entries"):
         parse_character("table:0,0", 3)
+    # integers read -?[0-9]+ only, as to_spec writes them
+    for spec, modulus in (("kronecker:+8", 8), ("kronecker:-0_4", 4),
+                          ("table:zeta^\u0661/1", 1), ("table:zeta^0/+1", 1)):
+        with pytest.raises(ValueError, match="bad "):
+            parse_character(spec, modulus)

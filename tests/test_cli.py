@@ -10,9 +10,10 @@ import pytest
 import sklift
 from sklift.characters import DirichletCharacter
 from sklift.cli import build_parser, main
-from sklift.jacobi import builtin_form, parse_skjf
-from sklift.numtheory import primes_up_to
+from sklift.jacobi import JacobiExpansion, builtin_form, parse_skjf, write_skjf
+from sklift.numtheory import Scalar, primes_up_to
 from sklift.siegel import (
+    SiegelExpansion,
     check_classical,
     check_p_relations,
     is_maass,
@@ -202,6 +203,51 @@ def test_verify_all_matches_oracle(tmp_path, capsys):
             assert code == (0 if cell is None else 1), (name, cell)
             both_labels += "REL=symmetric" in out and "REL=plocal" in out
     assert both_labels > 0
+
+
+def _shared_and_copies(coeffs):
+    """The coefficients twice: every equal value one shared Scalar, and
+    every cell holding its own copy."""
+    canonical = {}
+    shared = {cell: canonical.setdefault((c.order, c.coords), c) for cell, c in coeffs}
+    copies = {cell: Scalar(c.order, c.coords) for cell, c in coeffs}
+    return shared, copies
+
+
+@pytest.mark.parametrize("chi", [DirichletCharacter.trivial(1), DirichletCharacter.kronecker(-3),
+                                 order4_table_character_mod5()],
+                         ids=["trivial", "kronecker-3", "order4-mod5"])
+def test_lift_and_verify_do_not_depend_on_value_sharing(tmp_path, capsys, chi):
+    # lift and the verifier memoize per distinct value object; one input
+    # with its equal values shared or all copied must give the same bytes
+    import random
+
+    rng = random.Random(43)
+    weight = 9 if chi.modulus > 1 else 10
+    factor = Scalar.zeta(4) + 2 if chi.order == 4 else Scalar.one()
+    # C(D) in {0, 1, 2} times factor on a 12 x 12 box: equal term lists
+    # recur, also with a term absent, under different twists
+    base = random_jacobi(weight, chi.modulus, chi, 144, rng)
+    coeffs = [(cell, factor * (c.as_rational() % 3)) for cell, c in base.nonzero_items()]
+    path = tmp_path / "in.skjf"
+    texts = set()
+    for form in _shared_and_copies(coeffs):
+        phi = JacobiExpansion(weight, 1, chi.modulus, chi, 144, form, cusp=True)
+        path.write_text(write_skjf(phi))
+        texts.add(write_sksf(lift(phi, 12)))
+    code, out, _ = run(["lift", f"--in={path}", "--mmax=12"], capsys)
+    texts.add(out)
+    assert code == 0 and len(texts) == 1
+    F = parse_sksf(out)
+    for delta in (0, factor):
+        G = F.perturbed(2, 1, 1, delta=delta)
+        path = tmp_path / "in.sksf"
+        path.write_text(write_sksf(G))
+        code, out, _ = run(["verify", f"--in={path}", "--mode=all"], capsys)
+        assert code == (1 if delta else 0) and out.count("REL=") > (2 if delta else -1)
+        for form in _shared_and_copies(list(G.nonzero_items())):
+            H = SiegelExpansion(weight, chi.modulus, chi, G.n_max, G.m_max, form)
+            assert report_to_text(verify_all_oracle(H)) == out, (chi, delta)
 
 
 def test_verify_malformed_file(tmp_path, capsys):

@@ -82,6 +82,21 @@ CASES = [
     ("skjf", "same bad value twice", _replace_values("7/x", 11, 4), 4,
      "bad rational '7/x' (expected num/den)"),
     ("sksf", "same bad value twice", _replace_values("0/0", 12, 6), 6, "zero denominator"),
+    # integer fields read -?[0-9]+ only: no '+', no '_', no non-ASCII digits
+    ("skjf", "plus in header", _edit_header("nmax=4", "nmax=+4"), 2, "bad nmax '+4'"),
+    ("sksf", "underscore in header", _edit_header("mmax=2", "mmax=0_2"), 2, "bad mmax '0_2'"),
+    ("skjf", "plus in chi", _edit_header("chi=trivial", "chi=kronecker:+1"), 2,
+     "bad kronecker discriminant '+1'"),
+    ("skjf", "underscore cell", _append("0_0 -2 0/1"), 30, "bad n '0_0'"),
+    ("sksf", "underscore cell", _append("1 0_0 1 0/1"), 31, "bad r '0_0'"),
+    ("skjf", "plus cell", _replace_line(4, "1 +1 1/1"), 4, "bad r '+1'"),
+    ("sksf", "plus cell", _replace_line(30, "2 4 +2 0/1"), 30, "bad m '+2'"),
+    ("skjf", "non-ASCII digit value", _replace_values("\u0661/1", 5), 5,
+     "bad rational '\u0661/1' (expected num/den)"),
+    ("skjf", "non-ASCII digit cell", _append("4 \u0660 1/1"), 30, "bad r '\u0660'"),
+    ("sksf", "non-ASCII digit cell", _append("\u0661 0 1 1/1"), 31, "bad n '\u0661'"),
+    ("sksf", "non-ASCII digit value", _replace_values("1/\u0661", 7), 7,
+     "bad rational '1/\u0661' (expected num/den)"),
 ]
 
 

@@ -9,11 +9,13 @@ import pytest
 from sklift.characters import DirichletCharacter
 from sklift.jacobi import JacobiExpansion, builtin_form, index_shift, index_shift_oracle
 from sklift.numtheory import Scalar, divisors, is_prime, pow_fraction, primes_up_to
-from sklift.serialize import ParseError
+from sklift.serialize import ParseError, scalar_to_text
 from sklift.siegel import (
     RelationReport,
     SiegelExpansion,
     Violation,
+    _side_sums,
+    _symmetric_instances,
     check_classical,
     check_p_relations,
     check_singular_law,
@@ -295,6 +297,39 @@ def test_genuine_non_lift_fails():
     assert not check_p_relations(square, 2).verdict
 
 
+def _transposed(F):
+    """A'(n, r, m) = A(m, r, n) on the transposed box."""
+    return SiegelExpansion(F.weight, F.level, F.character, F.m_max, F.n_max,
+                           {(m, r, n): c for (n, r, m), c in F.nonzero_items()}, cusp=F.cusp)
+
+
+def test_symmetric_sides_are_coset_sums():
+    # the symmetric family's left side at (n, r, m) is (V_l phi_m)(n, r),
+    # phi_m the m-th Fourier-Jacobi slice, and its right side is the same
+    # for the transposed expansion at (m, r, n); V_l here is the slash-action
+    # sum over the right cosets of T(l) that the Hecke module lists
+    rng = random.Random(51)
+    levels = [(DirichletCharacter.trivial(2), 10), (DirichletCharacter.kronecker(-3), 9),
+              (odd_table_character_mod4(), 9), (order4_table_character_mod5(), 9),
+              (DirichletCharacter.trivial(6), 10)]
+    chi10 = lift(builtin_form("phi10_1", 36), 6)
+    square = siegel_product(chi10, chi10)  # a non-lift
+    forms = [chi10, square] + [lift(random_jacobi(k, chi.modulus, chi, 36, rng), 6)
+                               for chi, k in levels]
+    unequal = 0
+    for F in forms:
+        G = _transposed(F)
+        for l in range(1, 7):
+            left = [index_shift_oracle(fj_coefficient(F, m), l) for m in range(F.m_max // l + 1)]
+            right = [index_shift_oracle(fj_coefficient(G, n), l) for n in range(F.n_max // l + 1)]
+            fast_side, _ = _side_sums(F)
+            for (n, r, m), left_terms, right_terms in _symmetric_instances(F, l):
+                assert fast_side(left_terms) == left[m].coeff(n, r), (F, l, n, r, m)
+                assert fast_side(right_terms) == right[n].coeff(m, r), (F, l, n, r, m)
+                unequal += left[m].coeff(n, r) != right[n].coeff(m, r)
+    assert unequal == sum(len(check_symmetric(square, l).violations) for l in range(1, 7)) > 0
+
+
 def test_family_equivalence_quick():
     primes = [2, 3]
     forms = [small_lift(), small_lift().perturbed(2, 1, 1)]
@@ -451,6 +486,36 @@ def test_engine_matches_oracle_on_perturbed_lifts():
 # SKSF and report formats
 # ---------------------------------------------------------------------------
 
+def write_sksf_oracle(F):
+    """SKSF text row by row: every box cell read through F.a and its value
+    turned into text on its own."""
+    lines = [
+        "SKSF 1",
+        f"k={F.weight} N={F.level} chi={F.character.to_spec()} "
+        f"nmax={F.n_max} mmax={F.m_max} cusp={int(F.cusp)}",
+    ]
+    for n, r, m in sorted(F.box_cells()):
+        lines.append(f"{n} {r} {m} {scalar_to_text(F.a(n, r, m))}")
+    return "\n".join(lines) + "\n"
+
+
+def test_sksf_writer_matches_the_row_by_row_oracle():
+    rng = random.Random(33)
+    chi5 = order4_table_character_mod5()
+    order4 = lift(random_jacobi(9, 5, chi5, 30, rng) * (Scalar.zeta(4) + 2), 3)
+    forms = [lift(phi, 4) for phi in _lift_oracle_inputs()]  # values shared between cells
+    forms += [
+        parse_sksf(write_sksf(forms[0])),
+        # int and Fraction inputs: every coerced value is a fresh object
+        random_siegel(10, 1, TRIV, 4, 3, rng),
+        SiegelExpansion(10, 1, TRIV, forms[0].n_max, forms[0].m_max,
+                        {cell: sum(cell) % 3 - 1 for cell in forms[0].box_cells()}),
+        order4,
+        order4.perturbed(2, 1, 1, delta=Scalar.zeta(4)),
+    ]
+    for F in forms:
+        assert write_sksf(F) == write_sksf_oracle(F), F
+
 def test_sksf_roundtrip():
     F = small_lift()
     assert parse_sksf(write_sksf(F)) == F
@@ -523,9 +588,17 @@ def test_report_text_shape():
      "expected field R=..., got '0/1'"),
     ("VERDICT=FAIL\n\n\nREL=plocal T=(2,1,1) l=2 L=3/1 R=3/1\nSKIPPED=0\n", 4,
      "violation with equal sides"),
+    ("VERDICT=PASS\n\nSKIPPED=1_0\n", 3, "bad skip count '1_0'"),
+    ("VERDICT=PASS\nSKIPPED=+3\n", 2, "bad skip count '+3'"),
+    ("VERDICT=FAIL\n\nREL=classical T=(1,0,1) l=+0_0 L=1/1 R=0/1\nSKIPPED=0\n", 3,
+     "bad shift '+0_0'"),
+    ("VERDICT=FAIL\nREL=classical T=(1,0,1) l=0 L=\u0661/1 R=0/1\nSKIPPED=0\n", 2,
+     "bad rational '\u0661/1' (expected num/den)"),
 ], ids=["skip-count", "bad-rational", "malformed-violation", "inconsistent-verdict",
         "bad-verdict", "negative-skip-count", "unknown-relation", "bare-rel", "bare-t",
-        "t-without-parens", "bare-l", "bare-left", "bare-right", "equal-sides"])
+        "t-without-parens", "bare-l", "bare-left", "bare-right", "equal-sides",
+        "underscore-skip-count", "plus-skip-count", "plus-underscore-shift",
+        "non-ascii-digit"])
 def test_report_parse_errors_keep_the_text_line_numbers(text, line_no, message):
     with pytest.raises(ParseError) as exc:
         parse_report(text)
