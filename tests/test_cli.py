@@ -244,7 +244,7 @@ def test_lift_and_verify_do_not_depend_on_value_sharing(tmp_path, capsys, chi):
         path = tmp_path / "in.sksf"
         path.write_text(write_sksf(G))
         code, out, _ = run(["verify", f"--in={path}", "--mode=all"], capsys)
-        assert code == (1 if delta else 0) and out.count("REL=") > (2 if delta else -1)
+        assert code == (1 if delta else 0), (chi, delta)  # the perturbation is seen
         for form in _shared_and_copies(list(G.nonzero_items())):
             H = SiegelExpansion(weight, chi.modulus, chi, G.n_max, G.m_max, form)
             assert report_to_text(verify_all_oracle(H)) == out, (chi, delta)
