@@ -88,6 +88,17 @@ def region_r_values(index: int, n: int) -> range:
     return range(-bound, bound + 1)
 
 
+def _check_cell(n: int, r: int, index: int, n_max: int, cusp: bool) -> None:
+    """Raise the first rule a nonzero coefficient at (n, r) breaks, if any."""
+    if n < 0 or n > n_max:
+        raise ValueError(f"coefficient ({n},{r}) outside 0 <= n <= {n_max}")
+    disc = 4 * n * index - r * r
+    if disc < 0:
+        raise ValueError(f"coefficient ({n},{r}) violates 4nm - r^2 >= 0")
+    if cusp and disc == 0:
+        raise ValueError(f"cusp flag set but boundary coefficient ({n},{r}) is nonzero")
+
+
 class JacobiExpansion:
     """A truncated Jacobi-form Fourier expansion.
 
@@ -95,6 +106,15 @@ class JacobiExpansion:
     the index-0 restriction to r = 0, the character parity chi(-1) = (-1)^k,
     and (when the cusp flag is set) vanishing on the singular boundary
     4nm - r^2 = 0.
+
+    The cells are checked in one pass.  Zero values are dropped; whether a
+    Scalar is zero is decided once per distinct object, by a memo that
+    lives for the call and holds each object it keys by id (an int or a
+    Fraction is coerced to a fresh Scalar and tested on its own).  A
+    nonzero value whose cell passes the arithmetic test 0 <= n <= n_max,
+    4nm - r^2 >= (1 if cusp else 0) is kept as it is; any other cell goes
+    through the checks in their order, so the first bad cell in the dict's
+    order raises the message that names the first rule it breaks.
     """
 
     __slots__ = ("weight", "index", "level", "character", "n_max", "cusp", "_coeffs")
@@ -110,21 +130,24 @@ class JacobiExpansion:
             raise ValueError(
                 f"character parity violates chi(-1) = (-1)^k for weight {weight}"
             )
+        least = 1 if cusp else 0  # the smallest admissible 4nm - r^2
         clean: dict[tuple[int, int], Scalar] = {}
-        for (n, r), value in coeffs.items():
-            value = Scalar.coerce(value)
-            if value.is_zero():
-                continue
-            if n < 0 or n > n_max:
-                raise ValueError(f"coefficient ({n},{r}) outside 0 <= n <= {n_max}")
-            disc = 4 * n * index - r * r
-            if disc < 0:
-                raise ValueError(f"coefficient ({n},{r}) violates 4nm - r^2 >= 0")
-            if cusp and disc == 0:
-                raise ValueError(
-                    f"cusp flag set but boundary coefficient ({n},{r}) is nonzero"
-                )
-            clean[(n, r)] = value
+        zeros: dict[int, tuple[Scalar, bool]] = {}  # id -> (the Scalar, is it zero)
+        for cell, value in coeffs.items():
+            n, r = cell
+            if value.__class__ is Scalar:
+                seen = zeros.get(id(value))
+                if seen is None:
+                    seen = zeros[id(value)] = (value, value.is_zero())
+                if seen[1]:
+                    continue
+            else:
+                value = Scalar.coerce(value)
+                if value.is_zero():
+                    continue
+            if not (4 * n * index - r * r >= least and 0 <= n <= n_max):
+                _check_cell(n, r, index, n_max, cusp)
+            clean[cell] = value
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "level", level)
@@ -681,6 +704,7 @@ def parse_skjf(text: str) -> JacobiExpansion:
         ("n", "r"), _skjf_cell_error,
         lambda meta: ((n, r) for n in range(meta["nmax"] + 1)
                       for r in region_r_values(meta["m"], n)),
+        lambda meta: (len(region_r_values(meta["m"], n)) for n in range(meta["nmax"] + 1)),
         lambda meta, coeffs: JacobiExpansion(
             meta["k"], meta["m"], meta["N"], meta["chi"], meta["nmax"], coeffs,
             cusp=meta["cusp"]),

@@ -33,6 +33,7 @@ Hurwitz class number.  H values are memoised on disk (see
 from __future__ import annotations
 
 import os
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -401,10 +402,13 @@ class Scalar:
         return Scalar(self.order, coords)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Scalar.from_rational(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
+        if other is self:
+            return True
+        if other.__class__ is not Scalar:  # isinstance(x, Fraction) goes through ABCMeta
+            if isinstance(other, (int, Fraction)):
+                other = Scalar.from_rational(other)
+            elif not isinstance(other, Scalar):
+                return NotImplemented
         if self.order == other.order:
             return self.coords == other.coords
         common = lcm(self.order, other.order)
@@ -421,6 +425,13 @@ class Scalar:
 
 _SCALAR_ZERO = Scalar(1, (_ZERO,), _reduced=True)
 _SCALAR_ONE = Scalar(1, (_ONE,), _reduced=True)
+
+
+# the only integer and rational texts the writers emit, here and in the
+# SKJF/SKSF formats; int() alone would also read '+4', '0_0' and non-ASCII
+# digits
+_INT_RE = re.compile(r"-?[0-9]+")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)/([0-9]+)")
 
 
 def pow_fraction(base: int, exponent: int) -> Fraction:
@@ -537,7 +548,9 @@ class CohenCache:
             return
         values: dict[tuple[int, int], Fraction] = {}
         if os.path.exists(path):
-            with open(path, "r", encoding="ascii") as fh:
+            # records are ASCII; any other text is read so that the record
+            # holding it is refused with its line number
+            with open(path, "r", encoding="utf-8", errors="replace") as fh:
                 records = fh.read().split("\n")
             # the last piece is empty, or a record cut off before its newline
             for line_no, raw in enumerate(records[:-1], start=1):
@@ -581,14 +594,14 @@ class CohenCache:
 
 
 def _parse_cache_record(line: str, path: str, line_no: int) -> tuple[tuple[int, int], Fraction]:
+    """``H <r> <N> <num>/<den>``: r, N and num read -?[0-9]+, den [0-9]+
+    and nonzero."""
     parts = line.split()
-    try:
-        if len(parts) != 4 or parts[0] != "H":
-            raise ValueError
-        num, den = parts[3].split("/")
-        return (int(parts[1]), int(parts[2])), Fraction(int(num), int(den))
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"{path} line {line_no}: malformed cache record {line!r}") from None
+    value = _RATIONAL_RE.fullmatch(parts[3]) if len(parts) == 4 else None
+    if (value is None or parts[0] != "H" or _INT_RE.fullmatch(parts[1]) is None
+            or _INT_RE.fullmatch(parts[2]) is None or int(value.group(2)) == 0):
+        raise ValueError(f"{path} line {line_no}: malformed cache record {line!r}")
+    return (int(parts[1]), int(parts[2])), Fraction(int(value.group(1)), int(value.group(2)))
 
 
 def _append_record(path: str, record: str) -> None:

@@ -14,19 +14,14 @@ shared by every cell that carries it.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
+from itertools import accumulate
 
 from .characters import parse_character
-from .numtheory import Scalar
+from .numtheory import _INT_RE, _RATIONAL_RE, Scalar
 
 __all__ = ["ParseError", "rational_to_text", "scalar_to_text", "scalar_from_text",
            "parse_int", "parse_header", "parse_table"]
-
-# the only integer texts the writers emit; int() alone would also read
-# '+4', '0_0' and non-ASCII digits
-_INT_RE = re.compile(r"-?[0-9]+")
-_RATIONAL_RE = re.compile(r"(-?[0-9]+)/([0-9]+)")
 
 
 class ParseError(ValueError):
@@ -87,8 +82,19 @@ def parse_header(line: str, keys: tuple[str, ...], line_no: int) -> dict[str, st
     return out
 
 
+class _IntMemo(dict):
+    """Field text -> int, admitting only the texts that read -?[0-9]+; a
+    miss on any other text raises KeyError."""
+
+    def __missing__(self, text: str) -> int:
+        if _INT_RE.fullmatch(text) is None:
+            raise KeyError(text)
+        value = self[text] = int(text)
+        return value
+
+
 def parse_table(text: str, magic: str, header: tuple[tuple[str, str | None], ...],
-                cell_names: tuple[str, ...], check_cell, region, build):
+                cell_names: tuple[str, ...], check_cell, region, region_sizes, build):
     """Parse a coefficient table: the ``magic`` line, one metadata line,
     then one ``<cell> <value>`` row per in-region cell.
 
@@ -99,13 +105,22 @@ def parse_table(text: str, magic: str, header: tuple[tuple[str, str | None], ...
     the callbacks as a dict of those integers plus ``chi`` (the parsed
     character) and ``cusp`` (a bool): ``check_cell(cell, meta)`` returns
     an error message for a row outside the format's region, or None;
-    ``region(meta)`` yields every cell that must be present; ``build(meta,
-    coeffs)`` makes the object, and a ValueError from it is reported at the
-    metadata line.  Each distinct value text is parsed once, so a bad value
-    is reported at the first row that carries it.  Every integer field must
-    read -?[0-9]+ (see :func:`parse_int`); on a text that is ASCII and holds
-    no '_' or '+', int() accepts exactly those, so the rows of such a text
-    are read with it.
+    ``region(meta)`` yields every cell that must be present, and
+    ``region_sizes(meta)`` the cell counts of consecutive blocks of it, all
+    but finitely many nonzero; ``build(meta, coeffs)`` makes the object,
+    and a ValueError from it is reported at the metadata line.
+
+    Every integer field must read -?[0-9]+ (see :func:`parse_int`).  The
+    cell fields are read through a memo from field text to int that admits
+    only such texts, so a repeated text is matched once; a row with a field
+    the memo refuses is read again field by field, which names the first
+    bad one.  Each distinct value text is parsed once, so a bad value is
+    reported at the first row that carries it.
+
+    Every accepted row is an in-region cell and no cell repeats, so the
+    table is complete exactly when it holds as many cells as the region.
+    The block sizes are summed only until they pass the row count, and the
+    region is walked, to name the first missing cell, only when they do.
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != magic:
@@ -126,7 +141,7 @@ def parse_table(text: str, magic: str, header: tuple[tuple[str, str | None], ...
     meta["cusp"] = fields["cusp"] == "1"
     usage = " ".join(f"<{name}>" for name in cell_names + ("value",))
     columns = len(cell_names) + 1
-    plain = text.isascii() and "_" not in text and "+" not in text
+    ints = _IntMemo()
     coeffs: dict[tuple[int, ...], Scalar] = {}
     values: dict[str, Scalar] = {}  # value text -> its (immutable, shared) Scalar
     for line_no, raw in enumerate(lines[2:], start=3):
@@ -135,9 +150,10 @@ def parse_table(text: str, magic: str, header: tuple[tuple[str, str | None], ...
             continue
         if len(parts) != columns:
             raise ParseError(line_no, f"expected '{usage}'")
+        value_text = parts.pop()
         try:
-            cell = tuple(map(int, parts[:-1])) if plain else None
-        except ValueError:
+            cell = tuple(map(ints.__getitem__, parts))
+        except KeyError:  # a field the memo refuses, so parse_int refuses it too
             cell = None
         if cell is None:  # strict, naming the first bad field
             cell = tuple(parse_int(part, line_no, name) for part, name in zip(parts, cell_names))
@@ -146,13 +162,15 @@ def parse_table(text: str, magic: str, header: tuple[tuple[str, str | None], ...
             raise ParseError(line_no, error)
         if cell in coeffs:
             raise ParseError(line_no, f"duplicate coefficient {_cell_text(cell)}")
-        value = values.get(parts[-1])
+        value = values.get(value_text)
         if value is None:
-            value = values[parts[-1]] = scalar_from_text(parts[-1], line_no)
+            value = values[value_text] = scalar_from_text(value_text, line_no)
         coeffs[cell] = value
-    for cell in region(meta):
-        if cell not in coeffs:
-            raise ParseError(len(lines) + 1, f"missing in-region coefficient {_cell_text(cell)}")
+    if any(total > len(coeffs) for total in accumulate(region_sizes(meta))):
+        for cell in region(meta):
+            if cell not in coeffs:
+                raise ParseError(len(lines) + 1,
+                                 f"missing in-region coefficient {_cell_text(cell)}")
     try:
         return build(meta, coeffs)
     except ValueError as exc:

@@ -44,10 +44,11 @@ term, from zero, for the sides its report line prints.
 Coefficient values repeat heavily: a lift's A(n, r, m) depends only on
 4nm - r^2 and gcd(n, r, m).  So the per-value work is done once per
 distinct value, with a memo that lives for one call: the lift's index-shift
-sums, the engine's side sums and the SKSF value texts.  A memo keys only
-objects alive for its whole lifetime (stored coefficients, and indices into
-lists it holds) by their id, never a temporary, whose id could be reused;
-a miss then only costs a recomputation and never changes a result.
+sums, the constructors' zero tests, the engine's side sums and the SKSF
+value texts.  A memo keys only objects alive for its whole lifetime (stored
+coefficients, and indices into lists it holds) by their id, never a
+temporary, whose id could be reused; a miss then only costs a recomputation
+and never changes a result.
 """
 
 from __future__ import annotations
@@ -84,11 +85,25 @@ def in_cone(n: int, r: int, m: int) -> bool:
     return n >= 0 and m >= 0 and 4 * n * m - r * r >= 0
 
 
-def _cells(n_max: int, m_max: int):
+def _check_cell(n: int, r: int, m: int, n_max: int, m_max: int, cusp: bool) -> None:
+    """Raise the first rule a nonzero coefficient at (n, r, m) breaks, if any."""
+    if (n, r, m) == (0, 0, 0):
+        raise ValueError("the zero matrix is excluded from the support")
+    if not in_cone(n, r, m):
+        raise ValueError(f"coefficient ({n},{r},{m}) outside the cone")
+    if n > n_max or m > m_max:
+        raise ValueError(f"coefficient ({n},{r},{m}) outside the box")
+    if cusp and 4 * n * m - r * r == 0:
+        raise ValueError(f"cusp flag set but singular coefficient ({n},{r},{m}) is nonzero")
+
+
+def _cells(n_max: int, m_max: int, nm_max: int | None = None):
     """Every (n, r, m) != (0, 0, 0) with n <= n_max, m <= m_max and
-    r^2 <= 4nm, in (n, m, r) order."""
+    r^2 <= 4nm, in (n, m, r) order; only those with nm <= nm_max when it
+    is given."""
     for n in range(n_max + 1):
-        for m in range(m_max + 1):
+        top = m_max if nm_max is None or n == 0 else min(m_max, nm_max // n)
+        for m in range(top + 1):
             bound = isqrt(4 * n * m)
             for r in range(-bound, bound + 1):
                 if (n, r, m) != (0, 0, 0):
@@ -130,7 +145,17 @@ class RelationReport:
 
 class SiegelExpansion:
     """A truncated degree-2 Fourier expansion on the box
-    n <= n_max, m <= m_max."""
+    n <= n_max, m <= m_max.
+
+    Construction checks the character and, in one pass, the cells: zero
+    values are dropped, whether a Scalar is zero being decided once per
+    distinct object by a memo that lives for the call and holds each object
+    it keys by id (an int or a Fraction is coerced to a fresh Scalar and
+    tested on its own).  A nonzero value at a cell with 4nm - r^2 > 0,
+    0 <= n <= n_max and 0 <= m <= m_max is kept as it is; any other cell
+    goes through the checks in their order (the zero matrix, the cone, the
+    box, the cusp flag), so the first bad cell in the dict's order raises
+    the message that names the first rule it breaks."""
 
     __slots__ = ("weight", "level", "character", "n_max", "m_max", "cusp", "_coeffs")
 
@@ -144,21 +169,22 @@ class SiegelExpansion:
                 f"character parity violates chi(-1) = (-1)^k for weight {weight}"
             )
         clean: dict[tuple[int, int, int], Scalar] = {}
-        for (n, r, m), value in coeffs.items():
-            value = Scalar.coerce(value)
-            if value.is_zero():
-                continue
-            if (n, r, m) == (0, 0, 0):
-                raise ValueError("the zero matrix is excluded from the support")
-            if not in_cone(n, r, m):
-                raise ValueError(f"coefficient ({n},{r},{m}) outside the cone")
-            if n > n_max or m > m_max:
-                raise ValueError(f"coefficient ({n},{r},{m}) outside the box")
-            if cusp and 4 * n * m - r * r == 0:
-                raise ValueError(
-                    f"cusp flag set but singular coefficient ({n},{r},{m}) is nonzero"
-                )
-            clean[(n, r, m)] = value
+        zeros: dict[int, tuple[Scalar, bool]] = {}  # id -> (the Scalar, is it zero)
+        for cell, value in coeffs.items():
+            n, r, m = cell
+            if value.__class__ is Scalar:
+                seen = zeros.get(id(value))
+                if seen is None:
+                    seen = zeros[id(value)] = (value, value.is_zero())
+                if seen[1]:
+                    continue
+            else:
+                value = Scalar.coerce(value)
+                if value.is_zero():
+                    continue
+            if not (4 * n * m - r * r > 0 and 0 <= n <= n_max and 0 <= m <= m_max):
+                _check_cell(n, r, m, n_max, m_max, cusp)
+            clean[cell] = value
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "character", character)
@@ -276,10 +302,18 @@ def lift(phi: JacobiExpansion, m_max: int) -> SiegelExpansion:
 # Relation checkers: one engine, each family a term list over its region
 # ---------------------------------------------------------------------------
 
+def _block_sizes(n_max: int, m_max: int):
+    """The number of cells :func:`_cells` yields for each (n, m), in its
+    order: 0 for (0, 0), which holds only the excluded zero matrix, and at
+    least 1 for every other block."""
+    for n in range(n_max + 1):
+        for m in range(m_max + 1):
+            yield 2 * isqrt(4 * n * m) + 1 - (n == m == 0)
+
+
 def _cell_count(n_max: int, m_max: int) -> int:
     """The number of cells :func:`_cells` yields."""
-    return sum(2 * isqrt(4 * n * m) + 1
-               for n in range(n_max + 1) for m in range(m_max + 1)) - 1
+    return sum(_block_sizes(n_max, m_max))
 
 
 def _side_sums(F: SiegelExpansion):
@@ -370,11 +404,11 @@ def check_classical(F: SiegelExpansion) -> RelationReport:
 
     The d = 1 reference A(nm, r, 1) bounds the others, so the instance is
     evaluable exactly when nm <= n_max, and nowhere when m_max = 0."""
-    cells = _cells(F.n_max, F.m_max) if F.m_max >= 1 else ()
+    cells = _cells(F.n_max, F.m_max, F.n_max) if F.m_max >= 1 else ()
     instances = (
         ((n, r, m), [(1, (n, r, m))],
          [(d, (n * m // (d * d), r // d, 1)) for d in divisors(gcd(gcd(n, r), m))])
-        for n, r, m in cells if n * m <= F.n_max
+        for n, r, m in cells
     )
     return _check(F, "classical", 0, instances, _cell_count(F.n_max, F.m_max))
 
@@ -475,6 +509,7 @@ def parse_sksf(text: str) -> SiegelExpansion:
          ("mmax", "mmax"), ("cusp", None)),
         ("n", "r", "m"), _sksf_cell_error,
         lambda meta: _cells(meta["nmax"], meta["mmax"]),
+        lambda meta: _block_sizes(meta["nmax"], meta["mmax"]),
         lambda meta, coeffs: SiegelExpansion(
             meta["k"], meta["N"], meta["chi"], meta["nmax"], meta["mmax"], coeffs,
             cusp=meta["cusp"]),

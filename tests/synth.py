@@ -1,7 +1,9 @@
 """Deterministic synthetic test data: orbit-consistent Jacobi expansions,
 random boxed Siegel expansions, level-2 data satisfying the degenerate
-local relation A(2n, r, m) = A(n, r, 2m), and the exact product of two
-boxed Siegel expansions."""
+local relation A(2n, r, m) = A(n, r, 2m), the exact product of two
+boxed Siegel expansions, and random coefficient values of every kind the
+expansion constructors take, with a comparison of a constructor against
+its per-cell oracle."""
 
 from __future__ import annotations
 
@@ -10,6 +12,7 @@ from math import isqrt
 
 from sklift.characters import DirichletCharacter
 from sklift.jacobi import JacobiExpansion, region_r_values
+from sklift.numtheory import Scalar
 from sklift.siegel import SiegelExpansion
 
 
@@ -29,6 +32,47 @@ def _orbit_key(index: int, n: int, r: int) -> tuple[int, int]:
     disc = 4 * n * index - r * r
     rho = min(r % (2 * index), (-r) % (2 * index))
     return (disc, rho)
+
+
+def shared_scalars() -> list[Scalar]:
+    """A few Scalars to share between the cells of one coefficient dict,
+    zeros of orders 1 and 4 among them."""
+    return [Scalar.zero(), Scalar(4, [0, 0, 0, 0]), Scalar.from_rational(2),
+            Scalar.zeta(4, 1), Scalar.from_rational(Fraction(-1, 3))]
+
+
+def random_coefficient(rng, shared: list[Scalar]):
+    """A value of one of the kinds the expansion constructors take, zero
+    about a third of the time: an int, a Fraction, one of ``shared``, or a
+    Scalar made for this call."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.choice((0, 0, 1, -3, 7))
+    if kind == 1:
+        return Fraction(rng.choice((0, 1, -2)), rng.choice((1, 3)))
+    if kind == 2:
+        return rng.choice(shared)
+    if rng.random() < 0.5:
+        return Scalar.from_rational(rng.choice((0, 5)))
+    return Scalar.zeta(4, rng.randrange(4)) - rng.choice((0, Scalar.zeta(4, 0)))
+
+
+def constructor_outcomes(make, oracle, coeffs) -> list:
+    """What ``make(coeffs)`` (an expansion) and ``oracle(coeffs)`` (a dict)
+    keep: the (cell, order, coordinates) of each kept coefficient in order,
+    or the message of the ValueError raised.  A kept Scalar must be the
+    object given, not a copy."""
+    results = []
+    for build in (lambda c: make(c)._coeffs, oracle):
+        try:
+            kept = build(coeffs)
+        except ValueError as exc:
+            results.append(str(exc))
+            continue
+        results.append([(cell, v.order, v.coords) for cell, v in kept.items()])
+        for cell, v in kept.items():
+            assert not isinstance(coeffs[cell], Scalar) or v is coeffs[cell]
+    return results
 
 
 def random_jacobi(weight, level, chi, n_max, rng, index=1, cuspidal=True) -> JacobiExpansion:

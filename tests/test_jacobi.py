@@ -11,6 +11,8 @@ over (1 - q^n zeta^e).
 """
 
 import random
+import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -32,7 +34,14 @@ from sklift.jacobi import (
 from sklift.numtheory import Scalar, cohen_h, divisors, sigma
 from sklift.serialize import ParseError
 
-from synth import odd_table_character_mod4, order4_table_character_mod5, random_jacobi
+from synth import (
+    constructor_outcomes,
+    odd_table_character_mod4,
+    order4_table_character_mod5,
+    random_coefficient,
+    random_jacobi,
+    shared_scalars,
+)
 
 TRIV = DirichletCharacter.trivial(1)
 
@@ -512,3 +521,56 @@ def test_skjf_parse_errors_carry_line_numbers():
     broken[2] = "0 0 nonsense"
     with pytest.raises(ParseError, match="line 3"):
         parse_skjf("\n".join(broken) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# oracle: the constructor's per-cell loop, every check on every cell
+# ---------------------------------------------------------------------------
+
+def jacobi_constructor_oracle(coeffs, index, n_max, cusp):
+    """The coefficients JacobiExpansion keeps, by the loop that coerces,
+    zero-tests and checks each cell in turn; raises its first ValueError."""
+    clean = {}
+    for (n, r), value in coeffs.items():
+        value = Scalar.coerce(value)
+        if value.is_zero():
+            continue
+        if n < 0 or n > n_max:
+            raise ValueError(f"coefficient ({n},{r}) outside 0 <= n <= {n_max}")
+        disc = 4 * n * index - r * r
+        if disc < 0:
+            raise ValueError(f"coefficient ({n},{r}) violates 4nm - r^2 >= 0")
+        if cusp and disc == 0:
+            raise ValueError(
+                f"cusp flag set but boundary coefficient ({n},{r}) is nonzero"
+            )
+        clean[(n, r)] = value
+    return clean
+
+
+def _random_jacobi_cell(rng, index, n_max):
+    kind = rng.randrange(8)
+    if kind <= 4:  # in the support region
+        n = rng.randint(0, n_max)
+        return (n, rng.choice(region_r_values(index, n)))
+    if kind == 5:  # anywhere near it, r != 0 at index 0 among them
+        return (rng.randint(-1, n_max + 1), rng.randint(-4, 4))
+    # on the boundary 4 n index = r^2
+    r = rng.choice((0, 2, -2, 4, -4)) if index else 0
+    return (r * r // (4 * index) if index else rng.randint(0, n_max), r)
+
+
+def test_jacobi_constructor_matches_the_per_cell_loop():
+    rng = random.Random(3001)
+    kinds = Counter()
+    for _ in range(3000):
+        index, n_max, cusp = rng.randint(0, 2), rng.randint(0, 4), rng.random() < 0.5
+        shared = shared_scalars()
+        coeffs = {_random_jacobi_cell(rng, index, n_max): random_coefficient(rng, shared)
+                  for _ in range(rng.randint(1, 8))}
+        got, expected = constructor_outcomes(
+            lambda c: JacobiExpansion(10, index, 1, TRIV, n_max, c, cusp=cusp),
+            lambda c: jacobi_constructor_oracle(c, index, n_max, cusp), coeffs)
+        assert got == expected, (index, n_max, cusp, coeffs)
+        kinds[re.sub(r"\(.*?\)| <= .*", "", expected) if isinstance(expected, str) else "ok"] += 1
+    assert len(kinds) == 4 and min(kinds.values()) >= 100, kinds

@@ -208,6 +208,20 @@ def test_scalar_conjugation():
         assert (x * y).conj() == x.conj() * y.conj()
 
 
+def test_scalar_equality_across_types():
+    half, zeta4 = Scalar.from_rational(Fraction(1, 2)), Scalar.zeta(4)
+    assert half == half and half == Fraction(1, 2) and Fraction(1, 2) == half
+    assert half != 1 and half != Fraction(1, 3) and half != zeta4
+    assert Scalar.one() == 1 and Scalar.one() == True and Scalar.zero() == 0
+    # the same value at another order; zeta_4^2 = -1 = zeta_2
+    assert Scalar(4, [Fraction(1, 2), 0, 0, 0]) == half
+    assert zeta4 * zeta4 == Scalar.zeta(2) and zeta4 == Scalar.zeta(8, 2)
+    assert zeta4 != Scalar.zeta(8) and Scalar.zeta(3) != Scalar.zeta(6, 1)
+    for foreign in (0.5, "1/2", None, (1, 2), complex(0.5)):
+        assert Scalar.__eq__(half, foreign) is NotImplemented
+        assert half != foreign and not half == foreign
+
+
 @st.composite
 def scalars(draw):
     order = draw(st.integers(min_value=1, max_value=12))
@@ -406,6 +420,26 @@ def test_cache_malformed_terminated_record_names_its_line(tmp_path, monkeypatch)
     cohen_cache._path = None
     with pytest.raises(ValueError, match=r"line 3: malformed cache record 'H 1 6 1/'"):
         cohen_h(1, 3)
+    cohen_cache._path = None
+
+
+@pytest.mark.parametrize("record", [
+    "H +3 1_0 \u0661/1",  # int() reads these as ((3, 10), 1)
+    "H 3 10 1/-2",  # and this as -1/2
+    "H 3 10 +1/2",
+    "H 3 10 1/0",
+    "H 3 1_0 1/2",
+    "H \u0663 10 1/2",
+    "H 3 10 1/2/1",
+])
+def test_cache_reads_only_the_integers_it_writes(tmp_path, monkeypatch, record):
+    path = tmp_path / "cohen_h.txt"
+    path.write_text(f"H 1 3 1/3\n{record}\n", encoding="utf-8")
+    monkeypatch.setenv("SK_CACHE_DIR", str(tmp_path))
+    cohen_cache._path = None
+    with pytest.raises(ValueError) as exc:
+        cohen_h(1, 3)
+    assert str(exc.value) == f"{path} line 2: malformed cache record {record!r}"
     cohen_cache._path = None
 
 

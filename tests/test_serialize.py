@@ -1,14 +1,16 @@
 """The shared table parser behind SKJF and SKSF: one error table, both
-formats, and a row-by-row oracle for the parsed values."""
+formats, a row-by-row oracle for the parsed values, and the row-by-row
+table reader as an oracle on a corpus of mutated texts."""
 
 import random
 
 import pytest
 
-from sklift.characters import DirichletCharacter
-from sklift.jacobi import builtin_form, parse_skjf, write_skjf
+from sklift import jacobi, siegel
+from sklift.characters import DirichletCharacter, parse_character
+from sklift.jacobi import builtin_form, index_shift, parse_skjf, write_skjf
 from sklift.numtheory import Scalar
-from sklift.serialize import ParseError, scalar_from_text
+from sklift.serialize import ParseError, _cell_text, parse_header, parse_int, scalar_from_text
 from sklift.siegel import lift, parse_sksf, write_sksf
 
 from synth import order4_table_character_mod5, random_jacobi
@@ -147,3 +149,162 @@ def test_parsers_match_the_row_by_row_oracle():
             got = lookup(parsed, cell)
             assert (got.order, got.coords) == (value.order, value.coords), cell
         assert len(parsed.nonzero_items()) == sum(1 for v in oracle.values() if v)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the table reader that checks every row, scans the whole text for
+# the int() path and walks the whole region for missing cells
+# ---------------------------------------------------------------------------
+
+def parse_table_oracle(text, magic, header, cell_names, check_cell, region, region_sizes,
+                       build):
+    """The table reader before the field memo and the count rule; it has
+    the arguments of :func:`sklift.serialize.parse_table` and ignores
+    ``region_sizes``."""
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != magic:
+        raise ParseError(1, f"expected header {magic!r}")
+    if len(lines) < 2:
+        raise ParseError(2, "missing metadata line")
+    fields = parse_header(lines[1], tuple(key for key, _ in header), 2)
+    meta = {key: parse_int(fields[key], 2, what) for key, what in header if what}
+    if fields["cusp"] not in ("0", "1"):
+        raise ParseError(2, f"bad cusp flag {fields['cusp']!r}")
+    bounded = [(key, what) for key, what in header if what and key != "k"]
+    if any(meta[key] < (1 if key == "N" else 0) for key, _ in bounded):
+        raise ParseError(2, "/".join(what for _, what in bounded) + " out of range")
+    try:
+        meta["chi"] = parse_character(fields["chi"], meta["N"])
+    except ValueError as exc:
+        raise ParseError(2, str(exc)) from None
+    meta["cusp"] = fields["cusp"] == "1"
+    usage = " ".join(f"<{name}>" for name in cell_names + ("value",))
+    columns = len(cell_names) + 1
+    plain = text.isascii() and "_" not in text and "+" not in text
+    coeffs = {}
+    values = {}
+    for line_no, raw in enumerate(lines[2:], start=3):
+        parts = raw.split()
+        if not parts:
+            continue
+        if len(parts) != columns:
+            raise ParseError(line_no, f"expected '{usage}'")
+        try:
+            cell = tuple(map(int, parts[:-1])) if plain else None
+        except ValueError:
+            cell = None
+        if cell is None:
+            cell = tuple(parse_int(part, line_no, name) for part, name in zip(parts, cell_names))
+        error = check_cell(cell, meta)
+        if error is not None:
+            raise ParseError(line_no, error)
+        if cell in coeffs:
+            raise ParseError(line_no, f"duplicate coefficient {_cell_text(cell)}")
+        value = values.get(parts[-1])
+        if value is None:
+            value = values[parts[-1]] = scalar_from_text(parts[-1], line_no)
+        coeffs[cell] = value
+    for cell in region(meta):
+        if cell not in coeffs:
+            raise ParseError(len(lines) + 1, f"missing in-region coefficient {_cell_text(cell)}")
+    try:
+        return build(meta, coeffs)
+    except ValueError as exc:
+        raise ParseError(2, str(exc)) from None
+
+
+_TOKENS = ("+4", "0_0", "\u0663", "-0", "007", "1/0")
+
+
+def _mutate(lines, rng):
+    """One random edit of a table's lines."""
+    lines = list(lines)
+    at = rng.randrange(len(lines))
+    kind = rng.randrange(8)
+    if kind == 0:
+        del lines[at]
+    elif kind == 1:
+        lines.insert(at, lines[at])
+    elif kind == 2:
+        other = rng.randrange(len(lines))
+        lines[at], lines[other] = lines[other], lines[at]
+    elif kind == 3:
+        lines.insert(at, rng.choice(("", "  ", "\t")))
+    elif kind == 4:
+        lines[at] = lines[at].replace(" ", "\t", rng.randint(1, 3))
+    elif kind == 5:
+        lines[at] = rng.choice((" ", "\t", "  ")) + lines[at] + rng.choice(("", " ", "\t "))
+    elif kind == 6:
+        lines[at] = lines[at] + rng.choice((" 0", " 1/1", " x"))
+    else:  # a token in a cell, value or header field
+        at = rng.randrange(1, len(lines))
+        fields = lines[at].split(" ")
+        i = rng.randrange(len(fields))
+        token = rng.choice(_TOKENS)
+        if at == 1 and "=" in fields[i]:
+            fields[i] = fields[i].split("=")[0] + "=" + token
+        else:
+            fields[i] = token
+        lines[at] = " ".join(fields)
+    return lines
+
+
+def _corpus_bases():
+    """Small SKJF and SKSF texts under the trivial, kronecker:-3 and order-4
+    mod-5 characters, with index 0, 1 and 2 among the SKJF ones."""
+    rng = random.Random(10)
+    phi = builtin_form("phi10_1", 6)
+    yield write_skjf(phi), parse_skjf
+    yield write_skjf(builtin_form("E4", 6)), parse_skjf
+    yield write_sksf(lift(phi, 2)), parse_sksf
+    for chi, factor in ((DirichletCharacter.kronecker(-3), 1),
+                        (order4_table_character_mod5(), Scalar.zeta(4, 1) + 2)):
+        phi = random_jacobi(9, chi.modulus, chi, 6, rng) * factor
+        yield write_skjf(phi), parse_skjf
+        yield write_skjf(index_shift(phi, 2)), parse_skjf
+        yield write_sksf(lift(phi, 2)), parse_sksf
+
+
+def _outcome(parse, text):
+    try:
+        form = parse(text)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", (write_skjf if parse is parse_skjf else write_sksf)(form)
+
+
+def test_parsers_match_the_row_by_row_reader_on_mutated_texts(monkeypatch):
+    rng = random.Random(2000)
+    corpus = []
+    for good, parse in _corpus_bases():
+        lines = good.splitlines()
+        for _ in range(300):
+            edited = _mutate(lines, rng)
+            if rng.random() < 0.3:
+                edited = _mutate(edited, rng)
+            corpus.append(("\n".join(edited) + "\n", parse))
+    assert len(corpus) >= 2000
+    got = [_outcome(parse, text) for text, parse in corpus]
+    monkeypatch.setattr(jacobi, "parse_table", parse_table_oracle)
+    monkeypatch.setattr(siegel, "parse_table", parse_table_oracle)
+    expected = [_outcome(parse, text) for text, parse in corpus]
+    for (text, _), a, b in zip(corpus, got, expected):
+        assert a == b, text
+    # the corpus reaches both outcomes and many different errors
+    assert sum(kind == "ok" for kind, _ in got) >= 200
+    messages = {text.split(": ", 1)[1].split("'")[0] for kind, text in got if kind != "ok"}
+    assert len(messages) >= 20, sorted(messages)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("SKSF 1\nk=10 N=1 chi=trivial nmax=1000000000 mmax=1000000000 cusp=1\n",
+     "line 3: missing in-region coefficient (0,0,1)"),
+    ("SKJF 1\nk=10 m=1000000000 N=1 chi=trivial nmax=1000000000000 cusp=1\n0 0 0/1\n",
+     "line 4: missing in-region coefficient (1,-63245)"),
+], ids=["sksf", "skjf"])
+def test_short_table_with_a_huge_region_fails_at_once(text, message):
+    # the region's size is summed only until it passes the row count
+    parse = parse_sksf if text.startswith("SKSF") else parse_skjf
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == message

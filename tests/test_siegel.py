@@ -1,8 +1,10 @@
 """Lifts, Fourier-Jacobi slices, relation checkers and the SKSF format."""
 
 import random
+import re
+from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -30,11 +32,14 @@ from sklift.siegel import (
 )
 
 from synth import (
+    constructor_outcomes,
     degenerate_level2_siegel,
     odd_table_character_mod4,
     order4_table_character_mod5,
+    random_coefficient,
     random_jacobi,
     random_siegel,
+    shared_scalars,
     siegel_product,
 )
 
@@ -604,3 +609,59 @@ def test_report_parse_errors_keep_the_text_line_numbers(text, line_no, message):
         parse_report(text)
     assert exc.value.line_no == line_no
     assert str(exc.value) == f"line {line_no}: {message}"
+
+
+# ---------------------------------------------------------------------------
+# oracle: the constructor's per-cell loop, every check on every cell
+# ---------------------------------------------------------------------------
+
+def siegel_constructor_oracle(coeffs, n_max, m_max, cusp):
+    """The coefficients SiegelExpansion keeps, by the loop that coerces,
+    zero-tests and checks each cell in turn; raises its first ValueError."""
+    clean = {}
+    for (n, r, m), value in coeffs.items():
+        value = Scalar.coerce(value)
+        if value.is_zero():
+            continue
+        if (n, r, m) == (0, 0, 0):
+            raise ValueError("the zero matrix is excluded from the support")
+        if not (n >= 0 and m >= 0 and 4 * n * m - r * r >= 0):
+            raise ValueError(f"coefficient ({n},{r},{m}) outside the cone")
+        if n > n_max or m > m_max:
+            raise ValueError(f"coefficient ({n},{r},{m}) outside the box")
+        if cusp and 4 * n * m - r * r == 0:
+            raise ValueError(
+                f"cusp flag set but singular coefficient ({n},{r},{m}) is nonzero"
+            )
+        clean[(n, r, m)] = value
+    return clean
+
+
+def _random_siegel_cell(rng, n_max, m_max):
+    kind = rng.randrange(8)
+    if kind <= 4:  # in the box and the cone
+        n, m = rng.randint(0, n_max), rng.randint(0, m_max)
+        bound = isqrt(4 * n * m)
+        return (n, rng.randint(-bound, bound), m)
+    if kind == 5:  # anywhere near the box
+        return (rng.randint(-1, n_max + 1), rng.randint(-4, 4), rng.randint(-1, m_max + 1))
+    if kind == 6:  # singular: (a^2, 2ab, b^2)
+        a, b = rng.randint(0, 2), rng.randint(0, 2)
+        return (a * a, rng.choice((-2, 2)) * a * b, b * b)
+    return (0, 0, 0)
+
+
+def test_siegel_constructor_matches_the_per_cell_loop():
+    rng = random.Random(3000)
+    kinds = Counter()
+    for _ in range(3000):
+        n_max, m_max, cusp = rng.randint(0, 3), rng.randint(0, 3), rng.random() < 0.5
+        shared = shared_scalars()
+        coeffs = {_random_siegel_cell(rng, n_max, m_max): random_coefficient(rng, shared)
+                  for _ in range(rng.randint(1, 8))}
+        got, expected = constructor_outcomes(
+            lambda c: SiegelExpansion(10, 1, TRIV, n_max, m_max, c, cusp=cusp),
+            lambda c: siegel_constructor_oracle(c, n_max, m_max, cusp), coeffs)
+        assert got == expected, (n_max, m_max, cusp, coeffs)
+        kinds[re.sub(r"\(.*?\)", "", expected) if isinstance(expected, str) else "ok"] += 1
+    assert len(kinds) == 5 and min(kinds.values()) >= 100, kinds
