@@ -42,7 +42,8 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="ascii") as fh:
+    # undecodable bytes become U+FFFD, so the parser names their line
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         return fh.read()
 
 

@@ -42,11 +42,8 @@ computed as its two rows r = 0 and r = 1, each one q-series: theta sums,
 powers of prod (1 - q^n) from Euler's pentagonal series, and divisions by
 sparse theta series.  No Cohen H value is computed.
 
-The same repetition makes the divisor sum of V_{l,chi} repeat: each
-distinct list of (twist, coefficient) terms is summed once per call, with a
-memo keyed by the twist index and the id of each stored coefficient.  Only
-objects alive for the whole call are keyed, never a temporary whose id
-could be reused, so a memo miss only costs a recomputation.
+The divisor sums of V_{l,chi}, of the lift and of the Maass relations are
+evaluated by one helper, :func:`_twisted_sums`.
 """
 
 from __future__ import annotations
@@ -63,7 +60,7 @@ from .numtheory import (
     pow_fraction,
     sigma,
 )
-from .serialize import parse_table, scalar_to_text
+from .serialize import parse_table, write_table
 
 __all__ = [
     "JacobiExpansion",
@@ -88,6 +85,13 @@ def region_r_values(index: int, n: int) -> range:
     return range(-bound, bound + 1)
 
 
+def _region_cells(index: int, n_max: int):
+    """Every (n, r) of the support region with n <= n_max, sorted."""
+    for n in range(n_max + 1):
+        for r in region_r_values(index, n):
+            yield (n, r)
+
+
 def _check_cell(n: int, r: int, index: int, n_max: int, cusp: bool) -> None:
     """Raise the first rule a nonzero coefficient at (n, r) breaks, if any."""
     if n < 0 or n > n_max:
@@ -99,22 +103,89 @@ def _check_cell(n: int, r: int, index: int, n_max: int, cusp: bool) -> None:
         raise ValueError(f"cusp flag set but boundary coefficient ({n},{r}) is nonzero")
 
 
-class JacobiExpansion:
+def _nonzero(coeffs):
+    """The (cell, value) items of ``coeffs`` with a nonzero value, in order,
+    each value a Scalar.
+
+    An int or a Fraction is coerced to a fresh Scalar and tested on its
+    own.  Whether a Scalar is zero is decided once per distinct object, by
+    a memo keyed by id that lives for one iteration and holds each object
+    it keys, so an id is never reused under the memo and a miss only costs
+    a recomputation.
+    """
+    zeros: dict[int, tuple[Scalar, bool]] = {}  # id -> (the Scalar, is it zero)
+    for cell, value in coeffs.items():
+        if value.__class__ is Scalar:
+            seen = zeros.get(id(value))
+            if seen is None:
+                seen = zeros[id(value)] = (value, value.is_zero())
+            if seen[1]:
+                continue
+        else:
+            value = Scalar.coerce(value)
+            if value.is_zero():
+                continue
+        yield cell, value
+
+
+class _Expansion:
+    """What :class:`JacobiExpansion` and
+    :class:`~sklift.siegel.SiegelExpansion` share: the level and parity
+    checks, immutability, and equality of the shape (``_shape()``, the
+    character included) and of the coefficients.
+
+    Each constructor runs its bound checks, ``_check_character``, then a
+    loop over :func:`_nonzero` in which a cell failing an arithmetic test
+    goes through its ordered ``_check_cell``, so the first bad cell in the
+    dict's order names the first rule it breaks; ``_freeze`` sets the
+    fields.
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def _check_character(weight, level, character) -> None:
+        if level != character.modulus:
+            raise ValueError(f"level {level} != character modulus {character.modulus}")
+        if not parity_compatible(character, weight):
+            raise ValueError(
+                f"character parity violates chi(-1) = (-1)^k for weight {weight}"
+            )
+
+    def _freeze(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def nonzero_items(self):
+        return self._coeffs.items()
+
+    def is_zero(self) -> bool:
+        return not self._coeffs
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        if self._shape() != other._shape():
+            return False
+        keys = set(self._coeffs) | set(other._coeffs)
+        zero = Scalar.zero()
+        return all(
+            self._coeffs.get(k, zero) == other._coeffs.get(k, zero) for k in keys
+        )
+
+    __hash__ = None
+
+
+class JacobiExpansion(_Expansion):
     """A truncated Jacobi-form Fourier expansion.
 
     Immutable after construction.  Construction validates the support law,
     the index-0 restriction to r = 0, the character parity chi(-1) = (-1)^k,
     and (when the cusp flag is set) vanishing on the singular boundary
-    4nm - r^2 = 0.
-
-    The cells are checked in one pass.  Zero values are dropped; whether a
-    Scalar is zero is decided once per distinct object, by a memo that
-    lives for the call and holds each object it keys by id (an int or a
-    Fraction is coerced to a fresh Scalar and tested on its own).  A
-    nonzero value whose cell passes the arithmetic test 0 <= n <= n_max,
-    4nm - r^2 >= (1 if cusp else 0) is kept as it is; any other cell goes
-    through the checks in their order, so the first bad cell in the dict's
-    order raises the message that names the first rule it breaks.
+    4nm - r^2 = 0.  Zero values are dropped.
     """
 
     __slots__ = ("weight", "index", "level", "character", "n_max", "cusp", "_coeffs")
@@ -124,40 +195,19 @@ class JacobiExpansion:
             raise ValueError("index must be >= 0")
         if n_max < 0:
             raise ValueError("n_max must be >= 0")
-        if level != character.modulus:
-            raise ValueError(f"level {level} != character modulus {character.modulus}")
-        if not parity_compatible(character, weight):
-            raise ValueError(
-                f"character parity violates chi(-1) = (-1)^k for weight {weight}"
-            )
+        self._check_character(weight, level, character)
         least = 1 if cusp else 0  # the smallest admissible 4nm - r^2
         clean: dict[tuple[int, int], Scalar] = {}
-        zeros: dict[int, tuple[Scalar, bool]] = {}  # id -> (the Scalar, is it zero)
-        for cell, value in coeffs.items():
+        for cell, value in _nonzero(coeffs):
             n, r = cell
-            if value.__class__ is Scalar:
-                seen = zeros.get(id(value))
-                if seen is None:
-                    seen = zeros[id(value)] = (value, value.is_zero())
-                if seen[1]:
-                    continue
-            else:
-                value = Scalar.coerce(value)
-                if value.is_zero():
-                    continue
             if not (4 * n * index - r * r >= least and 0 <= n <= n_max):
                 _check_cell(n, r, index, n_max, cusp)
             clean[cell] = value
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "character", character)
-        object.__setattr__(self, "n_max", n_max)
-        object.__setattr__(self, "cusp", cusp)
-        object.__setattr__(self, "_coeffs", clean)
+        self._freeze(weight=weight, index=index, level=level, character=character,
+                     n_max=n_max, cusp=cusp, _coeffs=clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("JacobiExpansion is immutable")
+    def _shape(self):
+        return (self.weight, self.index, self.level, self.n_max, self.character)
 
     # -- access ------------------------------------------------------------
 
@@ -167,16 +217,8 @@ class JacobiExpansion:
             raise ValueError(f"coefficient index n={n} outside the stored region")
         return self._coeffs.get((n, r), Scalar.zero())
 
-    def nonzero_items(self):
-        return self._coeffs.items()
-
     def region_cells(self):
-        for n in range(self.n_max + 1):
-            for r in region_r_values(self.index, n):
-                yield (n, r)
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
+        return _region_cells(self.index, self.n_max)
 
     # -- linear structure ----------------------------------------------------
 
@@ -234,23 +276,6 @@ class JacobiExpansion:
         """A copy flagged as a cusp form; fails if the boundary is nonzero."""
         return self._like(dict(self._coeffs), cusp=True)
 
-    def __eq__(self, other):
-        if not isinstance(other, JacobiExpansion):
-            return NotImplemented
-        if (self.weight, self.index, self.level, self.n_max) != (
-            other.weight, other.index, other.level, other.n_max
-        ):
-            return False
-        if self.character != other.character:
-            return False
-        keys = set(self._coeffs) | set(other._coeffs)
-        zero = Scalar.zero()
-        return all(
-            self._coeffs.get(k, zero) == other._coeffs.get(k, zero) for k in keys
-        )
-
-    __hash__ = None
-
     def __repr__(self):
         return (
             f"JacobiExpansion(k={self.weight}, m={self.index}, N={self.level}, "
@@ -262,6 +287,50 @@ class JacobiExpansion:
 # ---------------------------------------------------------------------------
 # Index-shift operators
 # ---------------------------------------------------------------------------
+
+def _twisted_sums(form: _Expansion, lookup):
+    """The evaluator of twisted divisor sums over ``form``: a function that
+    takes a list of terms (d, cell), each standing for chi(d) d^(k-1) times
+    the coefficient at the cell, and returns their sum, taken from zero in
+    list order.
+
+    A cell is read from the stored nonzero coefficients, and an absent one
+    through ``lookup(*cell)``, which is zero inside the region and refuses
+    a cell beyond it.  Coefficient values repeat heavily (an index-1 form
+    has c(n, r) = C(4n - r^2), and a lift's A(n, r, m) depends only on
+    4nm - r^2 and gcd(n, r, m)), so each distinct list of present
+    (d, id(stored coefficient)) is summed once.  The memo lives as long as
+    the function, which holds the stored coefficients, so an id is never
+    reused under the memo and a miss only costs a recomputation.
+    """
+    chi, k = form.character, form.weight
+    coeffs = form._coeffs
+    twists: dict[int, Scalar] = {}  # d -> chi(d) d^(k-1)
+    sums: dict[tuple, Scalar] = {}  # ((d, id(stored coefficient)), ...) -> the sum
+
+    def total(terms) -> Scalar:
+        refs, key = [], []
+        for d, cell in terms:
+            ref = coeffs.get(cell)
+            if ref is None:
+                lookup(*cell)  # zero, or beyond the region and refused
+            else:
+                refs.append((d, ref))
+                key.append((d, id(ref)))
+        key = tuple(key)
+        value = sums.get(key)
+        if value is None:
+            value = Scalar.zero()
+            for d, ref in refs:
+                twist = twists.get(d)
+                if twist is None:
+                    twist = twists[d] = chi.value(d) * pow_fraction(d, k - 1)
+                value = value + twist * ref
+            sums[key] = value
+        return value
+
+    return total
+
 
 def index_shift(phi: JacobiExpansion, l: int) -> JacobiExpansion:
     """V_{l,chi}(phi): index m -> ml, coefficients by the closed divisor sum.
@@ -276,37 +345,27 @@ def index_shift(phi: JacobiExpansion, l: int) -> JacobiExpansion:
     out_n_max = phi.n_max // l
     return JacobiExpansion(
         phi.weight, phi.index * l, phi.level, phi.character, out_n_max,
-        _shifted_coeffs(phi, l, out_n_max), cusp=phi.cusp,
+        _shifted_coeffs(phi, l, out_n_max, _twisted_sums(phi, phi.coeff)), cusp=phi.cusp,
     )
 
 
-def _shifted_coeffs(phi: JacobiExpansion, l: int,
-                    out_n_max: int) -> dict[tuple[int, int], Scalar]:
-    """The nonzero coefficients of V_{l,chi}(phi) on the rows n <= out_n_max.
+def _shifted_coeffs(phi: JacobiExpansion, l: int, out_n_max: int,
+                    total) -> dict[tuple[int, int], Scalar]:
+    """The nonzero coefficients of V_{l,chi}(phi) on the rows n <= out_n_max,
+    with ``total`` the :func:`_twisted_sums` evaluator over phi.
 
     The largest reference is c(out_n_max l, r), so out_n_max l must not
-    exceed phi.n_max.  The twists chi(a) a^(k-1) are taken once per divisor
-    a of l; a cell with gcd(n, r, l) = 1 has the single term c(nl, r), which
-    is copied as it is.
-
-    Coefficient values repeat heavily (an index-1 form has c(n, r) =
-    C(4n - r^2)), so every other cell's sum is done once per distinct term
-    list: the key is the (twist index, id(c)) of each term present, and a
-    repeated key reuses the same Scalar.  Only objects alive for the whole
-    call are keyed, the stored coefficients and the twist list, so an id is
-    never reused under the memo and a miss only costs a recomputation.
+    exceed phi.n_max.  A cell with gcd(n, r, l) = 1 has the single term
+    c(nl, r), which is copied as it is; any other cell is the sum over the
+    divisors a of gcd(n, r, l) with gcd(a, N) = 1 and chi(a) != 0.
     """
     if out_n_max * l > phi.n_max:
         raise ValueError(f"rows up to {out_n_max} of V_{l} need n_max >= {out_n_max * l}")
     chi = phi.character
-    twists = [
-        (a, chi.value(a) * pow_fraction(a, phi.weight - 1))
-        for a in divisors(l)
-        if gcd(a, phi.level) == 1 and not chi.value(a).is_zero()
-    ]
+    shifts = [a for a in divisors(l)
+              if gcd(a, phi.level) == 1 and not chi.value(a).is_zero()]
     coeffs = phi._coeffs
     out: dict[tuple[int, int], Scalar] = {}
-    sums: dict[tuple, Scalar] = {}  # ((twist index, id(c)), ...) -> the sum
     for n in range(out_n_max + 1):
         nl = n * l
         for r in region_r_values(phi.index * l, n):
@@ -316,21 +375,9 @@ def _shifted_coeffs(phi: JacobiExpansion, l: int,
                 if c is not None:
                     out[(n, r)] = c
                 continue
-            terms = []
-            for i, (a, _) in enumerate(twists):
-                if g % a == 0:
-                    c = coeffs.get((nl // (a * a), r // a))
-                    if c is not None:
-                        terms.append((i, c))
-            key = tuple((i, id(c)) for i, c in terms)
-            total = sums.get(key)
-            if total is None:
-                total = Scalar.zero()
-                for i, c in terms:
-                    total = total + twists[i][1] * c
-                sums[key] = total
-            if not total.is_zero():
-                out[(n, r)] = total
+            value = total([(a, (nl // (a * a), r // a)) for a in shifts if g % a == 0])
+            if not value.is_zero():
+                out[(n, r)] = value
     return out
 
 
@@ -343,7 +390,9 @@ def index_shift_oracle(phi: JacobiExpansion, l: int) -> JacobiExpansion:
     gcd(a, N) = 1, b mod d), so this operator and the Hecke operator T(l)
     share one coset enumeration: every input monomial q^n zeta^r
     contributes e(nb/d) q^{na/d} zeta^{ra}, with the phase taken exactly in
-    Q(zeta_M), M the lcm of l, ord chi and the orders of the input values.
+    Q(zeta_M), M the lcm of l, the orders of the scalars chi(a) the cosets
+    multiply by (a table may write a value in a larger ring than ord chi)
+    and the orders of the input values.
     Each monomial q^{na/d} zeta^{ra} = q^{na^2/l} zeta^{ra} accumulates
     rational coordinates indexed by the exponent of zeta_M, so a phase only
     moves coordinates; one scalar is built per monomial at the end.  The
@@ -359,7 +408,9 @@ def index_shift_oracle(phi: JacobiExpansion, l: int) -> JacobiExpansion:
     k, level, chi = phi.weight, phi.level, phi.character
     out_n_max = phi.n_max // l
     out_index = phi.index * l
-    ring = lcm(l, chi.order, *(c.order for _, c in phi.nonzero_items()))
+    reps = coset_representatives(level, l)
+    ring = lcm(l, *(chi.value(rep.a).order for rep in reps),
+               *(c.order for _, c in phi.nonzero_items()))
     scale = pow_fraction(l, k - 1)
     zero = Fraction(0)
     # (numerator of the q-exponent over l, r) -> coordinates in zeta_ring
@@ -367,7 +418,7 @@ def index_shift_oracle(phi: JacobiExpansion, l: int) -> JacobiExpansion:
     # a -> [(accumulator slot, n, nonzero coordinates of the weighted term)],
     # shared by the d cosets (a b; 0 d), which differ only in the phase
     terms: dict[int, list] = {}
-    for rep in coset_representatives(level, l):
+    for rep in reps:
         a, b, d = rep.a, rep.b, rep.d
         if a not in terms:
             weight_ad = chi.value(a) * (pow_fraction(d, -k) * scale)
@@ -685,14 +736,12 @@ def builtin_form(name: str, n_max: int) -> JacobiExpansion:
 def write_skjf(phi: JacobiExpansion) -> str:
     """Serialize to SKJF text: header, then one line per in-region (n, r),
     explicit zeros included, sorted by (n, r)."""
-    lines = [
+    return write_table(
         "SKJF 1",
         f"k={phi.weight} m={phi.index} N={phi.level} chi={phi.character.to_spec()} "
         f"nmax={phi.n_max} cusp={int(phi.cusp)}",
-    ]
-    for n, r in phi.region_cells():
-        lines.append(f"{n} {r} {scalar_to_text(phi.coeff(n, r))}")
-    return "\n".join(lines) + "\n"
+        phi.region_cells(), phi._coeffs,
+    )
 
 
 def parse_skjf(text: str) -> JacobiExpansion:
@@ -702,8 +751,7 @@ def parse_skjf(text: str) -> JacobiExpansion:
         (("k", "weight"), ("m", "index"), ("N", "level"), ("chi", None),
          ("nmax", "nmax"), ("cusp", None)),
         ("n", "r"), _skjf_cell_error,
-        lambda meta: ((n, r) for n in range(meta["nmax"] + 1)
-                      for r in region_r_values(meta["m"], n)),
+        lambda meta: _region_cells(meta["m"], meta["nmax"]),
         lambda meta: (len(region_r_values(meta["m"], n)) for n in range(meta["nmax"] + 1)),
         lambda meta, coeffs: JacobiExpansion(
             meta["k"], meta["m"], meta["N"], meta["chi"], meta["nmax"], coeffs,

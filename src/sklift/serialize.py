@@ -5,11 +5,12 @@ irrational cyclotomic coordinates serialize as the comma-joined coordinate
 vector (one rational per power-basis coordinate, length = ring order).
 Parse failures carry 1-based line numbers.
 
-:func:`parse_table` is the one parser behind SKJF and SKSF.  Their values
-repeat heavily (an index-1 Jacobi form has c(n, r) = C(4n - r^2); a lift's
-A(n, r, m) depends only on 4nm - r^2 and gcd(n, r, m)), so each distinct
-value text is parsed once per call and its immutable :class:`Scalar` is
-shared by every cell that carries it.
+:func:`parse_table` is the one parser and :func:`write_table` the one
+writer behind SKJF and SKSF.  Their values repeat heavily (an index-1
+Jacobi form has c(n, r) = C(4n - r^2); a lift's A(n, r, m) depends only on
+4nm - r^2 and gcd(n, r, m)), so each distinct value text is parsed once
+per call and its immutable :class:`Scalar` is shared by every cell that
+carries it, and each distinct value object is written once per call.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .characters import parse_character
 from .numtheory import _INT_RE, _RATIONAL_RE, Scalar
 
 __all__ = ["ParseError", "rational_to_text", "scalar_to_text", "scalar_from_text",
-           "parse_int", "parse_header", "parse_table"]
+           "parse_int", "parse_header", "parse_table", "write_table"]
 
 
 class ParseError(ValueError):
@@ -179,3 +180,25 @@ def parse_table(text: str, magic: str, header: tuple[tuple[str, str | None], ...
 
 def _cell_text(cell: tuple[int, ...]) -> str:
     return "(" + ",".join(map(str, cell)) + ")"
+
+
+def write_table(magic: str, meta: str, cells, coeffs) -> str:
+    """The text :func:`parse_table` reads: the ``magic`` line, the metadata
+    line ``meta``, then one ``<cell> <value>`` row for each of ``cells`` in
+    order, its value read from the dict ``coeffs`` and zero where absent.
+
+    Each distinct value object is turned into text once, by a memo keyed by
+    id that lives for the call; ``coeffs`` and the one zero hold every
+    keyed object for the whole call, so an id is never reused under the
+    memo and a miss only costs a recomputation.
+    """
+    lines = [magic, meta]
+    zero = Scalar.zero()
+    texts: dict[int, str] = {}  # id of a value in coeffs (or of zero) -> its text
+    for cell in cells:
+        value = coeffs.get(cell, zero)
+        text = texts.get(id(value))
+        if text is None:
+            text = texts[id(value)] = scalar_to_text(value)
+        lines.append("%d " * len(cell) % cell + text)
+    return "\n".join(lines) + "\n"

@@ -36,19 +36,8 @@ others, so the instances whose references stay inside the box form a
 sub-region known up front (nm <= n_max for classical, nl <= n_max and
 ml <= m_max for symmetric_l, all of l <= n_max for the singular law).  Only
 that sub-region is evaluated; the box cells outside it are counted in the
-report as skipped.  The two sides of an instance are compared as sums of
-the stored nonzero coefficients, with the d = 1 term taken as it is
-(chi(1) 1^(k-1) = 1); only a violated instance is summed again term by
-term, from zero, for the sides its report line prints.
-
-Coefficient values repeat heavily: a lift's A(n, r, m) depends only on
-4nm - r^2 and gcd(n, r, m).  So the per-value work is done once per
-distinct value, with a memo that lives for one call: the lift's index-shift
-sums, the constructors' zero tests, the engine's side sums and the SKSF
-value texts.  A memo keys only objects alive for its whole lifetime (stored
-coefficients, and indices into lists it holds) by their id, never a
-temporary, whose id could be reused; a miss then only costs a recomputation
-and never changes a result.
+report as skipped.  The lift and the engine sum their twisted divisor sums
+with :func:`~sklift.jacobi._twisted_sums`.
 """
 
 from __future__ import annotations
@@ -57,10 +46,10 @@ import re
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .characters import parity_compatible
-from .jacobi import JacobiExpansion, _shifted_coeffs
-from .numtheory import Scalar, divisors, is_prime, pow_fraction
-from .serialize import ParseError, parse_header, parse_int, parse_table, scalar_from_text, scalar_to_text
+from .jacobi import JacobiExpansion, _Expansion, _nonzero, _shifted_coeffs, _twisted_sums
+from .numtheory import Scalar, divisors, is_prime
+from .serialize import (ParseError, parse_header, parse_int, parse_table, scalar_from_text,
+                        scalar_to_text, write_table)
 
 __all__ = [
     "SiegelExpansion",
@@ -143,58 +132,30 @@ class RelationReport:
         return RelationReport(out, self.skipped + other.skipped)
 
 
-class SiegelExpansion:
+class SiegelExpansion(_Expansion):
     """A truncated degree-2 Fourier expansion on the box
     n <= n_max, m <= m_max.
 
-    Construction checks the character and, in one pass, the cells: zero
-    values are dropped, whether a Scalar is zero being decided once per
-    distinct object by a memo that lives for the call and holds each object
-    it keys by id (an int or a Fraction is coerced to a fresh Scalar and
-    tested on its own).  A nonzero value at a cell with 4nm - r^2 > 0,
-    0 <= n <= n_max and 0 <= m <= m_max is kept as it is; any other cell
-    goes through the checks in their order (the zero matrix, the cone, the
-    box, the cusp flag), so the first bad cell in the dict's order raises
-    the message that names the first rule it breaks."""
+    Construction checks the character and the cells (the zero matrix, the
+    cone, the box, the cusp flag); zero values are dropped."""
 
     __slots__ = ("weight", "level", "character", "n_max", "m_max", "cusp", "_coeffs")
 
     def __init__(self, weight, level, character, n_max, m_max, coeffs, cusp=False):
         if n_max < 0 or m_max < 0:
             raise ValueError("box bounds must be >= 0")
-        if level != character.modulus:
-            raise ValueError(f"level {level} != character modulus {character.modulus}")
-        if not parity_compatible(character, weight):
-            raise ValueError(
-                f"character parity violates chi(-1) = (-1)^k for weight {weight}"
-            )
+        self._check_character(weight, level, character)
         clean: dict[tuple[int, int, int], Scalar] = {}
-        zeros: dict[int, tuple[Scalar, bool]] = {}  # id -> (the Scalar, is it zero)
-        for cell, value in coeffs.items():
+        for cell, value in _nonzero(coeffs):
             n, r, m = cell
-            if value.__class__ is Scalar:
-                seen = zeros.get(id(value))
-                if seen is None:
-                    seen = zeros[id(value)] = (value, value.is_zero())
-                if seen[1]:
-                    continue
-            else:
-                value = Scalar.coerce(value)
-                if value.is_zero():
-                    continue
             if not (4 * n * m - r * r > 0 and 0 <= n <= n_max and 0 <= m <= m_max):
                 _check_cell(n, r, m, n_max, m_max, cusp)
             clean[cell] = value
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "character", character)
-        object.__setattr__(self, "n_max", n_max)
-        object.__setattr__(self, "m_max", m_max)
-        object.__setattr__(self, "cusp", cusp)
-        object.__setattr__(self, "_coeffs", clean)
+        self._freeze(weight=weight, level=level, character=character, n_max=n_max,
+                     m_max=m_max, cusp=cusp, _coeffs=clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SiegelExpansion is immutable")
+    def _shape(self):
+        return (self.weight, self.level, self.n_max, self.m_max, self.character)
 
     # -- access ------------------------------------------------------------
 
@@ -206,15 +167,9 @@ class SiegelExpansion:
             raise ValueError(f"coefficient ({n},{r},{m}) outside the stored box")
         return self._coeffs.get((n, r, m), Scalar.zero())
 
-    def nonzero_items(self):
-        return self._coeffs.items()
-
     def box_cells(self):
         """All (n, r, m) in the box with (n, r/2; r/2, m) >= 0 and != 0."""
         return _cells(self.n_max, self.m_max)
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
 
     def perturbed(self, n: int, r: int, m: int, delta=1) -> "SiegelExpansion":
         """A copy with A(n, r, m) shifted by delta (cusp flag dropped)."""
@@ -228,23 +183,6 @@ class SiegelExpansion:
             self.weight, self.level, self.character, self.n_max, self.m_max, out,
             cusp=False,
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, SiegelExpansion):
-            return NotImplemented
-        if (self.weight, self.level, self.n_max, self.m_max) != (
-            other.weight, other.level, other.n_max, other.m_max
-        ):
-            return False
-        if self.character != other.character:
-            return False
-        keys = set(self._coeffs) | set(other._coeffs)
-        zero = Scalar.zero()
-        return all(
-            self._coeffs.get(k, zero) == other._coeffs.get(k, zero) for k in keys
-        )
-
-    __hash__ = None
 
     def __repr__(self):
         return (
@@ -289,9 +227,10 @@ def lift(phi: JacobiExpansion, m_max: int) -> SiegelExpansion:
     if m_max > phi.n_max:
         raise ValueError(f"m_max={m_max} exceeds the input truncation {phi.n_max}")
     n_max = phi.n_max // m_max
+    total = _twisted_sums(phi, phi.coeff)
     coeffs: dict[tuple[int, int, int], Scalar] = {}
     for l in range(1, m_max + 1):
-        for (n, r), c in _shifted_coeffs(phi, l, n_max).items():
+        for (n, r), c in _shifted_coeffs(phi, l, n_max, total).items():
             coeffs[(n, r, l)] = c
     return SiegelExpansion(
         phi.weight, phi.level, phi.character, n_max, m_max, coeffs, cusp=phi.cusp
@@ -316,56 +255,6 @@ def _cell_count(n_max: int, m_max: int) -> int:
     return sum(_block_sizes(n_max, m_max))
 
 
-def _side_sums(F: SiegelExpansion):
-    """The two evaluations ``(fast, full)`` of an instance side over F, a
-    side being a list of terms (d, (n, r, m)) standing for
-    d^(k-1) chi(d) A(n, r, m); see :func:`_check`.  The twists and the
-    memo of ``fast`` live as long as the two functions."""
-    chi, k = F.character, F.weight
-    coeffs = F._coeffs
-    zero = Scalar.zero()
-    twists: dict[int, Scalar] = {}
-
-    def twist(d: int) -> Scalar:
-        if d not in twists:
-            twists[d] = chi.value(d) * pow_fraction(d, k - 1)
-        return twists[d]
-
-    sums: dict[tuple, Scalar] = {}  # ((d, id(ref)), ...) -> the fast sum
-
-    def fast(terms) -> Scalar:
-        if len(terms) == 1 and terms[0][0] == 1:  # the reference as it is
-            ref = coeffs.get(terms[0][1])
-            return F.a(*terms[0][1]) if ref is None else ref
-        refs, key = [], []
-        for d, cell in terms:
-            ref = coeffs.get(cell)
-            if ref is None:
-                F.a(*cell)  # zero, or beyond the box and refused
-            else:
-                refs.append((d, ref))
-                key.append((d, id(ref)))
-        key = tuple(key)
-        total = sums.get(key)
-        if total is None:
-            for d, ref in refs:
-                if d != 1:
-                    ref = twist(d) * ref
-                total = ref if total is None else total + ref
-            total = sums[key] = zero if total is None else total
-        return total
-
-    def full(terms) -> Scalar:
-        total = Scalar.zero()
-        for d, cell in terms:
-            ref = F.a(*cell)
-            if not ref.is_zero():
-                total = total + twist(d) * ref
-        return total
-
-    return fast, full
-
-
 def _check(F: SiegelExpansion, relation: str, shift: int, instances,
            enumerated: int) -> RelationReport:
     """Evaluate relation instances (cell, left, right), where each side is a
@@ -373,29 +262,28 @@ def _check(F: SiegelExpansion, relation: str, shift: int, instances,
 
     The instances come from the family's evaluable sub-region; of the
     ``enumerated`` box instances, those not evaluated are reported as
-    skipped.  Each reference is read from the stored nonzero coefficients,
-    and an absent one through :meth:`SiegelExpansion.a`, which is zero
-    outside the cone and refuses cells beyond the box.  The sides are first
-    compared as cheap sums: a lone d = 1 term is the reference itself, since
-    chi(1) 1^(k-1) = 1, and a longer sum starts at its first nonzero term.
-    Coefficient values repeat heavily (a lift's A(n, r, m) depends only on
-    4nm - r^2 and gcd(n, r, m)), so a longer sum is done once per distinct
-    list of present references: the key is the (d, id(ref)) of each, and a
-    repeated key reuses the same Scalar.  Only stored coefficients are keyed,
-    and they stay alive for the whole call, so an id is never reused under
-    the memo and a miss only costs a recomputation.  Only a violated
-    instance is summed again from Scalar.zero() over every twisted term, so
-    the reported sides do not depend on the shortcuts.
+    skipped.  A side is summed by :func:`~sklift.jacobi._twisted_sums`,
+    which refuses references beyond the box, except that a lone d = 1 term
+    is compared as the reference itself, since chi(1) 1^(k-1) = 1.  A
+    violated instance reports both sides as sums.
     """
-    fast_side, side = _side_sums(F)
+    total = _twisted_sums(F, F.a)
+    coeffs = F._coeffs
+
+    def side(terms) -> Scalar:
+        if len(terms) == 1 and terms[0][0] == 1:
+            ref = coeffs.get(terms[0][1])
+            return F.a(*terms[0][1]) if ref is None else ref
+        return total(terms)
+
     violations: list[Violation] = []
     evaluated = 0
     for (n, r, m), left_terms, right_terms in instances:
         evaluated += 1
-        left, right = fast_side(left_terms), fast_side(right_terms)
+        left, right = side(left_terms), side(right_terms)
         if left != right:
             violations.append(Violation(relation, n, r, m, shift,
-                                        side(left_terms), side(right_terms)))
+                                        total(left_terms), total(right_terms)))
     return RelationReport(violations, enumerated - evaluated)
 
 
@@ -479,26 +367,13 @@ def is_maass(F: SiegelExpansion, p_list: list[int]) -> RelationReport:
 
 def write_sksf(F: SiegelExpansion) -> str:
     """Serialize to SKSF text: every in-cone box cell except (0,0,0),
-    explicit zeros included, sorted by (n, r, m).
-
-    Each cell's value is read from the stored coefficients, and each
-    distinct value object is turned into text once, keyed by its id; the
-    stored coefficients and the shared zero stay alive for the whole call,
-    so an id is never reused under the memo."""
-    lines = [
+    explicit zeros included, sorted by (n, r, m)."""
+    return write_table(
         "SKSF 1",
         f"k={F.weight} N={F.level} chi={F.character.to_spec()} "
         f"nmax={F.n_max} mmax={F.m_max} cusp={int(F.cusp)}",
-    ]
-    coeffs, zero = F._coeffs, Scalar.zero()
-    texts: dict[int, str] = {}  # id of a stored value (or of zero) -> its text
-    for cell in sorted(_cells(F.n_max, F.m_max)):
-        value = coeffs.get(cell, zero)
-        text = texts.get(id(value))
-        if text is None:
-            text = texts[id(value)] = scalar_to_text(value)
-        lines.append("%d %d %d %s" % (*cell, text))
-    return "\n".join(lines) + "\n"
+        sorted(_cells(F.n_max, F.m_max)), F._coeffs,
+    )
 
 
 def parse_sksf(text: str) -> SiegelExpansion:

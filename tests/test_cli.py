@@ -258,6 +258,21 @@ def test_verify_malformed_file(tmp_path, capsys):
     assert "line 3" in err
 
 
+@pytest.mark.parametrize("verb", ["lift", "verify"])
+@pytest.mark.parametrize("bad", ["\u0661".encode(), b"\xff"], ids=["arabic-indic-digit", "not-utf8"])
+def test_non_ascii_input_bytes_get_a_line_numbered_error(tmp_path, capsys, verb, bad):
+    phi = builtin_form("phi10_1", 4)
+    text = write_skjf(phi) if verb == "lift" else write_sksf(lift(phi, 2))
+    lines = text.encode().splitlines(keepends=True)
+    lines[5] = lines[5].rstrip(b"\n") + bad + b"\n"
+    path = tmp_path / "in.txt"
+    path.write_bytes(b"".join(lines))
+    extra = ["--mmax=2"] if verb == "lift" else ["--mode=all"]
+    code, out, err = run([verb, f"--in={path}", *extra], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 6: bad rational "), err
+
+
 def test_hecke_cosets(capsys):
     code, out, _ = run(["hecke", "--sub=cosets", "--level=1", "--l=2"], capsys)
     assert code == 0

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from sklift.characters import DirichletCharacter
+from sklift.characters import DirichletCharacter, parse_character
 from sklift.jacobi import (
     BUILTIN_FORMS,
     JacobiExpansion,
@@ -373,11 +373,14 @@ def test_index_shift_hecke_eigenvalues_at_index0():
 
 
 def test_oracle_agreement_with_complex_character():
-    chi = order4_table_character_mod5()
-    rng = random.Random(5)
-    phi = random_jacobi(9, 5, chi, 15, rng, cuspidal=False)
-    for l in (1, 2, 3, 4, 5):
-        assert index_shift(phi, l) == index_shift_oracle(phi, l), l
+    # the second character is the first, with chi(2) = zeta_8^2 written in
+    # a larger ring than its order 4
+    for chi in (order4_table_character_mod5(),
+                parse_character("table:zeta^0/1,zeta^2/8,zeta^6/8,zeta^4/8,0", 5)):
+        rng = random.Random(5)
+        phi = random_jacobi(9, 5, chi, 15, rng, cuspidal=False)
+        for l in (1, 2, 3, 4, 5):
+            assert index_shift(phi, l) == index_shift_oracle(phi, l), (chi, l)
 
 
 def test_oracle_on_constant_index0_form():

@@ -8,15 +8,23 @@ from math import gcd, isqrt
 
 import pytest
 
-from sklift.characters import DirichletCharacter
-from sklift.jacobi import JacobiExpansion, builtin_form, index_shift, index_shift_oracle
+from sklift import siegel
+from sklift.characters import DirichletCharacter, parse_character
+from sklift.jacobi import (
+    JacobiExpansion,
+    _twisted_sums,
+    builtin_form,
+    index_shift,
+    index_shift_oracle,
+    region_r_values,
+    write_skjf,
+)
 from sklift.numtheory import Scalar, divisors, is_prime, pow_fraction, primes_up_to
 from sklift.serialize import ParseError, scalar_to_text
 from sklift.siegel import (
     RelationReport,
     SiegelExpansion,
     Violation,
-    _side_sums,
     _symmetric_instances,
     check_classical,
     check_p_relations,
@@ -327,10 +335,10 @@ def test_symmetric_sides_are_coset_sums():
         for l in range(1, 7):
             left = [index_shift_oracle(fj_coefficient(F, m), l) for m in range(F.m_max // l + 1)]
             right = [index_shift_oracle(fj_coefficient(G, n), l) for n in range(F.n_max // l + 1)]
-            fast_side, _ = _side_sums(F)
+            side = _twisted_sums(F, F.a)
             for (n, r, m), left_terms, right_terms in _symmetric_instances(F, l):
-                assert fast_side(left_terms) == left[m].coeff(n, r), (F, l, n, r, m)
-                assert fast_side(right_terms) == right[n].coeff(m, r), (F, l, n, r, m)
+                assert side(left_terms) == left[m].coeff(n, r), (F, l, n, r, m)
+                assert side(right_terms) == right[n].coeff(m, r), (F, l, n, r, m)
                 unequal += left[m].coeff(n, r) != right[n].coeff(m, r)
     assert unequal == sum(len(check_symmetric(square, l).violations) for l in range(1, 7)) > 0
 
@@ -520,6 +528,157 @@ def test_sksf_writer_matches_the_row_by_row_oracle():
     ]
     for F in forms:
         assert write_sksf(F) == write_sksf_oracle(F), F
+
+# ---------------------------------------------------------------------------
+# oracles for the shared evaluator and writer: a loop of their own per job
+# ---------------------------------------------------------------------------
+
+def shifted_coeffs_oracle(phi, l, out_n_max):
+    """The nonzero coefficients of V_{l,chi}(phi) on the rows n <= out_n_max:
+    the twists taken once per divisor a of l with gcd(a, N) = 1 and
+    chi(a) != 0, a cell with gcd(n, r, l) = 1 copied as it is, any other
+    summed from zero once per distinct list of (twist index, id(c))."""
+    chi = phi.character
+    twists = [
+        (a, chi.value(a) * pow_fraction(a, phi.weight - 1))
+        for a in divisors(l)
+        if gcd(a, phi.level) == 1 and not chi.value(a).is_zero()
+    ]
+    coeffs = dict(phi.nonzero_items())
+    out, sums = {}, {}
+    for n in range(out_n_max + 1):
+        nl = n * l
+        for r in region_r_values(phi.index * l, n):
+            g = gcd(gcd(n, r), l)
+            if g == 1:
+                if (nl, r) in coeffs:
+                    out[(n, r)] = coeffs[(nl, r)]
+                continue
+            terms = [(i, coeffs[(nl // (a * a), r // a)])
+                     for i, (a, _) in enumerate(twists)
+                     if g % a == 0 and (nl // (a * a), r // a) in coeffs]
+            key = tuple((i, id(c)) for i, c in terms)
+            if key not in sums:
+                total = Scalar.zero()
+                for i, c in terms:
+                    total = total + twists[i][1] * c
+                sums[key] = total
+            if not sums[key].is_zero():
+                out[(n, r)] = sums[key]
+    return out
+
+
+def lift_by_shifted_coeffs_oracle(phi, m_max):
+    n_max = phi.n_max // m_max
+    coeffs = {(n, r, l): c for l in range(1, m_max + 1)
+              for (n, r), c in shifted_coeffs_oracle(phi, l, n_max).items()}
+    return SiegelExpansion(phi.weight, phi.level, phi.character, n_max, m_max, coeffs,
+                           cusp=phi.cusp)
+
+
+def check_oracle(F, relation, shift, instances, enumerated):
+    """The relation engine with a pair of side evaluations of its own: a
+    cheap one that compares (a lone d = 1 term as the reference itself, a
+    longer side from its first present term with d = 1 untwisted, once per
+    distinct list of (d, id(ref))), and a full one, from zero over every
+    twisted term, for the sides a violation prints."""
+    chi, k, coeffs = F.character, F.weight, dict(F.nonzero_items())
+
+    def twist(d):
+        return chi.value(d) * pow_fraction(d, k - 1)
+
+    sums = {}
+
+    def fast(terms):
+        if len(terms) == 1 and terms[0][0] == 1:
+            return coeffs[terms[0][1]] if terms[0][1] in coeffs else F.a(*terms[0][1])
+        refs = []
+        for d, cell in terms:
+            if cell in coeffs:
+                refs.append((d, coeffs[cell]))
+            else:
+                F.a(*cell)
+        key = tuple((d, id(ref)) for d, ref in refs)
+        if key not in sums:
+            total = None
+            for d, ref in refs:
+                ref = ref if d == 1 else twist(d) * ref
+                total = ref if total is None else total + ref
+            sums[key] = Scalar.zero() if total is None else total
+        return sums[key]
+
+    def full(terms):
+        total = Scalar.zero()
+        for d, cell in terms:
+            ref = F.a(*cell)
+            if not ref.is_zero():
+                total = total + twist(d) * ref
+        return total
+
+    violations = []
+    evaluated = 0
+    for (n, r, m), left_terms, right_terms in instances:
+        evaluated += 1
+        if fast(left_terms) != fast(right_terms):
+            violations.append(Violation(relation, n, r, m, shift,
+                                        full(left_terms), full(right_terms)))
+    return RelationReport(violations, enumerated - evaluated)
+
+
+def write_skjf_oracle(phi):
+    """SKJF text row by row: every region cell read through phi.coeff and its
+    value turned into text on its own."""
+    lines = [
+        "SKJF 1",
+        f"k={phi.weight} m={phi.index} N={phi.level} chi={phi.character.to_spec()} "
+        f"nmax={phi.n_max} cusp={int(phi.cusp)}",
+    ]
+    for n in range(phi.n_max + 1):
+        for r in region_r_values(phi.index, n):
+            lines.append(f"{n} {r} {scalar_to_text(phi.coeff(n, r))}")
+    return "\n".join(lines) + "\n"
+
+
+def _family_texts(F):
+    texts = [report_to_text(check_classical(F)), report_to_text(check_singular_law(F)),
+             report_to_text(is_maass(F, primes_up_to(max(F.n_max, F.m_max))))]
+    for l in range(2, F.m_max + 1):
+        texts.append(report_to_text(check_symmetric(F, l)))
+        if is_prime(l):
+            texts.append(report_to_text(check_p_relations(F, l)))
+    return texts
+
+
+def test_merged_paths_match_their_oracles_byte_for_byte(monkeypatch):
+    # chi(1) written as zeta^0/4 twists every term by a Scalar of order 4,
+    # which turns an order-3 value into 12 coordinates of text: so a side
+    # printed without its twist, or a lift cell gcd(n, r, l) = 1 summed
+    # instead of copied, changes the bytes
+    rng = random.Random(120)
+    characters = [TRIV, DirichletCharacter.kronecker(-3), order4_table_character_mod5(),
+                  parse_character("table:zeta^0/4,zeta^1/4,zeta^3/4,zeta^2/4,0", 5)]
+    cells = [(2, 1, 1), (1, 1, 2), (2, 2, 2), (2, 0, 0)]
+    violations = 0
+    for chi in characters:
+        weight = 10 if chi.modulus == 1 else 9
+        base = random_jacobi(weight, chi.modulus, chi, 24, rng)
+        for phi in (base, base * (Scalar.zeta(3) + 2)):
+            assert write_skjf(phi) == write_skjf_oracle(phi)
+            for l in (2, 4, 6):
+                oracle = JacobiExpansion(weight, l, chi.modulus, chi, 24 // l,
+                                         shifted_coeffs_oracle(phi, l, 24 // l), cusp=True)
+                assert write_skjf(index_shift(phi, l)) == write_skjf_oracle(oracle), (chi, l)
+            F = lift(phi, 4)
+            assert write_sksf(F) == write_sksf(lift_by_shifted_coeffs_oracle(phi, 4))
+            assert write_sksf(F) == write_sksf_oracle(F)
+            for G in [F] + [F.perturbed(*cell, delta=Scalar.zeta(4)) for cell in cells]:
+                texts = _family_texts(G)
+                with monkeypatch.context() as patch:
+                    patch.setattr(siegel, "_check", check_oracle)
+                    assert texts == _family_texts(G), (chi, G)
+                violations += sum(text.count("REL=") for text in texts)
+    assert violations > 0
+
 
 def test_sksf_roundtrip():
     F = small_lift()
