@@ -49,6 +49,7 @@ evaluated by one helper, :func:`_twisted_sums`.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd, isqrt, lcm
 
 from .characters import DirichletCharacter, parity_compatible
@@ -138,10 +139,38 @@ class _Expansion:
     loop over :func:`_nonzero` in which a cell failing an arithmetic test
     goes through its ordered ``_check_cell``, so the first bad cell in the
     dict's order names the first rule it breaks; ``_freeze`` sets the
-    fields.
+    fields.  :meth:`_from_region` builds from cells already known to lie in
+    the region, with no per-cell test.
     """
 
     __slots__ = ()
+
+    @classmethod
+    def _from_region(cls, coeffs: dict, **fields):
+        """The expansion with the constructor's arguments ``fields`` (all
+        but ``coeffs``, by name), for Scalar values on distinct cells that
+        the caller has proved to lie in the region within the bounds.
+
+        Only three checks are left: the character and the level; zero
+        values are dropped, each distinct value object tested once; and
+        with the cusp flag set, the boundary cells (4nm - r^2 = 0) must be
+        absent.  If they are not, the public constructor is called, so it
+        raises its own error for the first bad cell.  ``coeffs`` becomes
+        the expansion's own dict, its zero cells deleted, so the caller must
+        not keep it.
+        """
+        cls._check_character(fields["weight"], fields["level"], fields["character"])
+        ids = list(map(id, coeffs.values()))
+        distinct = dict(zip(ids, coeffs.values()))  # id -> value, alive in coeffs
+        zero_ids = {key for key, value in distinct.items() if not value}
+        if zero_ids:
+            for cell in list(compress(coeffs, map(zero_ids.__contains__, ids))):
+                del coeffs[cell]
+        expansion = object.__new__(cls)
+        expansion._freeze(_coeffs=coeffs, **fields)
+        if expansion.cusp and any(cell in coeffs for cell in expansion._boundary_cells()):
+            return cls(coeffs=coeffs, **fields)
+        return expansion
 
     @staticmethod
     def _check_character(weight, level, character) -> None:
@@ -219,6 +248,15 @@ class JacobiExpansion(_Expansion):
 
     def region_cells(self):
         return _region_cells(self.index, self.n_max)
+
+    def _boundary_cells(self):
+        """The region cells with 4nm - r^2 = 0."""
+        for n in range(self.n_max + 1):
+            s = isqrt(n * self.index)
+            if s * s == n * self.index:
+                yield (n, 2 * s)
+                if s:
+                    yield (n, -2 * s)
 
     # -- linear structure ----------------------------------------------------
 
@@ -343,20 +381,23 @@ def index_shift(phi: JacobiExpansion, l: int) -> JacobiExpansion:
     if phi.n_max < l:
         raise ValueError(f"need n_max >= {l} to shift by {l}")
     out_n_max = phi.n_max // l
-    return JacobiExpansion(
-        phi.weight, phi.index * l, phi.level, phi.character, out_n_max,
-        _shifted_coeffs(phi, l, out_n_max, _twisted_sums(phi, phi.coeff)), cusp=phi.cusp,
+    coeffs: dict[tuple[int, int], Scalar] = {}
+    _shifted_coeffs(phi, l, out_n_max, _twisted_sums(phi, phi.coeff), coeffs)
+    return JacobiExpansion._from_region(
+        coeffs, weight=phi.weight, index=phi.index * l, level=phi.level,
+        character=phi.character, n_max=out_n_max, cusp=phi.cusp,
     )
 
 
-def _shifted_coeffs(phi: JacobiExpansion, l: int, out_n_max: int,
-                    total) -> dict[tuple[int, int], Scalar]:
-    """The nonzero coefficients of V_{l,chi}(phi) on the rows n <= out_n_max,
-    with ``total`` the :func:`_twisted_sums` evaluator over phi.
+def _shifted_coeffs(phi: JacobiExpansion, l: int, out_n_max: int, total, out: dict,
+                    m: int | None = None) -> None:
+    """Store the nonzero coefficients of V_{l,chi}(phi) on the rows
+    n <= out_n_max in ``out``, keyed (n, r), or (n, r, m) when m is given;
+    ``total`` is the :func:`_twisted_sums` evaluator over phi.
 
     The largest reference is c(out_n_max l, r), so out_n_max l must not
     exceed phi.n_max.  A cell with gcd(n, r, l) = 1 has the single term
-    c(nl, r), which is copied as it is; any other cell is the sum over the
+    c(nl, r), which is stored as it is; any other cell is the sum over the
     divisors a of gcd(n, r, l) with gcd(a, N) = 1 and chi(a) != 0.
     """
     if out_n_max * l > phi.n_max:
@@ -365,20 +406,19 @@ def _shifted_coeffs(phi: JacobiExpansion, l: int, out_n_max: int,
     shifts = [a for a in divisors(l)
               if gcd(a, phi.level) == 1 and not chi.value(a).is_zero()]
     coeffs = phi._coeffs
-    out: dict[tuple[int, int], Scalar] = {}
     for n in range(out_n_max + 1):
         nl = n * l
         for r in region_r_values(phi.index * l, n):
             g = gcd(gcd(n, r), l)
             if g == 1:
-                c = coeffs.get((nl, r))
-                if c is not None:
-                    out[(n, r)] = c
-                continue
-            value = total([(a, (nl // (a * a), r // a)) for a in shifts if g % a == 0])
-            if not value.is_zero():
-                out[(n, r)] = value
-    return out
+                value = coeffs.get((nl, r))
+                if value is None:
+                    continue
+            else:
+                value = total([(a, (nl // (a * a), r // a)) for a in shifts if g % a == 0])
+                if not value:
+                    continue
+            out[(n, r) if m is None else (n, r, m)] = value
 
 
 def index_shift_oracle(phi: JacobiExpansion, l: int) -> JacobiExpansion:
@@ -509,7 +549,7 @@ def mul_elliptic(phi: JacobiExpansion, f: JacobiExpansion) -> JacobiExpansion:
         for n in range(n_max + 1):
             coords = [slot[n] for slot in acc]
             if any(coords):
-                out[(n, r)] = Scalar(order, [Fraction(c, den) for c in coords])
+                out[(n, r)] = Scalar.from_integers(order, coords, den)
     return JacobiExpansion(
         phi.weight + f.weight, phi.index, phi.level, phi.character, n_max, out,
         cusp=phi.cusp,
@@ -521,15 +561,16 @@ def _integer_coordinates(expansion: JacobiExpansion, order: int, deg: int, n_max
     denominator: (den, rows) with rows[i][r] the (n, numerator) pairs of
     the i-th coordinate, ascending in n and cut at n_max."""
     items = sorted(
-        (key, c._as_order(order).coords[:deg])
+        (key, c._as_order(order))
         for key, c in expansion.nonzero_items() if key[0] <= n_max
     )
-    den = lcm(1, *(x.denominator for _, coords in items for x in coords))
+    den = lcm(1, *(c.den for _, c in items))
     rows: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(deg)]
-    for (n, r), coords in items:
-        for i, x in enumerate(coords):
+    for (n, r), c in items:
+        scale = den // c.den
+        for i, x in enumerate(c.nums):
             if x:
-                rows[i].setdefault(r, []).append((n, x.numerator * (den // x.denominator)))
+                rows[i].setdefault(r, []).append((n, x * scale))
     return den, rows
 
 
@@ -753,9 +794,9 @@ def parse_skjf(text: str) -> JacobiExpansion:
         ("n", "r"), _skjf_cell_error,
         lambda meta: _region_cells(meta["m"], meta["nmax"]),
         lambda meta: (len(region_r_values(meta["m"], n)) for n in range(meta["nmax"] + 1)),
-        lambda meta, coeffs: JacobiExpansion(
-            meta["k"], meta["m"], meta["N"], meta["chi"], meta["nmax"], coeffs,
-            cusp=meta["cusp"]),
+        lambda meta, coeffs: JacobiExpansion._from_region(
+            coeffs, weight=meta["k"], index=meta["m"], level=meta["N"],
+            character=meta["chi"], n_max=meta["nmax"], cusp=meta["cusp"]),
     )
 
 

@@ -3,7 +3,11 @@
 Everything here is exact: rational values are ``fractions.Fraction`` and
 values mixing rationals with roots of unity live in :class:`Scalar`, a
 power-basis model of Q(zeta_M) reduced modulo the M-th cyclotomic
-polynomial.  No floating point is used anywhere.
+polynomial Phi_M.  A Scalar holds integer numerators over one positive
+denominator in lowest terms; Phi_M is monic, so the reduction of an integer
+vector stays integral, equality is a comparison of integers, and values
+with denominator 1, the common case for Fourier coefficients, add and
+multiply without any Fraction.  No floating point is used anywhere.
 
 On top of the scalar layer sit the number-theoretic primitives used by the
 rest of the package: divisor enumeration, Kronecker symbols, generalized
@@ -38,7 +42,8 @@ import sys
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
+from operator import add as _add
 
 __all__ = [
     "Scalar",
@@ -217,46 +222,65 @@ def _int_poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
     return q
 
 
-def _reduce_coords(order: int, coords: list[Fraction]) -> tuple[Fraction, ...]:
-    """Reduce a polynomial in zeta_order modulo Phi_order; pad to length order."""
+@lru_cache(maxsize=None)
+def _ring(order: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(phi(order), the nonzero (j, c) of Phi_order below its leading term)."""
     phi = cyclotomic_polynomial(order)
-    deg = len(phi) - 1
-    rem = list(coords) + [_ZERO] * max(0, deg - len(coords))
+    return len(phi) - 1, tuple((j, c) for j, c in enumerate(phi[:-1]) if c)
+
+
+def _reduce(order: int, poly) -> tuple[int, ...]:
+    """The phi(order) coefficients of an integer polynomial in zeta_order
+    (low to high) modulo Phi_order, which is monic, so they stay integers."""
+    deg, terms = _ring(order)
+    if len(poly) <= deg:
+        return tuple(poly) + (0,) * (deg - len(poly))
+    rem = list(poly)
     for i in range(len(rem) - 1, deg - 1, -1):
         c = rem[i]
         if c:
-            rem[i] = _ZERO
             base = i - deg
-            for j in range(deg):
-                if phi[j]:
-                    rem[base + j] -= c * phi[j]
-    rem = rem[:deg]
-    rem += [_ZERO] * (order - len(rem))
-    return tuple(rem)
+            for j, t in terms:
+                rem[base + j] -= c * t
+    return tuple(rem[:deg])
+
+
+def _rational_parts(value) -> tuple[int, int] | None:
+    """(numerator, denominator) of an int or a Fraction, else None."""
+    cls = value.__class__
+    if cls is int:
+        return value, 1
+    if cls is Fraction or isinstance(value, (int, Fraction)):
+        return value.numerator, value.denominator
+    return None
 
 
 class Scalar:
-    """An exact element of Q(zeta_M) in the power basis 1, zeta, ..., zeta^(M-1).
+    """An exact element of Q(zeta_M), M = ``order``, as integer numerators
+    ``nums`` of the power-basis coordinates 1, zeta, ..., zeta^(phi(M)-1)
+    over one positive denominator ``den``.
 
-    Stored canonically: the coordinate vector is the remainder modulo the
-    M-th cyclotomic polynomial (so entries beyond degree phi(M)-1 are zero),
-    which makes equality a coordinate comparison.  Arithmetic between scalars
-    of different orders lifts both into Q(zeta_lcm).  M = 1 is plain rational
-    arithmetic.  Instances are immutable.
+    Stored canonically: ``nums`` is the remainder modulo the M-th
+    cyclotomic polynomial (monic, so the remainder of an integer vector is
+    an integer vector), and gcd(den, *nums) = 1.  Equality at one order is
+    a comparison of (nums, den), and a value with den = 1 adds and
+    multiplies with int operations only.  Arithmetic between scalars of
+    different orders lifts both into Q(zeta_lcm), and a rational operand
+    (an int, a Fraction or an order-1 Scalar) keeps the other's order: the
+    order is never lowered.  M = 1 is plain rational arithmetic.
+    ``coords`` is the coordinate vector as M Fractions, zero beyond
+    phi(M) - 1.  Instances are immutable.
     """
 
-    __slots__ = ("order", "coords")
+    __slots__ = ("order", "nums", "den")
 
-    def __init__(self, order: int, coords, _reduced: bool = False):
+    def __init__(self, order: int, coords):
         if order < 1:
             raise ValueError("scalar order must be >= 1")
         vals = [c if isinstance(c, Fraction) else Fraction(c) for c in coords]
-        if not _reduced:
-            vals = _reduce_coords(order, vals)
-        elif len(vals) != order:
-            raise ValueError("coordinate vector length must equal order")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coords", tuple(vals))
+        den = lcm(1, *(c.denominator for c in vals))
+        nums = _reduce(order, [c.numerator * (den // c.denominator) for c in vals])
+        _init(self, order, nums, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -264,8 +288,21 @@ class Scalar:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
+    def from_integers(order: int, nums, den: int = 1) -> "Scalar":
+        """The value (sum_j nums[j] zeta_order^j) / den, for integers nums
+        (any length) and den >= 1."""
+        if order < 1:
+            raise ValueError("scalar order must be >= 1")
+        if den < 1:
+            raise ValueError("scalar denominator must be >= 1")
+        return _scalar(order, _reduce(order, nums), den)
+
+    @staticmethod
     def from_rational(value) -> "Scalar":
-        return Scalar(1, (Fraction(value),), _reduced=True)
+        if value.__class__ is not int:
+            value = Fraction(value)
+            return _scalar(1, (value.numerator,), value.denominator)
+        return _scalar(1, (value,), 1)
 
     @staticmethod
     def zero() -> "Scalar":
@@ -280,9 +317,7 @@ class Scalar:
         """The root of unity e(power/order) = zeta_order^power."""
         if order < 1:
             raise ValueError("order must be >= 1")
-        coords = [_ZERO] * order
-        coords[power % order] = _ONE
-        return Scalar(order, coords)
+        return _scalar(order, _reduce(order, [0] * (power % order) + [1]), 1)
 
     @staticmethod
     def coerce(value) -> "Scalar":
@@ -292,17 +327,24 @@ class Scalar:
 
     # -- structure ---------------------------------------------------------
 
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """The M power-basis coordinates as Fractions."""
+        den = self.den
+        return (tuple(Fraction(x, den) for x in self.nums)
+                + (_ZERO,) * (self.order - len(self.nums)))
+
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not any(self.nums)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(self.nums)
 
     def as_rational(self) -> Fraction | None:
         """The value as a Fraction if it is rational, else None."""
-        if any(self.coords[1:]):
+        if any(self.nums[1:]):
             return None
-        return self.coords[0]
+        return Fraction(self.nums[0], self.den)
 
     def _as_order(self, order: int) -> "Scalar":
         if order == self.order:
@@ -310,75 +352,98 @@ class Scalar:
         if order % self.order:
             raise ValueError("cannot lift to a non-multiple order")
         step = order // self.order
-        coords = [_ZERO] * order
-        for j, c in enumerate(self.coords):
-            if c:
-                coords[j * step] = c
-        return Scalar(order, coords)
+        poly = [0] * order
+        for j, x in enumerate(self.nums):
+            poly[j * step] = x
+        return _scalar(order, _reduce(order, poly), self.den)
+
+    def _scaled(self, num: int, den: int) -> "Scalar":
+        """self * num / den, for den >= 1; a factor 1 returns self."""
+        if num == den or not any(self.nums):
+            return self
+        if not num:
+            return _scalar(self.order, (0,) * len(self.nums), 1)
+        return _scalar(self.order, tuple([x * num for x in self.nums]), self.den * den)
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, Scalar):
-            if isinstance(other, (int, Fraction)):
-                other = Scalar.from_rational(other)
-            else:
+        if other.__class__ is not Scalar:
+            parts = _rational_parts(other)
+            if parts is None:
                 return NotImplemented
-        if self.order == other.order:
-            coords = tuple(x + y for x, y in zip(self.coords, other.coords))
-            return Scalar(self.order, coords, _reduced=True)
-        common = lcm(self.order, other.order)
-        return self._as_order(common) + other._as_order(common)
+            other = _scalar(1, (parts[0],), parts[1])
+        a, b = self.nums, other.nums
+        if not any(b) and self.order % other.order == 0:
+            return self
+        if not any(a) and other.order % self.order == 0:
+            return other
+        if self.order != other.order:
+            common = lcm(self.order, other.order)
+            return self._as_order(common) + other._as_order(common)
+        da, db = self.den, other.den
+        if da == db:
+            return _scalar(self.order, tuple(map(_add, a, b)), da)
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        return _scalar(self.order, tuple([x * fa + y * fb for x, y in zip(a, b)]), da * fa)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(self.order, tuple(-c for c in self.coords), _reduced=True)
+        return _scalar(self.order, tuple([-x for x in self.nums]), self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Scalar.from_rational(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
+        if other.__class__ is not Scalar:
+            parts = _rational_parts(other)
+            if parts is None:
+                return NotImplemented
+            return self + _scalar(1, (-parts[0],), parts[1])
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if not isinstance(other, Scalar):
-            if isinstance(other, (int, Fraction)):
-                coords = tuple(c * other for c in self.coords)
-                return Scalar(self.order, coords, _reduced=True)
-            return NotImplemented
-        if self.order == 1:
-            return other * self.coords[0]
+        if other.__class__ is not Scalar:
+            parts = _rational_parts(other)
+            if parts is None:
+                return NotImplemented
+            return self._scaled(*parts)
         if other.order == 1:
-            return self * other.coords[0]
+            return self._scaled(other.nums[0], other.den)
+        if self.order == 1:
+            return other._scaled(self.nums[0], self.den)
         if self.order != other.order:
             common = lcm(self.order, other.order)
             return self._as_order(common) * other._as_order(common)
-        prod = [_ZERO] * (2 * self.order)
-        for i, ci in enumerate(self.coords):
-            if ci:
-                for j, cj in enumerate(other.coords):
-                    if cj:
-                        prod[i + j] += ci * cj
-        return Scalar(self.order, _reduce_coords(self.order, prod), _reduced=True)
+        a, b = self.nums, other.nums
+        if not any(a):
+            return self
+        if not any(b):
+            return other
+        prod = [0] * (2 * len(a) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    prod[j] += x * y
+        return _scalar(self.order, _reduce(self.order, prod), self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Scalar):
-            r = other.as_rational()
-            if r is None:
+        if other.__class__ is Scalar:
+            if any(other.nums[1:]):
                 raise TypeError("division only by rational-valued scalars")
-            other = r
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        if other == 0:
+            parts = (other.nums[0], other.den)
+        else:
+            parts = _rational_parts(other)
+            if parts is None:
+                return NotImplemented
+        num, den = parts
+        if not num:
             raise ZeroDivisionError("scalar division by zero")
-        return self * (Fraction(1) / Fraction(other))
+        return self._scaled(den, num) if num > 0 else self._scaled(-den, -num)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
@@ -395,24 +460,25 @@ class Scalar:
 
     def conj(self) -> "Scalar":
         """Complex conjugation: zeta^j maps to zeta^(-j)."""
-        coords = [_ZERO] * self.order
-        for j, c in enumerate(self.coords):
-            if c:
-                coords[(-j) % self.order] += c
-        return Scalar(self.order, coords)
+        order = self.order
+        poly = [0] * order
+        for j, x in enumerate(self.nums):
+            poly[-j % order] = x
+        return _scalar(order, _reduce(order, poly), self.den)
 
     def __eq__(self, other):
         if other is self:
             return True
         if other.__class__ is not Scalar:  # isinstance(x, Fraction) goes through ABCMeta
-            if isinstance(other, (int, Fraction)):
-                other = Scalar.from_rational(other)
-            elif not isinstance(other, Scalar):
+            parts = _rational_parts(other)
+            if parts is None:
                 return NotImplemented
-        if self.order == other.order:
-            return self.coords == other.coords
-        common = lcm(self.order, other.order)
-        return self._as_order(common).coords == other._as_order(common).coords
+            nums = self.nums
+            return (nums[0], self.den) == parts and not any(nums[1:])
+        if self.order != other.order:
+            common = lcm(self.order, other.order)
+            self, other = self._as_order(common), other._as_order(common)
+        return self.den == other.den and self.nums == other.nums
 
     __hash__ = None
 
@@ -423,8 +489,33 @@ class Scalar:
         return f"Scalar(order={self.order}, coords={self.coords})"
 
 
-_SCALAR_ZERO = Scalar(1, (_ZERO,), _reduced=True)
-_SCALAR_ONE = Scalar(1, (_ONE,), _reduced=True)
+_new = object.__new__
+_set_order, _set_nums, _set_den = (Scalar.order.__set__, Scalar.nums.__set__,
+                                   Scalar.den.__set__)
+
+
+def _init(scalar: Scalar, order: int, nums: tuple[int, ...], den: int) -> None:
+    """Set the fields of ``scalar`` from reduced ``nums`` over ``den`` >= 1,
+    brought to lowest terms."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = tuple([x // g for x in nums])
+    _set_order(scalar, order)
+    _set_nums(scalar, nums)
+    _set_den(scalar, den)
+
+
+def _scalar(order: int, nums: tuple[int, ...], den: int) -> Scalar:
+    """The Scalar of reduced ``nums`` (length phi(order)) over ``den`` >= 1."""
+    out = _new(Scalar)
+    _init(out, order, nums, den)
+    return out
+
+
+_SCALAR_ZERO = _scalar(1, (0,), 1)
+_SCALAR_ONE = _scalar(1, (1,), 1)
 
 
 # the only integer and rational texts the writers emit, here and in the

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
+from math import gcd, lcm
 
 from .characters import parse_character
 from .numtheory import _INT_RE, _RATIONAL_RE, Scalar
@@ -38,28 +39,33 @@ def rational_to_text(value: Fraction) -> str:
 
 
 def scalar_to_text(value: Scalar) -> str:
-    r = value.as_rational()
-    if r is not None:
-        return rational_to_text(r)
-    return ",".join(rational_to_text(c) for c in value.coords)
+    nums, den = value.nums, value.den
+    if not any(nums[1:]):
+        return f"{nums[0]}/{den}"
+    texts = []
+    for x in nums:
+        g = gcd(x, den)
+        texts.append(f"{x // g}/{den // g}")
+    return ",".join(texts + ["0/1"] * (value.order - len(nums)))
 
 
-def _rational_from_text(text: str, line_no: int) -> Fraction:
+def _rational_from_text(text: str, line_no: int) -> tuple[int, int]:
+    """(numerator, denominator) of a ``num/den`` text."""
     m = _RATIONAL_RE.fullmatch(text)
     if not m:
         raise ParseError(line_no, f"bad rational {text!r} (expected num/den)")
     den = int(m.group(2))
     if den == 0:
         raise ParseError(line_no, "zero denominator")
-    return Fraction(int(m.group(1)), den)
+    return int(m.group(1)), den
 
 
 def scalar_from_text(text: str, line_no: int) -> Scalar:
-    parts = text.split(",")
-    if len(parts) == 1:
-        return Scalar.from_rational(_rational_from_text(text, line_no))
-    coords = [_rational_from_text(p, line_no) for p in parts]
-    return Scalar(len(coords), coords)
+    """The value ``num/den``, or, for comma-joined ``num/den`` texts, the
+    element of Q(zeta_M) with those M power-basis coordinates."""
+    parts = [_rational_from_text(part, line_no) for part in text.split(",")]
+    den = lcm(*(d for _, d in parts))
+    return Scalar.from_integers(len(parts), [x * (den // d) for x, d in parts], den)
 
 
 def parse_int(text: str, line_no: int, what: str) -> int:
@@ -145,15 +151,16 @@ def parse_table(text: str, magic: str, header: tuple[tuple[str, str | None], ...
     ints = _IntMemo()
     coeffs: dict[tuple[int, ...], Scalar] = {}
     values: dict[str, Scalar] = {}  # value text -> its (immutable, shared) Scalar
+    field = ints.__getitem__
     for line_no, raw in enumerate(lines[2:], start=3):
         parts = raw.split()
-        if not parts:
-            continue
         if len(parts) != columns:
+            if not parts:
+                continue
             raise ParseError(line_no, f"expected '{usage}'")
         value_text = parts.pop()
         try:
-            cell = tuple(map(ints.__getitem__, parts))
+            cell = tuple(map(field, parts))
         except KeyError:  # a field the memo refuses, so parse_int refuses it too
             cell = None
         if cell is None:  # strict, naming the first bad field

@@ -99,6 +99,19 @@ def _cells(n_max: int, m_max: int, nm_max: int | None = None):
                     yield (n, r, m)
 
 
+def _sorted_cells(n_max: int, m_max: int):
+    """The cells of :func:`_cells` in (n, r, m) order: m runs from the least
+    m >= 0 with 4nm >= r^2 (from 1 on the row n = 0, which holds only
+    r = 0)."""
+    for m in range(1, m_max + 1):
+        yield (0, 0, m)
+    for n in range(1, n_max + 1):
+        bound = isqrt(4 * n * m_max)
+        for r in range(-bound, bound + 1):
+            for m in range(-(-r * r // (4 * n)), m_max + 1):
+                yield (n, r, m)
+
+
 @dataclass(frozen=True)
 class Violation:
     """One failed relation instance: identifiers, witness, both sides."""
@@ -171,6 +184,16 @@ class SiegelExpansion(_Expansion):
         """All (n, r, m) in the box with (n, r/2; r/2, m) >= 0 and != 0."""
         return _cells(self.n_max, self.m_max)
 
+    def _boundary_cells(self):
+        """The box cells with 4nm - r^2 = 0."""
+        for n in range(self.n_max + 1):
+            for m in range(self.m_max + 1):
+                s = isqrt(n * m)
+                if s * s == n * m and (n, m) != (0, 0):
+                    yield (n, 2 * s, m)
+                    if s:
+                        yield (n, -2 * s, m)
+
     def perturbed(self, n: int, r: int, m: int, delta=1) -> "SiegelExpansion":
         """A copy with A(n, r, m) shifted by delta (cusp flag dropped)."""
         out = dict(self._coeffs)
@@ -214,7 +237,8 @@ def lift(phi: JacobiExpansion, m_max: int) -> SiegelExpansion:
     Inputs with nonzero constant term would need an Eisenstein part and are
     rejected.  The output is boxed at n <= floor(phi.n_max / m_max) so the
     whole box is determined by stored input coefficients, and each shift is
-    evaluated on the box rows only.
+    evaluated on the box rows only, straight into the output's cells
+    (n, r, l), which lie in the box by construction.
     """
     if phi.index != 1:
         raise ValueError(f"lift requires an index-1 expansion, got index {phi.index}")
@@ -230,10 +254,10 @@ def lift(phi: JacobiExpansion, m_max: int) -> SiegelExpansion:
     total = _twisted_sums(phi, phi.coeff)
     coeffs: dict[tuple[int, int, int], Scalar] = {}
     for l in range(1, m_max + 1):
-        for (n, r), c in _shifted_coeffs(phi, l, n_max, total).items():
-            coeffs[(n, r, l)] = c
-    return SiegelExpansion(
-        phi.weight, phi.level, phi.character, n_max, m_max, coeffs, cusp=phi.cusp
+        _shifted_coeffs(phi, l, n_max, total, coeffs, m=l)
+    return SiegelExpansion._from_region(
+        coeffs, weight=phi.weight, level=phi.level, character=phi.character,
+        n_max=n_max, m_max=m_max, cusp=phi.cusp,
     )
 
 
@@ -372,7 +396,7 @@ def write_sksf(F: SiegelExpansion) -> str:
         "SKSF 1",
         f"k={F.weight} N={F.level} chi={F.character.to_spec()} "
         f"nmax={F.n_max} mmax={F.m_max} cusp={int(F.cusp)}",
-        sorted(_cells(F.n_max, F.m_max)), F._coeffs,
+        _sorted_cells(F.n_max, F.m_max), F._coeffs,
     )
 
 
@@ -385,14 +409,17 @@ def parse_sksf(text: str) -> SiegelExpansion:
         ("n", "r", "m"), _sksf_cell_error,
         lambda meta: _cells(meta["nmax"], meta["mmax"]),
         lambda meta: _block_sizes(meta["nmax"], meta["mmax"]),
-        lambda meta, coeffs: SiegelExpansion(
-            meta["k"], meta["N"], meta["chi"], meta["nmax"], meta["mmax"], coeffs,
-            cusp=meta["cusp"]),
+        lambda meta, coeffs: SiegelExpansion._from_region(
+            coeffs, weight=meta["k"], level=meta["N"], character=meta["chi"],
+            n_max=meta["nmax"], m_max=meta["mmax"], cusp=meta["cusp"]),
     )
 
 
 def _sksf_cell_error(cell, meta) -> str | None:
     n, r, m = cell
+    if (4 * n * m >= r * r and 0 <= n <= meta["nmax"] and 0 <= m <= meta["mmax"]
+            and (n or m)):
+        return None  # in the cone and the box, and not the zero matrix
     if cell == (0, 0, 0):
         return "(0,0,0) is excluded from the support"
     if not in_cone(n, r, m):

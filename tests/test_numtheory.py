@@ -11,7 +11,7 @@ import os
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, isqrt
+from math import comb, factorial, gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +31,8 @@ from sklift.numtheory import (
     moebius,
 )
 from sklift.serialize import scalar_from_text, scalar_to_text
+
+from fraction_scalar import FractionScalar
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +254,83 @@ def test_scalar_ring_axioms(x, y, z):
 @given(scalars())
 def test_scalar_text_roundtrip(x):
     assert scalar_from_text(scalar_to_text(x), 1) == x
+
+
+# ---------------------------------------------------------------------------
+# the integer-numerator Scalar against the Fraction-coordinate oracle
+# ---------------------------------------------------------------------------
+
+@st.composite
+def scalar_pairs(draw):
+    """A Scalar and the oracle's model of the same coordinates: orders
+    1..12, non-integral coordinates among them, and zeros of every order."""
+    order = draw(st.integers(min_value=1, max_value=12))
+    coords = draw(st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=6),
+                           min_size=1, max_size=order + 3))
+    if draw(st.booleans()):
+        coords = [c.numerator for c in coords]  # integral values, den = 1
+    return Scalar(order, coords), FractionScalar(order, coords)
+
+
+rationals = st.one_of(st.integers(min_value=-9, max_value=9),
+                      st.fractions(min_value=-5, max_value=5, max_denominator=7))
+
+
+def _agrees(got, want) -> bool:
+    """Same order, coordinates and text, and a canonical integer form."""
+    assert isinstance(got, Scalar)
+    assert got.den >= 1 and gcd(got.den, *got.nums) == 1
+    assert len(got.nums) == len(cyclotomic_polynomial(got.order)) - 1
+    return (got.order, got.coords, scalar_to_text(got)) == (
+        want.order, want.coords, want.to_text())
+
+
+@settings(max_examples=300, deadline=None)
+@given(scalar_pairs(), scalar_pairs(), rationals)
+def test_scalar_matches_the_fraction_coordinate_oracle(a, b, q):
+    (x, ox), (y, oy) = a, b
+    assert _agrees(x, ox) and _agrees(y, oy)
+    assert x.is_zero() == ox.is_zero() and bool(x) == (not ox.is_zero())
+    assert x.as_rational() == ox.as_rational()
+    assert _agrees(x + y, ox + oy) and _agrees(x - y, ox - oy) and _agrees(x * y, ox * oy)
+    assert _agrees(-x, -ox) and _agrees(x.conj(), ox.conj())
+    assert (x == y) == (ox == oy) and (x != y) == (not ox == oy)
+    # rational operands of three kinds, on either side
+    for r in (q, Scalar.from_rational(q)):
+        oq = q if not isinstance(r, Scalar) else FractionScalar.from_rational(q)
+        assert _agrees(x + r, ox + oq) and _agrees(r + x, oq + ox)
+        assert _agrees(x - r, ox - oq) and _agrees(r - x, oq - ox)
+        assert _agrees(x * r, ox * oq) and _agrees(r * x, oq * ox)
+        assert (x == r) == (ox == oq)
+        if q:
+            assert _agrees(x / r, ox / oq)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x / r
+    assert (x == q) == (ox == q) and (q == x) == (q == ox)
+    if oy.as_rational() is None:
+        with pytest.raises(TypeError):
+            x / y
+    elif not oy.is_zero():
+        assert _agrees(x / y, ox / oy)
+    for e in range(4):
+        assert _agrees(x ** e, ox ** e)
+    for factor in (1, 2, 3):
+        assert _agrees(x._as_order(x.order * factor), ox._as_order(ox.order * factor))
+    text = scalar_to_text(x)
+    assert text == ox.to_text()
+    back = scalar_from_text(text, 1)
+    assert back == x and _agrees(back, FractionScalar.from_text(text))
+
+
+def test_scalar_zero_and_one_operands_return_the_other_operand():
+    x = Scalar.zeta(4) + Fraction(1, 3)
+    zero4 = Scalar(4, [0, 0, 0, 0])
+    assert x + Scalar.zero() is x and Scalar.zero() + x is x and x + zero4 is x
+    assert x * Scalar.one() is x and Scalar.one() * x is x and x * 1 is x
+    # a zero of a larger order still lifts the sum to that order
+    assert (x + Scalar(8, [0] * 8)).order == 8
+    assert (x * 0).order == 4 and (x * 0).is_zero()
 
 
 # ---------------------------------------------------------------------------

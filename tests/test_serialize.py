@@ -99,6 +99,15 @@ CASES = [
     ("sksf", "non-ASCII digit cell", _append("\u0661 0 1 1/1"), 31, "bad n '\u0661'"),
     ("sksf", "non-ASCII digit value", _replace_values("1/\u0661", 7), 7,
      "bad rational '1/\u0661' (expected num/den)"),
+    # a cusp-flagged table with a nonzero boundary cell names the first one
+    ("skjf", "nonzero boundary cell", _replace_values("5/1", 8), 2,
+     "cusp flag set but boundary coefficient (1,2) is nonzero"),
+    ("skjf", "two nonzero boundary cells", _replace_values("1/2", 8, 3), 2,
+     "cusp flag set but boundary coefficient (0,0) is nonzero"),
+    ("sksf", "nonzero singular cell", _replace_values("-1/1", 14), 2,
+     "cusp flag set but singular coefficient (1,2,1) is nonzero"),
+    ("sksf", "nonzero singular cell on m = 0", _replace_values("1/1,1/1,0/1", 9), 2,
+     "cusp flag set but singular coefficient (1,0,0) is nonzero"),
 ]
 
 
@@ -138,6 +147,58 @@ def _oracle_tables():
         yield write_skjf(phi), parse_skjf, lambda form, cell: form.coeff(*cell)
         for m_max in (2, 5):
             yield write_sksf(lift(phi, m_max)), parse_sksf, lambda form, cell: form.a(*cell)
+
+
+def _public_constructor(cls, coeffs, **fields):
+    return cls(coeffs=coeffs, **fields)
+
+
+def _parsed(parse, text):
+    """The outcome of a parse: the error, or the written text and the
+    (cell, order, coordinates) of every stored coefficient in order."""
+    try:
+        form = parse(text)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    written = (write_skjf if parse is parse_skjf else write_sksf)(form)
+    return "ok", written, [(cell, c.order, c.coords) for cell, c in form.nonzero_items()]
+
+
+def _matches_the_public_constructor(monkeypatch, texts):
+    """Each text parses to the expansion the public constructor builds from
+    the same rows (the same stored items in the same order), or fails with
+    the same error."""
+    got = [_parsed(parse, text) for text, parse in texts]
+    with monkeypatch.context() as patch:
+        patch.setattr(jacobi._Expansion, "_from_region", classmethod(_public_constructor))
+        expected = [_parsed(parse, text) for text, parse in texts]
+    for (text, _), a, b in zip(texts, got, expected):
+        assert a == b, text
+    return got
+
+
+def _with_nonzero_boundary_cell(text):
+    """The cusp-flagged table with 1 at its last cell where 4nm - r^2 = 0."""
+    lines = text.splitlines()
+    assert "cusp=1" in lines[1]
+    index = int(lines[1].split(" m=")[1].split()[0]) if lines[0] == "SKJF 1" else None
+    for at in range(len(lines) - 1, 1, -1):
+        cell = tuple(map(int, lines[at].split()[:-1]))
+        n, r, m = cell if index is None else cell + (index,)
+        if 4 * n * m == r * r:
+            lines[at] = " ".join(map(str, cell)) + " 1/1"
+            return "\n".join(lines) + "\n"
+    raise AssertionError("no boundary cell")
+
+
+def test_parsed_tables_match_the_public_constructor(monkeypatch):
+    texts = [(text, parse) for text, parse, _ in _oracle_tables()]
+    got = _matches_the_public_constructor(monkeypatch, texts)
+    assert all(outcome[0] == "ok" for outcome in got)
+    bad = [(_with_nonzero_boundary_cell(text), parse) for text, parse in texts]
+    got = _matches_the_public_constructor(monkeypatch, bad)
+    for outcome in got:
+        assert outcome[0] == "ParseError" and outcome[1].startswith("line 2: cusp flag set")
 
 
 def test_parsers_match_the_row_by_row_oracle():
@@ -273,7 +334,8 @@ def _outcome(parse, text):
     return "ok", (write_skjf if parse is parse_skjf else write_sksf)(form)
 
 
-def test_parsers_match_the_row_by_row_reader_on_mutated_texts(monkeypatch):
+def _mutated_corpus():
+    """(text, parser) for 300 random edits of each corpus base."""
     rng = random.Random(2000)
     corpus = []
     for good, parse in _corpus_bases():
@@ -283,6 +345,11 @@ def test_parsers_match_the_row_by_row_reader_on_mutated_texts(monkeypatch):
             if rng.random() < 0.3:
                 edited = _mutate(edited, rng)
             corpus.append(("\n".join(edited) + "\n", parse))
+    return corpus
+
+
+def test_parsers_match_the_row_by_row_reader_on_mutated_texts(monkeypatch):
+    corpus = _mutated_corpus()
     assert len(corpus) >= 2000
     got = [_outcome(parse, text) for text, parse in corpus]
     monkeypatch.setattr(jacobi, "parse_table", parse_table_oracle)
@@ -308,3 +375,8 @@ def test_short_table_with_a_huge_region_fails_at_once(text, message):
     with pytest.raises(ParseError) as exc:
         parse(text)
     assert str(exc.value) == message
+
+
+def test_mutated_texts_parse_as_the_public_constructor_builds(monkeypatch):
+    got = _matches_the_public_constructor(monkeypatch, _mutated_corpus())
+    assert sum(outcome[0] == "ok" for outcome in got) >= 200

@@ -529,6 +529,14 @@ def test_sksf_writer_matches_the_row_by_row_oracle():
     for F in forms:
         assert write_sksf(F) == write_sksf_oracle(F), F
 
+
+def test_sksf_walk_is_the_sorted_box():
+    # write_sksf walks the box in (n, r, m) order without sorting it
+    boxes = [(n, m) for n in range(5) for m in range(5)] + [(20, 12), (3, 17), (0, 9), (9, 0)]
+    for n_max, m_max in boxes:
+        walk = list(siegel._sorted_cells(n_max, m_max))
+        assert walk == sorted(siegel._cells(n_max, m_max)), (n_max, m_max)
+
 # ---------------------------------------------------------------------------
 # oracles for the shared evaluator and writer: a loop of their own per job
 # ---------------------------------------------------------------------------
