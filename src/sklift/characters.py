@@ -117,6 +117,8 @@ class DirichletCharacter:
             raise ValueError(f"{disc} is not a fundamental discriminant")
         if modulus is None:
             modulus = abs(disc)
+        if modulus < 1:
+            raise ValueError("modulus must be >= 1")
         if disc != 1 and modulus % abs(disc):
             raise ValueError(
                 f"modulus {modulus} is not a multiple of the conductor {abs(disc)}"
@@ -134,8 +136,8 @@ class DirichletCharacter:
     def from_table(modulus: int, entries: list[tuple[int, int] | None]) -> "DirichletCharacter":
         """Build from explicit values: entries[j-1] describes chi(j) for
         j = 1..N, either None (value 0) or a pair (power, root_order) meaning
-        e(power/root_order).  The table is validated for complete
-        multiplicativity and for vanishing exactly at non-units."""
+        e(power/root_order), held in lowest terms.  The table is validated
+        for complete multiplicativity and for vanishing exactly at non-units."""
         if modulus < 1:
             raise ValueError("modulus must be >= 1")
         if len(entries) != modulus:
@@ -149,8 +151,9 @@ class DirichletCharacter:
                 power, root_order = spec
                 if root_order < 1:
                     raise ValueError("root order must be >= 1")
-                values[j % modulus] = Scalar.zeta(root_order, power)
-                order = lcm(order, root_order // gcd(root_order, power))
+                g = gcd(root_order, power)
+                values[j % modulus] = Scalar.zeta(root_order // g, power // g)
+                order = lcm(order, root_order // g)
         for a in range(modulus):
             want_zero = gcd(a, modulus) != 1
             if values[a].is_zero() != want_zero:

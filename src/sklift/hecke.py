@@ -23,10 +23,10 @@ no matrix reduction.  The multiplicity of each double coset is its
 per-coset pair count, checked in one pass over the counted cosets: each
 coset (a, b, d) joins T(e, ad/e), e = gcd(a, b, d), and must carry the
 same count as the others there, and at the end the number of cosets hit in
-each T(a, d) must equal its number of right cosets, an integer count over
-the same canonical triples (`_right_coset_count`).  So every right coset
-of every double coset in a product gets the same count, a strong internal
-check, with no coset list built for the targets.
+each T(a, d) must equal its number of right cosets, the closed form
+psi_N(d/a) of `_right_coset_count`.  So every right coset of every double
+coset in a product gets the same count, a strong internal check, with no
+coset list built for the targets.
 `canonicalize_coset` reduces arbitrary matrices of Delta_N.
 """
 
@@ -37,7 +37,7 @@ from functools import lru_cache
 from math import gcd
 
 from .characters import Mat2, delta_membership_violation
-from .numtheory import divisors
+from .numtheory import _factorize, divisors
 
 __all__ = [
     "CosetRep",
@@ -187,17 +187,13 @@ def double_coset_right_cosets(dc: DoubleCoset) -> tuple[CosetRep, ...]:
     )
 
 
-@lru_cache(maxsize=None)
 def _right_coset_count(level: int, a: int, d: int) -> int:
-    """len(double_coset_right_cosets(T(a, d))), counted over the same
-    canonical triples (a', b, d') with no objects built: a'd' = ad,
-    gcd(a', N) = 1, 0 <= b < d' and content gcd(a', b, d') = a."""
-    l = a * d
-    count = 0
-    for a_ in divisors(l):
-        if a_ % a == 0 and gcd(a_, level) == 1:
-            d_ = l // a_
-            count += sum(1 for b in range(0, d_, a) if gcd(a_, b, d_) == a)
+    """len(double_coset_right_cosets(T(a, d))) = psi_N(d/a), the product
+    over p^e || d/a of p^e + p^(e-1), or of p^e if p | N, since
+    T(a, d) = a T(1, d/a)."""
+    count = 1
+    for p, e in _factorize(d // a):
+        count *= p ** e + (p ** (e - 1) if level % p else 0)
     return count
 
 

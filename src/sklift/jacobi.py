@@ -106,27 +106,11 @@ def _check_cell(n: int, r: int, index: int, n_max: int, cusp: bool) -> None:
 
 def _nonzero(coeffs):
     """The (cell, value) items of ``coeffs`` with a nonzero value, in order,
-    each value a Scalar.
-
-    An int or a Fraction is coerced to a fresh Scalar and tested on its
-    own.  Whether a Scalar is zero is decided once per distinct object, by
-    a memo keyed by id that lives for one iteration and holds each object
-    it keys, so an id is never reused under the memo and a miss only costs
-    a recomputation.
-    """
-    zeros: dict[int, tuple[Scalar, bool]] = {}  # id -> (the Scalar, is it zero)
+    each value coerced to a Scalar."""
     for cell, value in coeffs.items():
-        if value.__class__ is Scalar:
-            seen = zeros.get(id(value))
-            if seen is None:
-                seen = zeros[id(value)] = (value, value.is_zero())
-            if seen[1]:
-                continue
-        else:
-            value = Scalar.coerce(value)
-            if value.is_zero():
-                continue
-        yield cell, value
+        value = Scalar.coerce(value)
+        if value:
+            yield cell, value
 
 
 class _Expansion:
@@ -197,13 +181,8 @@ class _Expansion:
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        if self._shape() != other._shape():
-            return False
-        keys = set(self._coeffs) | set(other._coeffs)
-        zero = Scalar.zero()
-        return all(
-            self._coeffs.get(k, zero) == other._coeffs.get(k, zero) for k in keys
-        )
+        # no expansion stores a zero, so equal expansions have equal dicts
+        return self._shape() == other._shape() and self._coeffs == other._coeffs
 
     __hash__ = None
 

@@ -112,8 +112,9 @@ def parse_table(text: str, magic: str, header: tuple[tuple[str, str | None], ...
     the callbacks as a dict of those integers plus ``chi`` (the parsed
     character) and ``cusp`` (a bool): ``check_cell(cell, meta)`` returns
     an error message for a row outside the format's region, or None;
-    ``region(meta)`` yields every cell that must be present, and
-    ``region_sizes(meta)`` the cell counts of consecutive blocks of it, all
+    ``region(meta)`` yields every cell that must be present, in the order
+    in which the first missing one is named, and ``region_sizes(meta)``
+    the cell counts of disjoint blocks that cover it, in any order, all
     but finitely many nonzero; ``build(meta, coeffs)`` makes the object,
     and a ValueError from it is reported at the metadata line.
 

@@ -88,27 +88,16 @@ def _check_cell(n: int, r: int, m: int, n_max: int, m_max: int, cusp: bool) -> N
 
 def _cells(n_max: int, m_max: int, nm_max: int | None = None):
     """Every (n, r, m) != (0, 0, 0) with n <= n_max, m <= m_max and
-    r^2 <= 4nm, in (n, m, r) order; only those with nm <= nm_max when it
-    is given."""
-    for n in range(n_max + 1):
-        top = m_max if nm_max is None or n == 0 else min(m_max, nm_max // n)
-        for m in range(top + 1):
-            bound = isqrt(4 * n * m)
-            for r in range(-bound, bound + 1):
-                if (n, r, m) != (0, 0, 0):
-                    yield (n, r, m)
-
-
-def _sorted_cells(n_max: int, m_max: int):
-    """The cells of :func:`_cells` in (n, r, m) order: m runs from the least
-    m >= 0 with 4nm >= r^2 (from 1 on the row n = 0, which holds only
-    r = 0)."""
+    r^2 <= 4nm, in (n, r, m) order; only those with nm <= nm_max when it
+    is given.  m runs from the least m >= 0 with 4nm >= r^2 (from 1 on the
+    row n = 0, which holds only r = 0)."""
     for m in range(1, m_max + 1):
         yield (0, 0, m)
     for n in range(1, n_max + 1):
-        bound = isqrt(4 * n * m_max)
+        top = m_max if nm_max is None else min(m_max, nm_max // n)
+        bound = isqrt(4 * n * top)
         for r in range(-bound, bound + 1):
-            for m in range(-(-r * r // (4 * n)), m_max + 1):
+            for m in range(-(-r * r // (4 * n)), top + 1):
                 yield (n, r, m)
 
 
@@ -266,9 +255,9 @@ def lift(phi: JacobiExpansion, m_max: int) -> SiegelExpansion:
 # ---------------------------------------------------------------------------
 
 def _block_sizes(n_max: int, m_max: int):
-    """The number of cells :func:`_cells` yields for each (n, m), in its
-    order: 0 for (0, 0), which holds only the excluded zero matrix, and at
-    least 1 for every other block."""
+    """The number of cells :func:`_cells` yields for each (n, m), in (n, m)
+    order, which is not the order of the walk: 0 for (0, 0), which holds
+    only the excluded zero matrix, and at least 1 for every other block."""
     for n in range(n_max + 1):
         for m in range(m_max + 1):
             yield 2 * isqrt(4 * n * m) + 1 - (n == m == 0)
@@ -396,7 +385,7 @@ def write_sksf(F: SiegelExpansion) -> str:
         "SKSF 1",
         f"k={F.weight} N={F.level} chi={F.character.to_spec()} "
         f"nmax={F.n_max} mmax={F.m_max} cusp={int(F.cusp)}",
-        _sorted_cells(F.n_max, F.m_max), F._coeffs,
+        _cells(F.n_max, F.m_max), F._coeffs,
     )
 
 

@@ -173,6 +173,9 @@ def test_kronecker_validation():
         DirichletCharacter.kronecker(-6)
     with pytest.raises(ValueError, match="conductor"):
         DirichletCharacter.kronecker(-4, 6)
+    for modulus in (0, -3):
+        with pytest.raises(ValueError, match="modulus must be >= 1"):
+            DirichletCharacter.kronecker(-3, modulus)
     chi = DirichletCharacter.kronecker(-4, 8)
     assert chi.modulus == 8
     assert chi.value(7) == -1  # (-4/7): 7 = 3 mod 4

@@ -16,6 +16,7 @@ from sklift.siegel import (
     SiegelExpansion,
     check_classical,
     check_p_relations,
+    check_symmetric,
     is_maass,
     lift,
     parse_report,
@@ -24,7 +25,7 @@ from sklift.siegel import (
     write_sksf,
 )
 
-from synth import order4_table_character_mod5, random_jacobi
+from synth import order4_table_character_mod5, random_jacobi, siegel_product
 
 
 def run(argv, capsys):
@@ -168,6 +169,26 @@ def test_verify_plocal_degenerate_level(tmp_path, capsys):
     code, out, _ = run(["verify", f"--in={bad}", "--mode=plocal", "--p=2"], capsys)
     assert code == 1
     assert "REL=plocal T=(1,1,1) l=2" in out
+
+
+def test_single_family_reports_list_violations_in_cell_order(tmp_path, capsys):
+    # a non-lift with violations in two families; one family's report, like
+    # a merged one, lists them in (n, r, m) order
+    F = lift(builtin_form("phi10_1", 24), 4)
+    square = siegel_product(F, F)
+    path = tmp_path / "square.sksf"
+    path.write_text(write_sksf(square))
+    code, out, _ = run(["verify", f"--in={path}", "--mode=classical"], capsys)
+    assert code == 1
+    reports = {"classical": check_classical(square), "symmetric": check_symmetric(square, 2),
+               "cli": parse_report(out)}
+    assert out == report_to_text(reports["classical"])
+    counts = {}
+    for name, report in reports.items():
+        cells = [(v.n, v.r, v.m) for v in report.violations]
+        assert cells == sorted(cells), name
+        counts[name] = len(cells)
+    assert counts == {"classical": 19, "symmetric": 26, "cli": 19}
 
 
 def verify_all_oracle(F):
