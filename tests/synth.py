@@ -8,7 +8,7 @@ its per-cell oracle."""
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 from sklift.characters import DirichletCharacter
 from sklift.jacobi import JacobiExpansion, region_r_values
@@ -24,6 +24,23 @@ def odd_table_character_mod4() -> DirichletCharacter:
 def order4_table_character_mod5() -> DirichletCharacter:
     # chi(2) = zeta_4, an odd character of order 4
     return DirichletCharacter.from_table(5, [(0, 1), (1, 4), (3, 4), (2, 4), None])
+
+
+def unreduced_table_character(modulus: int, entries) -> DirichletCharacter:
+    """A table character whose value chi(j) = e(power/root_order) is held in
+    the ring of root_order roots of unity as written, not in lowest terms as
+    :meth:`DirichletCharacter.from_table` holds it; ``to_spec`` writes the
+    table as given."""
+    values = [Scalar.zero()] * modulus
+    order = 1
+    for j, spec in enumerate(entries, start=1):
+        if spec is not None:
+            power, root_order = spec
+            values[j % modulus] = Scalar.zeta(root_order, power)
+            order = lcm(order, root_order // gcd(root_order, power))
+    chi = DirichletCharacter(modulus, "table", order, values, table_specs=tuple(entries))
+    assert chi == DirichletCharacter.from_table(modulus, entries)
+    return chi
 
 
 def _orbit_key(index: int, n: int, r: int) -> tuple[int, int]:

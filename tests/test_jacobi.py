@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from sklift.characters import DirichletCharacter, parse_character
+from sklift.characters import DirichletCharacter
 from sklift.jacobi import (
     BUILTIN_FORMS,
     JacobiExpansion,
@@ -41,6 +41,7 @@ from synth import (
     random_coefficient,
     random_jacobi,
     shared_scalars,
+    unreduced_table_character,
 )
 
 TRIV = DirichletCharacter.trivial(1)
@@ -373,10 +374,10 @@ def test_index_shift_hecke_eigenvalues_at_index0():
 
 
 def test_oracle_agreement_with_complex_character():
-    # the second character is the first, with chi(2) = zeta_8^2 written in
-    # a larger ring than its order 4
+    # the second character is the first, with chi(2) = zeta_8^2 held in a
+    # larger ring than its order 4 (from_table would reduce it to zeta_4)
     for chi in (order4_table_character_mod5(),
-                parse_character("table:zeta^0/1,zeta^2/8,zeta^6/8,zeta^4/8,0", 5)):
+                unreduced_table_character(5, [(0, 1), (2, 8), (6, 8), (4, 8), None])):
         rng = random.Random(5)
         phi = random_jacobi(9, 5, chi, 15, rng, cuspidal=False)
         for l in (1, 2, 3, 4, 5):

@@ -49,6 +49,7 @@ from synth import (
     random_siegel,
     shared_scalars,
     siegel_product,
+    unreduced_table_character,
 )
 
 TRIV = DirichletCharacter.trivial(1)
@@ -689,13 +690,14 @@ def _family_texts(F):
 
 
 def test_merged_paths_match_their_oracles_byte_for_byte(monkeypatch):
-    # chi(1) written as zeta^0/4 twists every term by a Scalar of order 4,
-    # which turns an order-3 value into 12 coordinates of text: so a side
-    # printed without its twist, or a lift cell gcd(n, r, l) = 1 summed
-    # instead of copied, changes the bytes
+    # chi(1) held as zeta^0 in the ring of order 4 (from_table would reduce
+    # it to the rational 1) twists every term by a Scalar of order 4, which
+    # turns an order-3 value into 12 coordinates of text: so a side printed
+    # without its twist, or a lift cell gcd(n, r, l) = 1 summed instead of
+    # copied, changes the bytes
     rng = random.Random(120)
     characters = [TRIV, DirichletCharacter.kronecker(-3), order4_table_character_mod5(),
-                  parse_character("table:zeta^0/4,zeta^1/4,zeta^3/4,zeta^2/4,0", 5)]
+                  unreduced_table_character(5, [(0, 4), (1, 4), (3, 4), (2, 4), None])]
     cells = [(2, 1, 1), (1, 1, 2), (2, 2, 2), (2, 0, 0)]
     violations = 0
     for chi in characters:
