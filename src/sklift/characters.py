@@ -137,7 +137,8 @@ class DirichletCharacter:
         """Build from explicit values: entries[j-1] describes chi(j) for
         j = 1..N, either None (value 0) or a pair (power, root_order) meaning
         e(power/root_order), held in lowest terms.  The table is validated
-        for complete multiplicativity and for vanishing exactly at non-units."""
+        for root orders at most N, for complete multiplicativity and for
+        vanishing exactly at non-units."""
         if modulus < 1:
             raise ValueError("modulus must be >= 1")
         if len(entries) != modulus:
@@ -152,8 +153,11 @@ class DirichletCharacter:
                 if root_order < 1:
                     raise ValueError("root order must be >= 1")
                 g = gcd(root_order, power)
-                values[j % modulus] = Scalar.zeta(root_order // g, power // g)
-                order = lcm(order, root_order // g)
+                root = root_order // g
+                if root > modulus:  # every chi(a) has an order dividing phi(N) <= N
+                    raise ValueError(f"table value at {j} has root order {root} > modulus {modulus}")
+                values[j % modulus] = Scalar.zeta(root, power // g)
+                order = lcm(order, root)
         for a in range(modulus):
             want_zero = gcd(a, modulus) != 1
             if values[a].is_zero() != want_zero:

@@ -12,16 +12,17 @@ provided.  The closed coefficient formula::
 
     c'(n, r) = sum_{a | (n, r, l), (a, N) = 1} chi(a) a^(k-1) c(n l / a^2, r / a)
 
-and a slash-action evaluation that averages the substitutions
+and a slash-action evaluation that sums the substitutions
 
     chi(a) d^{-k} Phi((a tau + b)/d, a z),      ad = l, (a, N) = 1, b mod d
 
 over the right cosets (a b; 0 d) of T(l) listed by
-:func:`sklift.hecke.coset_representatives`, with exact root-of-unity phase
-bookkeeping, times the normalization
-l^(k-1).  V^0 denotes the same operator without the l^(k-1) prefactor; the
-diagonal operator V^0(a, a) sends Phi(tau, z) to chi(a) a^{-k} Phi(tau, az)
-and multiplies the index by a^2.
+:func:`sklift.hecke.coset_representatives`, each phase e(nb/d) a Scalar
+root of unity, times the normalization l^(k-1).  V^0 denotes the same
+operator without the l^(k-1) prefactor; the diagonal operator V^0(a, a)
+sends Phi(tau, z) to chi(a) a^{-k} Phi(tau, az) and multiplies the index
+by a^2.  Every stored coefficient is a :class:`~sklift.numtheory.Scalar`,
+and the operators on expansions use its arithmetic, never its coordinates.
 
 Built-in generators (level 1): the elliptic series E4, E6, Delta as
 index-0 expansions, and four index-1 forms built in integer q-series
@@ -50,17 +51,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 from .characters import DirichletCharacter, parity_compatible
 from .hecke import coset_representatives
-from .numtheory import (
-    Scalar,
-    cyclotomic_polynomial,
-    divisors,
-    pow_fraction,
-    sigma,
-)
+from .numtheory import Scalar, divisors, pow_fraction, sigma
 from .serialize import parse_table, write_table
 
 __all__ = [
@@ -401,23 +396,15 @@ def _shifted_coeffs(phi: JacobiExpansion, l: int, out_n_max: int, total, out: di
 
 
 def index_shift_oracle(phi: JacobiExpansion, l: int) -> JacobiExpansion:
-    """V_{l,chi}(phi) by direct slash-action evaluation.
-
-    Sums chi(a) d^{-k} Phi((a tau + b)/d, az) over the right cosets
+    """V_{l,chi}(phi) by direct slash-action evaluation: the sum of
+    chi(a) d^{-k} l^(k-1) Phi((a tau + b)/d, az) over the right cosets
     Gamma_0(N) (a b; 0 d) of Delta_N(l) that
-    :func:`~sklift.hecke.coset_representatives` lists (ad = l,
-    gcd(a, N) = 1, b mod d), so this operator and the Hecke operator T(l)
-    share one coset enumeration: every input monomial q^n zeta^r
-    contributes e(nb/d) q^{na/d} zeta^{ra}, with the phase taken exactly in
-    Q(zeta_M), M the lcm of l, the orders of the scalars chi(a) the cosets
-    multiply by (a table may write a value in a larger ring than ord chi)
-    and the orders of the input values.
-    Each monomial q^{na/d} zeta^{ra} = q^{na^2/l} zeta^{ra} accumulates
-    rational coordinates indexed by the exponent of zeta_M, so a phase only
-    moves coordinates; one scalar is built per monomial at the end.  The
-    b-sum must cancel all fractional q-exponents; a nonzero fractional
-    residue is an internal error.  The l^(k-1) normalization is folded into
-    the weight of each representative, and the truncation is that of
+    :func:`~sklift.hecke.coset_representatives` lists for T(l) as well.
+
+    A monomial c q^n zeta^r contributes chi(a) d^{-k} l^(k-1) c e(nb/d),
+    e(nb/d) = zeta_d^(nb), at q^{na/d} zeta^{ra} = q^{na^2/l} zeta^{ra}.
+    The b-sum must cancel every fractional q-exponent; a nonzero
+    fractional residue is an internal error.  The truncation is that of
     :func:`index_shift`.
     """
     if l < 1:
@@ -426,46 +413,23 @@ def index_shift_oracle(phi: JacobiExpansion, l: int) -> JacobiExpansion:
         raise ValueError(f"need n_max >= {l} to shift by {l}")
     k, level, chi = phi.weight, phi.level, phi.character
     out_n_max = phi.n_max // l
-    out_index = phi.index * l
-    reps = coset_representatives(level, l)
-    ring = lcm(l, *(chi.value(rep.a).order for rep in reps),
-               *(c.order for _, c in phi.nonzero_items()))
-    scale = pow_fraction(l, k - 1)
-    zero = Fraction(0)
-    # (numerator of the q-exponent over l, r) -> coordinates in zeta_ring
-    acc: dict[tuple[int, int], list[Fraction]] = {}
-    # a -> [(accumulator slot, n, nonzero coordinates of the weighted term)],
-    # shared by the d cosets (a b; 0 d), which differ only in the phase
-    terms: dict[int, list] = {}
-    for rep in reps:
+    acc: dict[tuple[int, int], Scalar] = {}  # (n a^2, r a) -> the sum of the terms
+    for rep in coset_representatives(level, l):
         a, b, d = rep.a, rep.b, rep.d
-        if a not in terms:
-            weight_ad = chi.value(a) * (pow_fraction(d, -k) * scale)
-            terms[a] = []
-            for (n, r), c in phi.nonzero_items():
-                term = weight_ad * c
-                spread = ring // term.order
-                coords = [(i * spread, x) for i, x in enumerate(term.coords) if x]
-                slot = acc.setdefault((n * a * a, r * a), [zero] * ring)
-                terms[a].append((slot, n, coords))
-        step = ring // d
-        for slot, n, coords in terms[a]:
-            phase = n * b * step
-            for i, x in coords:
-                slot[(i + phase) % ring] += x
+        weight = chi.value(a) * (pow_fraction(d, -k) * pow_fraction(l, k - 1))
+        for (n, r), c in phi.nonzero_items():
+            key = (n * a * a, r * a)
+            acc[key] = acc.get(key, Scalar.zero()) + weight * c * Scalar.zeta(d, n * b)
     out: dict[tuple[int, int], Scalar] = {}
-    for (num, r), coords in acc.items():
-        value = Scalar(ring, coords)
-        if value.is_zero():
-            continue
-        if num % l:
+    for (num, r), value in acc.items():
+        if num % l == 0:
+            if num // l <= out_n_max:
+                out[(num // l, r)] = value
+        elif value:
             raise ArithmeticError(
                 f"fractional exponent {Fraction(num, l)} survived the b-sum at r={r}"
             )
-        n = num // l
-        if n <= out_n_max:
-            out[(n, r)] = value
-    return JacobiExpansion(k, out_index, level, chi, out_n_max, out, cusp=phi.cusp)
+    return JacobiExpansion(k, phi.index * l, level, chi, out_n_max, out, cusp=phi.cusp)
 
 
 def v0_shift(phi: JacobiExpansion, l: int) -> JacobiExpansion:
@@ -491,13 +455,8 @@ def mul_elliptic(phi: JacobiExpansion, f: JacobiExpansion) -> JacobiExpansion:
     """Multiply by an index-0 (elliptic) expansion: convolution in n.
 
     The factor must have index 0 and trivial character at the same level;
-    weights add.  Truncation is to the smaller n_max.
-
-    The convolution runs on integers: all values are written in Q(zeta_M),
-    M the lcm of their orders, and each factor's coordinates are scaled to
-    integers over one common denominator.  Products are accumulated
-    unreduced, so each output cell is reduced modulo Phi_M and divided by
-    the two denominators once.
+    weights add.  Truncation is to the smaller n_max.  The product is the
+    double loop over the nonzero coefficients of the two factors.
     """
     if f.index != 0:
         raise ValueError("second factor must have index 0")
@@ -506,51 +465,17 @@ def mul_elliptic(phi: JacobiExpansion, f: JacobiExpansion) -> JacobiExpansion:
     if not f.character.is_trivial():
         raise ValueError("index-0 factor must carry the trivial character")
     n_max = min(phi.n_max, f.n_max)
-    order = lcm(1, *(c.order for _, c in phi.nonzero_items()),
-                *(c.order for _, c in f.nonzero_items()))
-    deg = len(cyclotomic_polynomial(order)) - 1
-    phi_den, phi_rows = _integer_coordinates(phi, order, deg, n_max)
-    f_den, f_rows = _integer_coordinates(f, order, deg, n_max)
-    f_series = [(j, f_rows[j][0]) for j in range(deg) if f_rows[j]]
-    den = phi_den * f_den
+    series = sorted((n, c) for (n, _), c in f.nonzero_items())
     out: dict[tuple[int, int], Scalar] = {}
-    for r in sorted({r for row in phi_rows for r in row}):
-        acc = [[0] * (n_max + 1) for _ in range(2 * deg - 1)]
-        for i in range(deg):
-            for n1, a in phi_rows[i].get(r, ()):
-                for j, series in f_series:
-                    slot = acc[i + j]
-                    for n2, b in series:
-                        n = n1 + n2
-                        if n > n_max:
-                            break
-                        slot[n] += a * b
-        for n in range(n_max + 1):
-            coords = [slot[n] for slot in acc]
-            if any(coords):
-                out[(n, r)] = Scalar.from_integers(order, coords, den)
+    for (n1, r), c1 in phi.nonzero_items():
+        for n2, c2 in series:
+            if n1 + n2 > n_max:
+                break
+            out[(n1 + n2, r)] = out.get((n1 + n2, r), Scalar.zero()) + c1 * c2
     return JacobiExpansion(
         phi.weight + f.weight, phi.index, phi.level, phi.character, n_max, out,
         cusp=phi.cusp,
     )
-
-
-def _integer_coordinates(expansion: JacobiExpansion, order: int, deg: int, n_max: int):
-    """Coordinates of the values in Q(zeta_order) as integers over one
-    denominator: (den, rows) with rows[i][r] the (n, numerator) pairs of
-    the i-th coordinate, ascending in n and cut at n_max."""
-    items = sorted(
-        (key, c._as_order(order))
-        for key, c in expansion.nonzero_items() if key[0] <= n_max
-    )
-    den = lcm(1, *(c.den for _, c in items))
-    rows: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(deg)]
-    for (n, r), c in items:
-        scale = den // c.den
-        for i, x in enumerate(c.nums):
-            if x:
-                rows[i].setdefault(r, []).append((n, x * scale))
-    return den, rows
 
 
 # ---------------------------------------------------------------------------

@@ -23,13 +23,13 @@ and Cohen's H-function
 where (-1)^r N = D f^2 with D a fundamental discriminant, and H(r, N) = 0
 whenever (-1)^r N is not congruent to 0 or 1 mod 4.  The value L(1-r, chi_D)
 is -B_{r,chi_D}/r.  Bernoulli numbers are not expanded from the series: with
-f the modulus, the integer power sums S_m = sum_{a=1..f} chi(a) a^m and the
-classical Bernoulli numbers B_j (B_1 = -1/2),
+f the modulus and the classical Bernoulli numbers B_j (B_1 = -1/2),
 
     B_{n,chi} = f^(n-1) sum_{a=1..f} chi(a) B_n(a/f)
-              = sum_{j=0..n} C(n, j) B_j f^(j-1) S_{n-j}
+    f^(n-1) B_n(a/f) = sum_{j=0..n} C(n, j) B_j f^(j-1) a^(n-j)
 
-(Washington, Introduction to Cyclotomic Fields, Prop. 4.1).  H(1, N) is the
+(Washington, Introduction to Cyclotomic Fields, Prop. 4.1), the polynomial
+evaluated at each a in integers over one denominator.  H(1, N) is the
 Hurwitz class number.  H values are memoised on disk (see
 :data:`cohen_cache`); the built-in Jacobi forms are computed without them.
 """
@@ -544,43 +544,32 @@ def _bernoulli_number(m: int) -> Fraction:
     return -sum(comb(m + 1, j) * _bernoulli_number(j) for j in range(m)) / (m + 1)
 
 
-def _bernoulli_from_power_sums(n: int, modulus: int, value):
-    """B_{n,chi} = sum_j C(n,j) B_j f^(j-1) S_{n-j}, S_m = sum_{a<=f} chi(a) a^m.
+def _bernoulli_sum(n: int, modulus: int, value):
+    """B_{n,chi} = f^(n-1) sum_{a<=f} chi(a) B_n(a/f) (Washington,
+    Introduction to Cyclotomic Fields, Prop. 4.1).
 
-    This is f^(n-1) sum_a chi(a) B_n(a/f) expanded by powers of a
-    (Washington, Introduction to Cyclotomic Fields, Prop. 4.1).  ``value``
-    maps a to chi(a), an int or a :class:`Scalar`; the result is a Fraction
-    or a Scalar accordingly.
+    f^(n-1) B_n(a/f) = sum_j C(n,j) B_j f^(j-1) a^(n-j) is evaluated at
+    each a by Horner's rule on integer coefficients over one denominator.
+    ``value`` maps a to chi(a), an int or a :class:`Scalar`; the result is
+    a Fraction or a Scalar accordingly.
     """
-    # chi takes few distinct values: S_m = sum_v v * (sum of a^m with chi(a) = v)
-    values: list = []
-    int_sums: list[list[int]] = []
+    bernoulli = [_bernoulli_number(j) for j in range(n + 1)]
+    den = lcm(*(b.denominator for b in bernoulli))
+    coeffs = [comb(n, j) * modulus ** j * b.numerator * (den // b.denominator)
+              for j, b in enumerate(bernoulli)]
+    total = 0
     for a in range(1, modulus + 1):
         v = value(a)
-        if not v:
-            continue
-        if v in values:
-            row = int_sums[values.index(v)]
-        else:
-            values.append(v)
-            row = [0] * (n + 1)
-            int_sums.append(row)
-        apow = 1
-        for m in range(n + 1):
-            row[m] += apow
-            apow *= a
-    total = 0
-    for j in range(n + 1):
-        b = _bernoulli_number(j)
-        if b:
-            scale = comb(n, j) * modulus ** j * b
-            for v, row in zip(values, int_sums):
-                total = total + v * (row[n - j] * scale)
-    return total * Fraction(1, modulus)
+        if v:
+            poly = 0
+            for c in coeffs:
+                poly = poly * a + c
+            total = total + v * poly
+    return total * Fraction(1, modulus * den)
 
 
 def generalized_bernoulli(n: int, chi) -> Scalar:
-    """B_{n,chi}, exactly, from integer power sums of chi.
+    """B_{n,chi}, exactly, as a sum over the values of chi.
 
     ``chi`` is any Dirichlet-character-like object exposing ``modulus`` and
     ``value(a) -> Scalar``.  The trivial character mod 1 yields the Bernoulli
@@ -588,13 +577,13 @@ def generalized_bernoulli(n: int, chi) -> Scalar:
     """
     if n < 0:
         raise ValueError("Bernoulli index must be >= 0")
-    return Scalar.coerce(_bernoulli_from_power_sums(n, chi.modulus, chi.value))
+    return Scalar.coerce(_bernoulli_sum(n, chi.modulus, chi.value))
 
 
 @lru_cache(maxsize=None)
 def _bernoulli_kronecker(n: int, disc: int) -> Fraction:
     """B_{n,chi_D} for the quadratic character chi_D = (disc / .), rational."""
-    return _bernoulli_from_power_sums(n, abs(disc), lambda a: kronecker_symbol(disc, a))
+    return _bernoulli_sum(n, abs(disc), lambda a: kronecker_symbol(disc, a))
 
 
 def _zeta_negative(m: int) -> Fraction:

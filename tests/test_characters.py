@@ -166,6 +166,9 @@ def test_table_validation_rejects_bad_tables():
     # not multiplicative: chi(3)^2 != chi(1)
     with pytest.raises(ValueError, match="multiplicative"):
         DirichletCharacter.from_table(4, [(0, 1), None, (1, 4), None])
+    # a root order above the modulus is refused before its scalar is built
+    with pytest.raises(ValueError, match="root order 100003 > modulus 2"):
+        DirichletCharacter.from_table(2, [(1, 100003), None])
 
 
 def test_kronecker_validation():

@@ -1,7 +1,7 @@
 """Jacobi expansions, index-shift operators and the SKJF format.
 
-Independent references live here: the plain double loop over Scalar
-coefficients that ``mul_elliptic``'s integer kernel must reproduce; the
+Independent references live here: the double loop over Scalar
+coefficients and a hand convolution for ``mul_elliptic``; the
 construction of the built-ins from Cohen's H-function, E_{k,1} with
 c(n, r) = H(k-1, 4n-r^2)/H(k-1, 0) and phi_{10,1}, phi_{12,1} as
 combinations of them through ``mul_elliptic``, which the two-row theta
@@ -18,6 +18,7 @@ from fractions import Fraction
 import pytest
 
 from sklift.characters import DirichletCharacter
+from sklift.hecke import coset_representatives
 from sklift.jacobi import (
     BUILTIN_FORMS,
     JacobiExpansion,
@@ -391,6 +392,16 @@ def test_oracle_on_constant_index0_form():
         got = index_shift(one, l)
         assert got == index_shift_oracle(one, l)
         assert got.coeff(0, 0) == sigma(3, l)  # sum_{a | l} a^(k-1)
+
+
+def test_oracle_refuses_a_fractional_exponent(monkeypatch):
+    # without the coset (1 1; 0 2) the b-sum at d = 2 leaves q^(n/2), n odd
+    monkeypatch.setattr(
+        "sklift.jacobi.coset_representatives",
+        lambda level, l: tuple(rep for rep in coset_representatives(level, l)
+                               if (rep.a, rep.b, rep.d) != (1, 1, 2)))
+    with pytest.raises(ArithmeticError, match="fractional exponent 1/2 survived the b-sum"):
+        index_shift_oracle(builtin_form("phi10_1", 8), 2)
 
 
 def test_v_diag():

@@ -89,6 +89,9 @@ CASES = [
     ("sksf", "underscore in header", _edit_header("mmax=2", "mmax=0_2"), 2, "bad mmax '0_2'"),
     ("skjf", "plus in chi", _edit_header("chi=trivial", "chi=kronecker:+1"), 2,
      "bad kronecker discriminant '+1'"),
+    ("skjf", "root order above the modulus",
+     _edit_header("N=1 chi=trivial", "N=2 chi=table:zeta^1/100003,0"), 2,
+     "table value at 1 has root order 100003 > modulus 2"),
     ("skjf", "underscore cell", _append("0_0 -2 0/1"), 30, "bad n '0_0'"),
     ("sksf", "underscore cell", _append("1 0_0 1 0/1"), 31, "bad r '0_0'"),
     ("skjf", "plus cell", _replace_line(4, "1 +1 1/1"), 4, "bad r '+1'"),
