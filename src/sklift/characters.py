@@ -85,15 +85,13 @@ def delta_membership_violation(g: Mat2, level: int) -> str | None:
 class DirichletCharacter:
     """A Dirichlet character mod N with exact root-of-unity values."""
 
-    __slots__ = ("modulus", "kind", "order", "_values", "_disc", "_table_specs")
+    __slots__ = ("modulus", "order", "_values", "_spec")
 
-    def __init__(self, modulus, kind, order, values, disc=None, table_specs=None):
+    def __init__(self, modulus, spec, order, values):
         self.modulus = modulus
-        self.kind = kind
+        self._spec = spec
         self.order = order
         self._values = tuple(values)
-        self._disc = disc
-        self._table_specs = table_specs
 
     # -- constructors ------------------------------------------------------
 
@@ -130,7 +128,7 @@ class DirichletCharacter:
             else:
                 values.append(Scalar.from_rational(kronecker_symbol(disc, a)))
         order = 1 if disc == 1 else 2
-        return DirichletCharacter(modulus, "kronecker", order, values, disc=disc)
+        return DirichletCharacter(modulus, f"kronecker:{disc}", order, values)
 
     @staticmethod
     def from_table(modulus: int, entries: list[tuple[int, int] | None]) -> "DirichletCharacter":
@@ -158,21 +156,22 @@ class DirichletCharacter:
                     raise ValueError(f"table value at {j} has root order {root} > modulus {modulus}")
                 values[j % modulus] = Scalar.zeta(root, power // g)
                 order = lcm(order, root)
+        # an error names the entry as written, 1..N, so residue 0 is entry N
         for a in range(modulus):
             want_zero = gcd(a, modulus) != 1
             if values[a].is_zero() != want_zero:
                 raise ValueError(
-                    f"table value at {a} must be {'zero' if want_zero else 'nonzero'}"
+                    f"table value at {a or modulus} must be {'zero' if want_zero else 'nonzero'}"
                 )
         for a in range(modulus):
             for b in range(a, modulus):
                 if values[(a * b) % modulus] != values[a] * values[b]:
                     raise ValueError(
-                        f"table is not completely multiplicative at ({a}, {b})"
+                        "table is not completely multiplicative at "
+                        f"({a or modulus}, {b or modulus})"
                     )
-        return DirichletCharacter(
-            modulus, "table", order, values, table_specs=tuple(entries)
-        )
+        spec = "table:" + ",".join("0" if e is None else f"zeta^{e[0]}/{e[1]}" for e in entries)
+        return DirichletCharacter(modulus, spec, order, values)
 
     # -- evaluation --------------------------------------------------------
 
@@ -187,17 +186,7 @@ class DirichletCharacter:
         )
 
     def to_spec(self) -> str:
-        if self.kind == "trivial":
-            return "trivial"
-        if self.kind == "kronecker":
-            return f"kronecker:{self._disc}"
-        parts = []
-        for spec in self._table_specs:
-            if spec is None:
-                parts.append("0")
-            else:
-                parts.append(f"zeta^{spec[0]}/{spec[1]}")
-        return "table:" + ",".join(parts)
+        return self._spec
 
     def __eq__(self, other):
         if not isinstance(other, DirichletCharacter):

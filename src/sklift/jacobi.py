@@ -88,24 +88,33 @@ def _region_cells(index: int, n_max: int):
             yield (n, r)
 
 
-def _check_cell(n: int, r: int, index: int, n_max: int, cusp: bool) -> None:
-    """Raise the first rule a nonzero coefficient at (n, r) breaks, if any."""
-    if n < 0 or n > n_max:
-        raise ValueError(f"coefficient ({n},{r}) outside 0 <= n <= {n_max}")
+def _cell_error(cell, index: int, n_max: int, cusp: bool = False) -> str | None:
+    """The first rule a nonzero coefficient at cell = (n, r) breaks, or None:
+    the SKJF region rule, shared by the constructor and the parser."""
+    n, r = cell
     disc = 4 * n * index - r * r
+    if disc >= cusp and 0 <= n <= n_max:  # with the cusp flag, disc 0 is refused too
+        return None
+    if n < 0 or n > n_max:
+        return f"coefficient ({n},{r}) outside 0 <= n <= {n_max}"
     if disc < 0:
-        raise ValueError(f"coefficient ({n},{r}) violates 4nm - r^2 >= 0")
-    if cusp and disc == 0:
-        raise ValueError(f"cusp flag set but boundary coefficient ({n},{r}) is nonzero")
+        return f"coefficient ({n},{r}) violates 4nm - r^2 >= 0"
+    return f"cusp flag set but boundary coefficient ({n},{r}) is nonzero"
 
 
-def _nonzero(coeffs):
-    """The (cell, value) items of ``coeffs`` with a nonzero value, in order,
-    each value coerced to a Scalar."""
+def _clean(coeffs, cell_error, *bounds) -> dict:
+    """The nonzero items of ``coeffs``, in order, each value coerced to a
+    Scalar; a ValueError with ``cell_error(cell, *bounds)`` for the first
+    nonzero cell it refuses."""
+    clean = {}
     for cell, value in coeffs.items():
         value = Scalar.coerce(value)
         if value:
-            yield cell, value
+            error = cell_error(cell, *bounds)
+            if error is not None:
+                raise ValueError(error)
+            clean[cell] = value
+    return clean
 
 
 class _Expansion:
@@ -114,12 +123,12 @@ class _Expansion:
     checks, immutability, and equality of the shape (``_shape()``, the
     character included) and of the coefficients.
 
-    Each constructor runs its bound checks, ``_check_character``, then a
-    loop over :func:`_nonzero` in which a cell failing an arithmetic test
-    goes through its ordered ``_check_cell``, so the first bad cell in the
-    dict's order names the first rule it breaks; ``_freeze`` sets the
-    fields.  :meth:`_from_region` builds from cells already known to lie in
-    the region, with no per-cell test.
+    Each constructor runs its bound checks, ``_check_character``, then
+    :func:`_clean` with its format's rule ``_cell_error``, the rule its
+    parser checks each row with, so the first bad cell in the dict's order
+    names the first rule it breaks; ``_freeze`` sets the fields.
+    :meth:`_from_region` builds from cells already known to lie in the
+    region, with no per-cell test.
     """
 
     __slots__ = ()
@@ -199,13 +208,7 @@ class JacobiExpansion(_Expansion):
         if n_max < 0:
             raise ValueError("n_max must be >= 0")
         self._check_character(weight, level, character)
-        least = 1 if cusp else 0  # the smallest admissible 4nm - r^2
-        clean: dict[tuple[int, int], Scalar] = {}
-        for cell, value in _nonzero(coeffs):
-            n, r = cell
-            if not (4 * n * index - r * r >= least and 0 <= n <= n_max):
-                _check_cell(n, r, index, n_max, cusp)
-            clean[cell] = value
+        clean = _clean(coeffs, _cell_error, index, n_max, cusp)
         self._freeze(weight=weight, index=index, level=level, character=character,
                      n_max=n_max, cusp=cusp, _coeffs=clean)
 
@@ -695,7 +698,7 @@ def parse_skjf(text: str) -> JacobiExpansion:
         text, "SKJF 1",
         (("k", "weight"), ("m", "index"), ("N", "level"), ("chi", None),
          ("nmax", "nmax"), ("cusp", None)),
-        ("n", "r"), _skjf_cell_error,
+        ("n", "r"), lambda cell, meta: _cell_error(cell, meta["m"], meta["nmax"]),
         lambda meta: _region_cells(meta["m"], meta["nmax"]),
         lambda meta: (len(region_r_values(meta["m"], n)) for n in range(meta["nmax"] + 1)),
         lambda meta, coeffs: JacobiExpansion._from_region(
@@ -703,14 +706,3 @@ def parse_skjf(text: str) -> JacobiExpansion:
             character=meta["chi"], n_max=meta["nmax"], cusp=meta["cusp"]),
     )
 
-
-def _skjf_cell_error(cell, meta) -> str | None:
-    n, r = cell
-    if n < 0:
-        return "negative n is not allowed"
-    if n > meta["nmax"]:
-        return f"n={n} exceeds nmax={meta['nmax']}"
-    index = meta["m"]
-    if 4 * n * index - r * r < 0 or (index == 0 and r != 0):
-        return f"({n},{r}) outside the support region"
-    return None

@@ -599,8 +599,9 @@ class CohenCache:
     """Disk-backed memo for H(r, N), safe for concurrent reads with
     exclusive writes.
 
-    The cache lives in ``$SK_CACHE_DIR`` (default ``.skcache``) as a
-    line-oriented text file, one record per line::
+    The cache lives in ``$SK_CACHE_DIR`` (default ``.skcache``; set but
+    empty, the working directory) as a line-oriented text file, one record
+    per line::
 
         H <r> <N> <numerator>/<denominator>
 
@@ -686,7 +687,9 @@ def _parse_cache_record(line: str, path: str, line_no: int) -> tuple[tuple[int, 
 
 def _append_record(path: str, record: str) -> None:
     """Append one newline-terminated record, first cutting off a torn last one."""
-    os.makedirs(os.path.dirname(path), exist_ok=True)
+    folder = os.path.dirname(path)
+    if folder:  # empty for a path in the working directory (SK_CACHE_DIR set empty)
+        os.makedirs(folder, exist_ok=True)
     with open(path, "a+b") as fh:
         end = fh.seek(0, os.SEEK_END)
         if end:

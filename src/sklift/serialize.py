@@ -110,8 +110,10 @@ def parse_table(text: str, magic: str, header: tuple[tuple[str, str | None], ...
     ``chi`` and the cusp flag ``cusp``.  The level ``N`` must be >= 1 and
     every other integer except the weight ``k`` >= 0.  The metadata reach
     the callbacks as a dict of those integers plus ``chi`` (the parsed
-    character) and ``cusp`` (a bool): ``check_cell(cell, meta)`` returns
-    an error message for a row outside the format's region, or None;
+    character) and ``cusp`` (a bool): ``check_cell(cell, meta)`` is the
+    format's constructor rule with the cusp flag off, which returns the
+    constructor's message for a row outside the region, or None (``build``
+    refuses a nonzero boundary cell of a cusp-flagged table);
     ``region(meta)`` yields every cell that must be present, in the order
     in which the first missing one is named, and ``region_sizes(meta)``
     the cell counts of disjoint blocks that cover it, in any order, all

@@ -46,7 +46,7 @@ import re
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .jacobi import JacobiExpansion, _Expansion, _nonzero, _shifted_coeffs, _twisted_sums
+from .jacobi import JacobiExpansion, _clean, _Expansion, _shifted_coeffs, _twisted_sums
 from .numtheory import Scalar, divisors, is_prime
 from .serialize import (ParseError, parse_header, parse_int, parse_table, scalar_from_text,
                         scalar_to_text, write_table)
@@ -74,16 +74,22 @@ def in_cone(n: int, r: int, m: int) -> bool:
     return n >= 0 and m >= 0 and 4 * n * m - r * r >= 0
 
 
-def _check_cell(n: int, r: int, m: int, n_max: int, m_max: int, cusp: bool) -> None:
-    """Raise the first rule a nonzero coefficient at (n, r, m) breaks, if any."""
-    if (n, r, m) == (0, 0, 0):
-        raise ValueError("the zero matrix is excluded from the support")
+def _cell_error(cell, n_max: int, m_max: int, cusp: bool = False) -> str | None:
+    """The first rule a nonzero coefficient at cell = (n, r, m) breaks, or
+    None: the SKSF region rule, shared by the constructor and the parser."""
+    n, r, m = cell
+    disc = 4 * n * m - r * r
+    if disc > 0 and 0 <= n <= n_max and 0 <= m <= m_max:
+        return None
+    if cell == (0, 0, 0):
+        return "the zero matrix is excluded from the support"
     if not in_cone(n, r, m):
-        raise ValueError(f"coefficient ({n},{r},{m}) outside the cone")
+        return f"coefficient ({n},{r},{m}) outside the cone"
     if n > n_max or m > m_max:
-        raise ValueError(f"coefficient ({n},{r},{m}) outside the box")
-    if cusp and 4 * n * m - r * r == 0:
-        raise ValueError(f"cusp flag set but singular coefficient ({n},{r},{m}) is nonzero")
+        return f"coefficient ({n},{r},{m}) outside the box"
+    if cusp and disc == 0:
+        return f"cusp flag set but singular coefficient ({n},{r},{m}) is nonzero"
+    return None
 
 
 def _cells(n_max: int, m_max: int, nm_max: int | None = None):
@@ -147,12 +153,7 @@ class SiegelExpansion(_Expansion):
         if n_max < 0 or m_max < 0:
             raise ValueError("box bounds must be >= 0")
         self._check_character(weight, level, character)
-        clean: dict[tuple[int, int, int], Scalar] = {}
-        for cell, value in _nonzero(coeffs):
-            n, r, m = cell
-            if not (4 * n * m - r * r > 0 and 0 <= n <= n_max and 0 <= m <= m_max):
-                _check_cell(n, r, m, n_max, m_max, cusp)
-            clean[cell] = value
+        clean = _clean(coeffs, _cell_error, n_max, m_max, cusp)
         self._freeze(weight=weight, level=level, character=character, n_max=n_max,
                      m_max=m_max, cusp=cusp, _coeffs=clean)
 
@@ -395,27 +396,13 @@ def parse_sksf(text: str) -> SiegelExpansion:
         text, "SKSF 1",
         (("k", "weight"), ("N", "level"), ("chi", None), ("nmax", "nmax"),
          ("mmax", "mmax"), ("cusp", None)),
-        ("n", "r", "m"), _sksf_cell_error,
+        ("n", "r", "m"), lambda cell, meta: _cell_error(cell, meta["nmax"], meta["mmax"]),
         lambda meta: _cells(meta["nmax"], meta["mmax"]),
         lambda meta: _block_sizes(meta["nmax"], meta["mmax"]),
         lambda meta, coeffs: SiegelExpansion._from_region(
             coeffs, weight=meta["k"], level=meta["N"], character=meta["chi"],
             n_max=meta["nmax"], m_max=meta["mmax"], cusp=meta["cusp"]),
     )
-
-
-def _sksf_cell_error(cell, meta) -> str | None:
-    n, r, m = cell
-    if (4 * n * m >= r * r and 0 <= n <= meta["nmax"] and 0 <= m <= meta["mmax"]
-            and (n or m)):
-        return None  # in the cone and the box, and not the zero matrix
-    if cell == (0, 0, 0):
-        return "(0,0,0) is excluded from the support"
-    if not in_cone(n, r, m):
-        return f"({n},{r},{m}) outside the semidefinite cone"
-    if n > meta["nmax"] or m > meta["mmax"]:
-        return f"({n},{r},{m}) outside the box"
-    return None
 
 
 def report_to_text(report: RelationReport) -> str:

@@ -38,8 +38,9 @@ def unreduced_table_character(modulus: int, entries) -> DirichletCharacter:
             power, root_order = spec
             values[j % modulus] = Scalar.zeta(root_order, power)
             order = lcm(order, root_order // gcd(root_order, power))
-    chi = DirichletCharacter(modulus, "table", order, values, table_specs=tuple(entries))
-    assert chi == DirichletCharacter.from_table(modulus, entries)
+    reduced = DirichletCharacter.from_table(modulus, entries)
+    chi = DirichletCharacter(modulus, reduced.to_spec(), order, values)
+    assert chi == reduced
     return chi
 
 

@@ -166,6 +166,9 @@ def test_table_validation_rejects_bad_tables():
     # not multiplicative: chi(3)^2 != chi(1)
     with pytest.raises(ValueError, match="multiplicative"):
         DirichletCharacter.from_table(4, [(0, 1), None, (1, 4), None])
+    # entries are numbered 1..N as written: residue 0 is entry N
+    with pytest.raises(ValueError, match="table value at 4 must be zero"):
+        DirichletCharacter.from_table(4, [(0, 1), None, None, (0, 1)])
     # a root order above the modulus is refused before its scalar is built
     with pytest.raises(ValueError, match="root order 100003 > modulus 2"):
         DirichletCharacter.from_table(2, [(1, 100003), None])

@@ -524,11 +524,11 @@ def test_skjf_parse_errors_carry_line_numbers():
         parse_skjf(good + lines[-1] + "\n")
 
     # out-of-region pair
-    with pytest.raises(ParseError, match="outside the support region"):
+    with pytest.raises(ParseError, match=r"coefficient \(1,3\) violates 4nm - r\^2 >= 0"):
         parse_skjf(good + "1 3 1/1\n")
 
     # negative n
-    with pytest.raises(ParseError, match="negative n"):
+    with pytest.raises(ParseError, match=r"coefficient \(-1,0\) outside 0 <= n"):
         parse_skjf(good + "-1 0 1/1\n")
 
     # malformed value on a specific line

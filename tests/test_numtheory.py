@@ -440,6 +440,17 @@ def test_cache_file_records(tmp_path, monkeypatch):
     assert cohen_h(1, 23) == value
 
 
+def test_empty_cache_dir_means_the_working_directory(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("SK_CACHE_DIR", "")
+    cohen_cache._path = None
+    value = cohen_h(1, 27)
+    lines = (tmp_path / "cohen_h.txt").read_text().splitlines()
+    assert f"H 1 27 {value.numerator}/{value.denominator}" in lines
+    assert capsys.readouterr().err == ""
+    cohen_cache._path = None
+
+
 def test_cache_conflicting_records_rejected(tmp_path, monkeypatch):
     monkeypatch.setenv("SK_CACHE_DIR", str(tmp_path))
     path = tmp_path / "cohen_h.txt"

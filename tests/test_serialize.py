@@ -8,17 +8,18 @@ import pytest
 
 from sklift import jacobi, siegel
 from sklift.characters import DirichletCharacter, parse_character
-from sklift.jacobi import builtin_form, index_shift, parse_skjf, write_skjf
+from sklift.jacobi import JacobiExpansion, builtin_form, index_shift, parse_skjf, write_skjf
 from sklift.numtheory import Scalar
 from sklift.serialize import ParseError, _cell_text, parse_header, parse_int, scalar_from_text
-from sklift.siegel import lift, parse_sksf, write_sksf
+from sklift.siegel import SiegelExpansion, lift, parse_sksf, write_sksf
 
 from synth import order4_table_character_mod5, random_jacobi
 
 PHI = builtin_form("phi10_1", 4)  # SKJF: 27 rows on lines 3..29
+LIFT = lift(PHI, 2)  # SKSF: box 2x2, 28 rows on lines 3..30
 FORMATS = {
     "skjf": (write_skjf(PHI), parse_skjf),
-    "sksf": (write_sksf(lift(PHI, 2)), parse_sksf),  # box 2x2: 28 rows on lines 3..30
+    "sksf": (write_sksf(LIFT), parse_sksf),
 }
 
 
@@ -58,8 +59,8 @@ CASES = [
     ("sksf", "bad cusp flag", _edit_header("cusp=1", "cusp=yes"), 2, "bad cusp flag 'yes'"),
     ("skjf", "column count", _append("1 0 1/1 1/1"), 30, "expected '<n> <r> <value>'"),
     ("sksf", "column count", _append("1 0 1/1"), 31, "expected '<n> <r> <m> <value>'"),
-    ("skjf", "beyond nmax", _append("5 0 1/1"), 30, "n=5 exceeds nmax=4"),
-    ("sksf", "outside the box", _append("1 0 3 1/1"), 31, "(1,0,3) outside the box"),
+    ("skjf", "beyond nmax", _append("5 0 1/1"), 30, "coefficient (5,0) outside 0 <= n <= 4"),
+    ("sksf", "outside the box", _append("1 0 3 1/1"), 31, "coefficient (1,0,3) outside the box"),
     ("skjf", "duplicate cell", _append("2 -1 7/1"), 30, "duplicate coefficient (2,-1)"),
     ("sksf", "duplicate cell", _append("2 1 1 7/1"), 31, "duplicate coefficient (2,1,1)"),
     ("skjf", "missing cell", lambda lines: lines[:-1], 29,
@@ -92,6 +93,9 @@ CASES = [
     ("skjf", "root order above the modulus",
      _edit_header("N=1 chi=trivial", "N=2 chi=table:zeta^1/100003,0"), 2,
      "table value at 1 has root order 100003 > modulus 2"),
+    ("skjf", "table entry N at a non-unit",
+     _edit_header("N=1 chi=trivial", "N=4 chi=table:zeta^0/1,0,0,zeta^0/1"), 2,
+     "table value at 4 must be zero"),
     ("skjf", "underscore cell", _append("0_0 -2 0/1"), 30, "bad n '0_0'"),
     ("sksf", "underscore cell", _append("1 0_0 1 0/1"), 31, "bad r '0_0'"),
     ("skjf", "plus cell", _replace_line(4, "1 +1 1/1"), 4, "bad r '+1'"),
@@ -123,6 +127,39 @@ def test_parse_error_table(fmt, case, edit, line_no, message):
         parse(text)
     assert exc.value.line_no == line_no
     assert str(exc.value) == f"line {line_no}: {message}"
+
+
+# one message per bad cell: the public constructor's ValueError and the
+# parser's ParseError for the same cell agree after "line <k>: "
+BAD_CELLS = [
+    ("skjf", "n < 0", PHI, (-1, 0)),
+    ("skjf", "n > nmax", PHI, (5, 0)),
+    ("skjf", "4nm - r^2 < 0", PHI, (1, 3)),
+    ("skjf", "r != 0 at index 0", builtin_form("E4", 4), (1, 1)),
+    ("sksf", "the zero matrix", LIFT, (0, 0, 0)),
+    ("sksf", "outside the cone", LIFT, (1, 9, 1)),
+    ("sksf", "outside the box", LIFT, (1, 0, 3)),
+]
+
+
+@pytest.mark.parametrize("fmt,case,form,cell", BAD_CELLS,
+                         ids=[f"{fmt}-{case}" for fmt, case, *_ in BAD_CELLS])
+def test_a_bad_cell_gets_the_constructors_message_from_a_file(fmt, case, form, cell):
+    if fmt == "skjf":
+        write, parse = write_skjf, parse_skjf
+        build = JacobiExpansion
+        fields = (form.weight, form.index, form.level, form.character, form.n_max)
+    else:
+        write, parse = write_sksf, parse_sksf
+        build = SiegelExpansion
+        fields = (form.weight, form.level, form.character, form.n_max, form.m_max)
+    with pytest.raises(ValueError) as built:
+        build(*fields, {cell: 1}, cusp=form.cusp)
+    text = write(form) + " ".join(map(str, cell)) + " 1/1\n"
+    with pytest.raises(ParseError) as parsed:
+        parse(text)
+    assert parsed.value.line_no == text.count("\n")
+    assert str(parsed.value) == f"line {parsed.value.line_no}: {built.value}"
 
 
 # ---------------------------------------------------------------------------

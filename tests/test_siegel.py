@@ -738,7 +738,7 @@ def test_sksf_parse_errors():
         parse_sksf("\n".join(lines[:-1]) + "\n")
     with pytest.raises(ParseError, match="duplicate"):
         parse_sksf(good + lines[-1] + "\n")
-    with pytest.raises(ParseError, match="outside the semidefinite cone"):
+    with pytest.raises(ParseError, match="outside the cone"):
         parse_sksf(good + "1 9 1 1/1\n")
     with pytest.raises(ParseError, match="excluded"):
         parse_sksf(good + "0 0 0 1/1\n")
