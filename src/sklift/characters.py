@@ -85,13 +85,16 @@ def delta_membership_violation(g: Mat2, level: int) -> str | None:
 class DirichletCharacter:
     """A Dirichlet character mod N with exact root-of-unity values."""
 
-    __slots__ = ("modulus", "order", "_values", "_spec")
+    __slots__ = ("modulus", "order", "_unit", "_spec")
 
-    def __init__(self, modulus, spec, order, values):
+    def __init__(self, modulus, spec, order, unit):
+        """``unit`` maps each unit residue a (0 <= a < N, gcd(a, N) = 1) to
+        chi(a); no table of N values is built, so a huge modulus costs
+        nothing until values are asked for."""
         self.modulus = modulus
         self._spec = spec
         self.order = order
-        self._values = tuple(values)
+        self._unit = unit
 
     # -- constructors ------------------------------------------------------
 
@@ -100,11 +103,8 @@ class DirichletCharacter:
         """The principal character mod N."""
         if modulus < 1:
             raise ValueError("modulus must be >= 1")
-        values = [
-            Scalar.one() if gcd(a, modulus) == 1 else Scalar.zero()
-            for a in range(modulus)
-        ]
-        return DirichletCharacter(modulus, "trivial", 1, values)
+        one = Scalar.one()
+        return DirichletCharacter(modulus, "trivial", 1, lambda a: one)
 
     @staticmethod
     def kronecker(disc: int, modulus: int | None = None) -> "DirichletCharacter":
@@ -121,14 +121,10 @@ class DirichletCharacter:
             raise ValueError(
                 f"modulus {modulus} is not a multiple of the conductor {abs(disc)}"
             )
-        values = []
-        for a in range(modulus):
-            if gcd(a, modulus) != 1:
-                values.append(Scalar.zero())
-            else:
-                values.append(Scalar.from_rational(kronecker_symbol(disc, a)))
+        signs = {1: Scalar.one(), -1: Scalar.from_rational(-1)}
         order = 1 if disc == 1 else 2
-        return DirichletCharacter(modulus, f"kronecker:{disc}", order, values)
+        return DirichletCharacter(modulus, f"kronecker:{disc}", order,
+                                  lambda a: signs[kronecker_symbol(disc, a)])
 
     @staticmethod
     def from_table(modulus: int, entries: list[tuple[int, int] | None]) -> "DirichletCharacter":
@@ -171,19 +167,24 @@ class DirichletCharacter:
                         f"({a or modulus}, {b or modulus})"
                     )
         spec = "table:" + ",".join("0" if e is None else f"zeta^{e[0]}/{e[1]}" for e in entries)
-        return DirichletCharacter(modulus, spec, order, values)
+        return DirichletCharacter(modulus, spec, order, tuple(values).__getitem__)
 
     # -- evaluation --------------------------------------------------------
 
     def value(self, a: int) -> Scalar:
-        return self._values[a % self.modulus]
+        a %= self.modulus
+        if gcd(a, self.modulus) != 1:
+            return Scalar.zero()
+        return self._unit(a)
 
     __call__ = value
 
+    def _units(self):
+        """The unit residues a mod N, in order."""
+        return (a for a in range(self.modulus) if gcd(a, self.modulus) == 1)
+
     def is_trivial(self) -> bool:
-        return self.order == 1 and all(
-            v == 1 for v in self._values if not v.is_zero()
-        )
+        return self.order == 1 and all(self._unit(a) == 1 for a in self._units())
 
     def to_spec(self) -> str:
         return self._spec
@@ -191,7 +192,9 @@ class DirichletCharacter:
     def __eq__(self, other):
         if not isinstance(other, DirichletCharacter):
             return NotImplemented
-        return self.modulus == other.modulus and self._values == other._values
+        return self.modulus == other.modulus and all(
+            self._unit(a) == other._unit(a) for a in self._units()
+        )
 
     __hash__ = None
 

@@ -16,7 +16,7 @@ from functools import cache
 from .hecke import _identity_sides, coset_representatives, multiply, tl_element
 from .jacobi import BUILTIN_FORMS, builtin_form, parse_skjf, write_skjf
 from .numtheory import cohen_h, primes_up_to
-from .serialize import ParseError, rational_to_text
+from .serialize import rational_to_text
 from .siegel import (
     RelationReport,
     check_classical,
@@ -191,9 +191,6 @@ def main(argv: list[str] | None = None) -> int:
                 parser.error(f"verify --{name} requires --mode={mode}")
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,23 +25,33 @@ by a^2.  Every stored coefficient is a :class:`~sklift.numtheory.Scalar`,
 and the operators on expansions use its arithmetic, never its coordinates.
 
 Built-in generators (level 1): the elliptic series E4, E6, Delta as
-index-0 expansions, and four index-1 forms built in integer q-series
-arithmetic from the two generators of Eichler-Zagier, *The Theory of
-Jacobi Forms* (EZ), Sec. 9,
+index-0 expansions, and four index-1 forms.  An index-1 form has
+c(n, r) = C(4n - r^2) (Eichler-Zagier, *The Theory of Jacobi Forms* (EZ),
+Sec. 2), so each is computed as its two rows r = 0 and r = 1, each one
+integer q-series.  All of them come from the weight -2 generator of EZ,
+Sec. 9,
 
-    phi_{-2,1} = theta_1(tau, z)^2 / eta^6
-    phi_{0,1}  = 4 sum_{i=2,3,4} theta_i(tau, z)^2 / theta_i(tau, 0)^2,
+    phi_{-2,1} = theta_1(tau, z)^2 / eta^6,
 
-as phi_{10,1} = Delta phi_{-2,1}, phi_{12,1} = Delta phi_{0,1} and the
-Jacobi Eisenstein series
+and the heat operator corrected by E2 = 1 - 24 sum sigma_1(n) q^n, which
+sends an index-1 form phi of weight k to one of weight k + 2:
 
-    E_{4,1} = (E4 phi_{0,1} - E6 phi_{-2,1}) / 12
-    E_{6,1} = (E6 phi_{0,1} - E4^2 phi_{-2,1}) / 12.
+    L(phi) = D phi - ((2k - 1)/6) E2 phi,   D = 4n - r^2 on c(n, r).
 
-An index-1 form has c(n, r) = C(4n - r^2) (EZ, Sec. 2), so each of them is
-computed as its two rows r = 0 and r = 1, each one q-series: theta sums,
-powers of prod (1 - q^n) from Euler's pentagonal series, and divisions by
-sparse theta series.  No Cohen H value is computed.
+The weight 0 generator of EZ, Sec. 9, is
+
+    phi_{0,1}  = -6 L(phi_{-2,1})  = -6 D phi_{-2,1} - 5 E2 phi_{-2,1},
+
+and the four index-1 built-ins are
+
+    phi_{10,1} = Delta phi_{-2,1}  = q theta_1(tau, z)^2 prod (1 - q^n)^18
+    phi_{12,1} = -6 L(phi_{10,1})  = -6 D phi_{10,1} + 19 E2 phi_{10,1}
+    12 E_{4,1} = E4 phi_{0,1} - E6 phi_{-2,1}
+    84 E_{6,1} = -6 L(12 E_{4,1})  = -6 D (12 E_{4,1}) + 7 E2 (12 E_{4,1}),
+
+built from theta sums, powers of prod (1 - q^n) from Euler's pentagonal
+series and products with Eisenstein series.  No Cohen H value is
+computed.
 
 The divisor sums of V_{l,chi}, of the lift and of the Maass relations are
 evaluated by one helper, :func:`_twisted_sums`.
@@ -489,13 +499,13 @@ def mul_elliptic(phi: JacobiExpansion, f: JacobiExpansion) -> JacobiExpansion:
 # as its rows r = 0 and r = 1 until the expansion is built.
 # ---------------------------------------------------------------------------
 
-def _theta(length: int, a: int, b: int) -> list[int]:
-    """sum over j in Z of q^(a j^2 + b j), for 0 <= b <= a (so every exponent
+def _theta(length: int, b: int) -> list[int]:
+    """sum over j in Z of q^(j^2 + b j), for b = 0 or 1 (so every exponent
     is >= 0, and >= length once |j| > sqrt(length) + 1)."""
     out = [0] * length
     bound = isqrt(length) + 1
     for j in range(-bound, bound + 1):
-        e = a * j * j + b * j
+        e = j * j + b * j
         if e < length:
             out[e] += 1
     return out
@@ -514,21 +524,6 @@ def _mul(a: list[int], b: list[int]) -> list[int]:
         if x:
             for j in range(length - i):
                 out[i + j] += x * b[j]
-    return out
-
-
-def _divide(num: list[int], den: list[int]) -> list[int]:
-    """num / den at the length of num, for den[0] = 1; the recurrence runs
-    over the nonzero terms of den only."""
-    terms = [(j, c) for j, c in enumerate(den[:len(num)]) if c and j]
-    out = list(num)
-    for k in range(len(out)):
-        total = out[k]
-        for j, c in terms:
-            if j > k:
-                break
-            total -= c * out[k - j]
-        out[k] = total
     return out
 
 
@@ -569,47 +564,24 @@ def _eisenstein_series(factor: int, power: int, length: int) -> list[int]:
     return [1] + [factor * sigma(power, n) for n in range(1, length)]
 
 
-def _delta_series(length: int) -> list[int]:
-    """Delta = q prod (1 - q^n)^24."""
-    return _shift(_eta_power(24, length))
+def _theta1_rows(e: int, length: int) -> list[list[int]]:
+    """The rows r = 0 and r = 1 of theta_1(tau, z)^2 / q^(1/4) times
+    prod (1 - q^n)^e; the zeta^0 and zeta^1 coefficients of
+    theta_1(tau, z)^2 / q^(1/4) are -sum_{j in Z} q^(j^2 + j) and
+    sum_{j in Z} q^(j^2)."""
+    eta = _eta_power(e, length)
+    return [_mul(row, eta) for row in ([-c for c in _theta(length, 1)], _theta(length, 0))]
 
 
-def _theta1_rows(length: int) -> list[list[int]]:
-    """The zeta^0 and zeta^1 coefficients of theta_1(tau, z)^2 / q^(1/4):
-    -sum_{j in Z} q^(j^2 + j) and sum_{j in Z} q^(j^2)."""
-    return [[-c for c in _theta(length, 1, 1)], _theta(length, 1, 0)]
-
-
-def _phi_minus2_rows(length: int) -> list[list[int]]:
-    """phi_{-2,1} = theta_1(tau, z)^2 / eta^6 (EZ, Sec. 9)."""
-    eta = _eta_power(-6, length)
-    return [_mul(row, eta) for row in _theta1_rows(length)]
-
-
-def _phi0_rows(length: int) -> list[list[int]]:
-    """phi_{0,1} = 4 sum_{i=2,3,4} theta_i(tau, z)^2 / theta_i(tau, 0)^2
-    (EZ, Sec. 9).
-
-    theta_2: the zeta^0 and zeta^1 coefficients of theta_2(tau, z)^2 are
-    q^(1/4) sum_{j in Z} q^(j^2 + j) and q^(1/4) sum_{j in Z} q^(j^2), and
-    theta_2(tau, 0)^2 = 4 q^(1/4) T^2 with T = sum_{j in Z} q^(2j^2 + j),
-    the triangular numbers once each.  theta_3 and theta_4: in
-    x = q^(1/2) the coefficients of theta_3(tau, z)^2 are
-    F_0 = sum_j x^(2j^2) and F_1 = x sum_j x^(2j^2 + 2j), with
-    theta_3(tau, 0) = sum_j x^(j^2); theta_4 is theta_3 at -x, so their two
-    terms add to twice the even part of F_r / theta_3(tau, 0)^2 and the
-    half-integral powers of q cancel.
-    """
-    triangular = _theta(length, 2, 1)
-    rows = [_divide(_divide(_theta(length, 1, b), triangular), triangular) for b in (1, 0)]
-    x_length = 2 * length - 1
-    theta3 = _theta(x_length, 1, 0)
-    numerators = (_theta(x_length, 2, 0), _shift(_theta(x_length, 2, 2)))
-    for row, numerator in zip(rows, numerators):
-        h = _divide(_divide(numerator, theta3), theta3)
-        for n in range(length):
-            row[n] += 8 * h[2 * n]
-    return rows
+def _heat(rows: list[list[int]], weight: int) -> list[list[int]]:
+    """The rows of -6 L(phi) for the rows of an index-1 form phi of weight
+    k, where L(phi) = D phi - ((2k - 1)/6) E2 phi: D = 4n - r^2 on each
+    coefficient, entry j of row r sitting at D = 4j - r, and E2 phi one
+    product per row."""
+    e2 = _eisenstein_series(-24, 1, len(rows[0]))
+    return [[(2 * weight - 1) * p - 6 * (4 * j - r) * c
+             for j, (c, p) in enumerate(zip(row, _mul(row, e2)))]
+            for r, row in enumerate(rows)]
 
 
 def _elliptic(weight: int, series: list[int]) -> JacobiExpansion:
@@ -635,20 +607,6 @@ def _index1(weight: int, rows: list[list[int]], cusp: bool = False,
                            cusp=cusp)
 
 
-def _eisenstein_index1(weight: int, length: int) -> JacobiExpansion:
-    """E_{4,1} = (E4 phi_{0,1} - E6 phi_{-2,1}) / 12 and
-    E_{6,1} = (E6 phi_{0,1} - E4^2 phi_{-2,1}) / 12 (EZ, Sec. 9)."""
-    e4 = _eisenstein_series(240, 3, length)
-    e6 = _eisenstein_series(-504, 5, length)
-    if weight == 4:
-        f0, f2 = e4, e6
-    else:
-        f0, f2 = e6, _mul(e4, e4)
-    rows = [[a - b for a, b in zip(_mul(f0, r0), _mul(f2, r2))]
-            for r0, r2 in zip(_phi0_rows(length), _phi_minus2_rows(length))]
-    return _index1(weight, rows, den=12)
-
-
 BUILTIN_FORMS = ("E4", "E6", "Delta", "E4_1", "E6_1", "phi10_1", "phi12_1")
 
 
@@ -662,18 +620,21 @@ def builtin_form(name: str, n_max: int) -> JacobiExpansion:
     if name == "E6":
         return _elliptic(6, _eisenstein_series(-504, 5, length))
     if name == "Delta":
-        return _elliptic(12, _delta_series(length))
-    if name == "E4_1":
-        return _eisenstein_index1(4, length)
-    if name == "E6_1":
-        return _eisenstein_index1(6, length)
-    if name == "phi10_1":
-        # Delta phi_{-2,1} = q theta_1(tau, z)^2 prod (1 - q^n)^18
-        eta = _eta_power(18, length)
-        return _index1(10, [_shift(_mul(row, eta)) for row in _theta1_rows(length)], cusp=True)
-    if name == "phi12_1":
-        delta = _delta_series(length)
-        return _index1(12, [_mul(row, delta) for row in _phi0_rows(length)], cusp=True)
+        return _elliptic(12, _shift(_eta_power(24, length)))
+    if name in ("phi10_1", "phi12_1"):
+        phi10 = [_shift(row) for row in _theta1_rows(18, length)]  # Delta phi_{-2,1}
+        if name == "phi10_1":
+            return _index1(10, phi10, cusp=True)
+        return _index1(12, _heat(phi10, 10), cusp=True)
+    if name in ("E4_1", "E6_1"):
+        phi_minus2 = _theta1_rows(-6, length)
+        e4 = _eisenstein_series(240, 3, length)
+        e6 = _eisenstein_series(-504, 5, length)
+        e41 = [[a - b for a, b in zip(_mul(e4, r0), _mul(e6, r2))]  # 12 E_{4,1}
+               for r0, r2 in zip(_heat(phi_minus2, -2), phi_minus2)]
+        if name == "E4_1":
+            return _index1(4, e41, den=12)
+        return _index1(6, _heat(e41, 4), den=84)
     raise ValueError(f"unknown built-in form {name!r} (know {', '.join(BUILTIN_FORMS)})")
 
 

@@ -39,7 +39,7 @@ def unreduced_table_character(modulus: int, entries) -> DirichletCharacter:
             values[j % modulus] = Scalar.zeta(root_order, power)
             order = lcm(order, root_order // gcd(root_order, power))
     reduced = DirichletCharacter.from_table(modulus, entries)
-    chi = DirichletCharacter(modulus, reduced.to_spec(), order, values)
+    chi = DirichletCharacter(modulus, reduced.to_spec(), order, tuple(values).__getitem__)
     assert chi == reduced
     return chi
 

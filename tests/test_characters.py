@@ -1,6 +1,7 @@
 """Dirichlet characters, the Delta_N extension, and the spec grammar."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -12,6 +13,7 @@ from sklift.characters import (
     parity_compatible,
     parse_character,
 )
+from sklift.jacobi import parse_skjf
 from sklift.numtheory import Scalar, is_fundamental_discriminant
 
 from synth import order4_table_character_mod5
@@ -187,6 +189,31 @@ def test_kronecker_validation():
     assert chi.value(7) == -1  # (-4/7): 7 = 3 mod 4
     assert chi.value(5) == 1
     assert chi.value(2).is_zero() and chi.value(4).is_zero()
+
+
+def _peak_bytes(build):
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_huge_modulus_builds_no_table():
+    # a header level of 10^9 must not wedge the parser; the cost of a
+    # character is independent of its modulus, so 10^6 shows it cheaply
+    big = 10**6
+    header = f"SKJF 1\nk=10 m=1 N={big} chi=trivial nmax=0 cusp=0\n0 0 0/1\n"
+    for build in (lambda: DirichletCharacter.trivial(big),
+                  lambda: DirichletCharacter.kronecker(1, big),
+                  lambda: parse_skjf(header)):
+        assert _peak_bytes(build) < 2**20
+    chi = DirichletCharacter.kronecker(-4, big)
+    assert chi.value(big - 1) == -1 and chi.value(3) == -1 and chi.value(9) == 1
+    assert chi.value(5).is_zero() and chi.value(big).is_zero()
+    chi = parse_skjf(header).character
+    assert (chi.modulus, chi.to_spec()) == (big, "trivial") and chi.value(big + 1) == 1
 
 
 def test_spec_grammar_roundtrip():
