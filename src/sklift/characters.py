@@ -184,7 +184,9 @@ class DirichletCharacter:
         return (a for a in range(self.modulus) if gcd(a, self.modulus) == 1)
 
     def is_trivial(self) -> bool:
-        return self.order == 1 and all(self._unit(a) == 1 for a in self._units())
+        # other specs (kronecker:1, a table of ones) can name it too
+        return self._spec == "trivial" or (
+            self.order == 1 and all(self._unit(a) == 1 for a in self._units()))
 
     def to_spec(self) -> str:
         return self._spec
@@ -192,7 +194,10 @@ class DirichletCharacter:
     def __eq__(self, other):
         if not isinstance(other, DirichletCharacter):
             return NotImplemented
-        return self.modulus == other.modulus and all(
+        if self.modulus != other.modulus:
+            return False
+        # one spec names one character; two specs may name it too, so walk
+        return self._spec == other._spec or all(
             self._unit(a) == other._unit(a) for a in self._units()
         )
 

@@ -121,25 +121,23 @@ def cmd_cohen(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sklift",
-        description="Exact Saito-Kurokawa lifts and Maass-relation verification.",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
-
+def _add_gen(sub) -> None:
     p = sub.add_parser("gen", help="write a built-in Jacobi form as an SKJF file")
     p.add_argument("--form", required=True, choices=BUILTIN_FORMS)
     p.add_argument("--nmax", required=True, type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_gen)
 
+
+def _add_lift(sub) -> None:
     p = sub.add_parser("lift", help="lift an index-1 SKJF file to an SKSF file")
     p.add_argument("--in", required=True, dest="in_path")
     p.add_argument("--mmax", required=True, type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_lift)
 
+
+def _add_verify(sub) -> None:
     p = sub.add_parser("verify", help="check Maass relations on an SKSF file")
     p.add_argument("--in", required=True, dest="in_path")
     p.add_argument("--mode", required=True, choices=VERIFY_MODES)
@@ -148,6 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 
+
+def _add_hecke(sub) -> None:
     p = sub.add_parser("hecke", help="coset lists, products and the product identity")
     p.add_argument("--sub", required=True, choices=("cosets", "mul", "verify-identity"))
     p.add_argument("--level", required=True, type=int)
@@ -157,24 +157,51 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_hecke)
 
+
+def _add_cohen(sub) -> None:
     p = sub.add_parser("cohen", help="print H(r, N) for N = 0..nmax")
     p.add_argument("--r", required=True, type=int)
     p.add_argument("--nmax", required=True, type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_cohen)
 
+
+# verb -> the function that adds its sub-parser, in the order of the usage line
+_VERBS = {"gen": _add_gen, "lift": _add_lift, "verify": _add_verify,
+          "hecke": _add_hecke, "cohen": _add_cohen}
+
+
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every verb or, given a ``verb``, a parser holding only
+    that verb's sub-parser.  Both print the same usage lines and errors for
+    a command line that starts with that verb."""
+    parser = argparse.ArgumentParser(
+        prog="sklift",
+        description="Exact Saito-Kurokawa lifts and Maass-relation verification.",
+    )
+    if verb is None:
+        sub = parser.add_subparsers(dest="verb", required=True)
+    else:  # the usage line still names every verb
+        sub = parser.add_subparsers(dest="verb", required=True,
+                                    metavar="{" + ",".join(_VERBS) + "}")
+    for name, add in _VERBS.items():
+        if verb in (None, name):
+            add(sub)
     return parser
 
 
 @cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser `main` uses, built on first use and shared by later calls
-    in the process."""
-    return build_parser()
+def _parser(verb: str | None) -> argparse.ArgumentParser:
+    """The parser `main` uses for a command line that starts with ``verb``
+    (None when it starts with no verb), built on first use and shared by
+    later calls in the process."""
+    return build_parser(verb)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _parser(argv[0] if argv and argv[0] in _VERBS else None)
     args = parser.parse_args(argv)
     if args.verb == "hecke":
         needs = ("l",) if args.sub == "cosets" else ("m", "n")

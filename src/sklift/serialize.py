@@ -11,13 +11,19 @@ Jacobi form has c(n, r) = C(4n - r^2); a lift's A(n, r, m) depends only on
 4nm - r^2 and gcd(n, r, m)), so each distinct value text is parsed once
 per call and its immutable :class:`Scalar` is shared by every cell that
 carries it, and each distinct value object is written once per call.
+
+A table identical to what the writer emits is read in one pass: its rows
+are compared, a block at a time, with the rows the writer writes for the
+cells of the region walk and the value texts the table carries.  Any
+other table is read row by row, with the same result and the same errors.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import gcd, lcm
+from operator import itemgetter
 
 from .characters import parse_character
 from .numtheory import _INT_RE, _RATIONAL_RE, Scalar
@@ -131,6 +137,15 @@ def parse_table(text: str, magic: str, header: tuple[tuple[str, str | None], ...
     table is complete exactly when it holds as many cells as the region.
     The block sizes are summed only until they pass the row count, and the
     region is walked, to name the first missing cell, only when they do.
+
+    A table identical to :func:`write_table` output is read in one pass:
+    when it has as many rows as the region has cells, each row must be the
+    writer's row of the cell the region walk yields next, and each distinct
+    value text must parse.  Such a table passes every row check above, so
+    the row loop is skipped.  Any other table (a row that differs, a blank
+    or extra row, a value that does not parse) is read row by row, which
+    gives the same result and names the same error at the same line.  The
+    row loop is the only code that reports an error in a row.
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != magic:
@@ -149,13 +164,74 @@ def parse_table(text: str, magic: str, header: tuple[tuple[str, str | None], ...
     except ValueError as exc:
         raise ParseError(2, str(exc)) from None
     meta["cusp"] = fields["cusp"] == "1"
+    body = lines[2:]
+    coeffs = None
+    if _region_size(region_sizes(meta), len(body)) == len(body):
+        coeffs = _writer_coeffs(body, region(meta), len(cell_names))
+    if coeffs is None:
+        coeffs = _read_rows(body, meta, cell_names, check_cell)
+        if _region_size(region_sizes(meta), len(coeffs)) > len(coeffs):
+            for cell in region(meta):
+                if cell not in coeffs:
+                    raise ParseError(len(lines) + 1,
+                                     f"missing in-region coefficient {_cell_text(cell)}")
+    try:
+        return build(meta, coeffs)
+    except ValueError as exc:
+        raise ParseError(2, str(exc)) from None
+
+
+def _region_size(sizes, rows: int) -> int:
+    """The sum of the block ``sizes``, or a partial sum past ``rows`` as soon
+    as one passes it, so a short table over a huge region costs little."""
+    total = 0
+    for total in accumulate(sizes):
+        if total > rows:
+            break
+    return total
+
+
+def _writer_coeffs(body: list[str], walk, width: int) -> dict | None:
+    """{cell: value} when the rows ``body`` are exactly what
+    :func:`write_table` writes for the cells of ``walk``, one row per cell
+    in order, each distinct value text parsed once; None for any other
+    rows, or when a value text does not parse, so that the row loop reads
+    them and names the error.  The walk has as many cells as there are rows.
+
+    Block by block, the rows are split into words, every ``width + 1``-th
+    word is taken as a value text, and the writer's rows of the block's
+    cells with those texts are compared with the rows as given."""
+    coeffs: dict[tuple[int, ...], Scalar] = {}
+    values: dict[str, Scalar] = {}  # value text -> its (immutable, shared) Scalar
+    for start in range(0, len(body), _BLOCK):
+        rows = "\n".join(body[start:start + _BLOCK]) + "\n"
+        words = rows.split()
+        cells = list(islice(walk, _BLOCK))
+        if len(words) != len(cells) * (width + 1):
+            return None
+        texts = words[width::width + 1]
+        if _rows_text(cells, texts) != rows:
+            return None
+        for text in texts:
+            if text not in values:
+                try:
+                    values[text] = scalar_from_text(text, 0)
+                except ValueError:
+                    return None
+        coeffs.update(zip(cells, map(values.__getitem__, texts)))
+    return coeffs
+
+
+def _read_rows(body: list[str], meta: dict, cell_names: tuple[str, ...], check_cell) -> dict:
+    """{cell: value} of the rows ``body`` (lines 3, 4, ...), read row by
+    row: blank rows are skipped and the first bad row is named by its line."""
     usage = " ".join(f"<{name}>" for name in cell_names + ("value",))
     columns = len(cell_names) + 1
     ints = _IntMemo()
     coeffs: dict[tuple[int, ...], Scalar] = {}
     values: dict[str, Scalar] = {}  # value text -> its (immutable, shared) Scalar
     field = ints.__getitem__
-    for line_no, raw in enumerate(lines[2:], start=3):
+    for line_no, raw in enumerate(body, start=3):
         parts = raw.split()
         if len(parts) != columns:
             if not parts:
@@ -177,19 +253,28 @@ def parse_table(text: str, magic: str, header: tuple[tuple[str, str | None], ...
         if value is None:
             value = values[value_text] = scalar_from_text(value_text, line_no)
         coeffs[cell] = value
-    if any(total > len(coeffs) for total in accumulate(region_sizes(meta))):
-        for cell in region(meta):
-            if cell not in coeffs:
-                raise ParseError(len(lines) + 1,
-                                 f"missing in-region coefficient {_cell_text(cell)}")
-    try:
-        return build(meta, coeffs)
-    except ValueError as exc:
-        raise ParseError(2, str(exc)) from None
+    return coeffs
 
 
 def _cell_text(cell: tuple[int, ...]) -> str:
     return "(" + ",".join(map(str, cell)) + ")"
+
+
+# rows per block of the one-pass read and of the writer: enough to spread
+# the cost of a call, few enough that the block's words stay small
+_BLOCK = 256
+
+
+def _rows_text(cells: list[tuple[int, ...]], texts: list[str]) -> str:
+    """The table rows the writer writes, each ended by a newline: the
+    fields of each cell in ``cells`` and its value text in ``texts``,
+    separated by single spaces."""
+    width = len(cells[0]) if cells else 0
+    fields: list = [None] * (len(cells) * (width + 1))
+    for i in range(width):
+        fields[i::width + 1] = map(itemgetter(i), cells)
+    fields[width::width + 1] = texts
+    return ("%d " * width + "%s\n") * len(cells) % tuple(fields)
 
 
 def write_table(magic: str, meta: str, cells, coeffs) -> str:
@@ -202,13 +287,17 @@ def write_table(magic: str, meta: str, cells, coeffs) -> str:
     keyed object for the whole call, so an id is never reused under the
     memo and a miss only costs a recomputation.
     """
-    lines = [magic, meta]
     zero = Scalar.zero()
-    texts: dict[int, str] = {}  # id of a value in coeffs (or of zero) -> its text
-    for cell in cells:
-        value = coeffs.get(cell, zero)
-        text = texts.get(id(value))
-        if text is None:
-            text = texts[id(value)] = scalar_to_text(value)
-        lines.append("%d " * len(cell) % cell + text)
-    return "\n".join(lines) + "\n"
+    memo: dict[int, str] = {}  # id of a value in coeffs (or of zero) -> its text
+    blocks = [f"{magic}\n{meta}\n"]
+    walk = iter(cells)
+    while block := list(islice(walk, _BLOCK)):
+        texts = []
+        for cell in block:
+            value = coeffs.get(cell, zero)
+            text = memo.get(id(value))
+            if text is None:
+                text = memo[id(value)] = scalar_to_text(value)
+            texts.append(text)
+        blocks.append(_rows_text(block, texts))
+    return "".join(blocks)

@@ -40,7 +40,7 @@ def unreduced_table_character(modulus: int, entries) -> DirichletCharacter:
             order = lcm(order, root_order // gcd(root_order, power))
     reduced = DirichletCharacter.from_table(modulus, entries)
     chi = DirichletCharacter(modulus, reduced.to_spec(), order, tuple(values).__getitem__)
-    assert chi == reduced
+    assert all(chi(a) == reduced(a) for a in range(modulus))  # the same spec, so == would not walk
     return chi
 
 

@@ -216,6 +216,23 @@ def test_a_huge_modulus_builds_no_table():
     assert (chi.modulus, chi.to_spec()) == (big, "trivial") and chi.value(big + 1) == 1
 
 
+
+def test_equal_specs_compare_without_a_walk(monkeypatch):
+    def walk(self):
+        raise AssertionError("walked the residues")
+    big = 10**7
+    monkeypatch.setattr(DirichletCharacter, "_units", walk)
+    assert DirichletCharacter.trivial(big) == DirichletCharacter.trivial(big)
+    assert DirichletCharacter.trivial(big).is_trivial()
+    assert DirichletCharacter.kronecker(-4, big) == DirichletCharacter.kronecker(-4, big)
+    assert DirichletCharacter.trivial(big) != DirichletCharacter.trivial(big + 1)
+    with pytest.raises(AssertionError, match="walked"):  # two specs of one character
+        DirichletCharacter.kronecker(1, 12) == DirichletCharacter.trivial(12)
+    monkeypatch.undo()
+    assert DirichletCharacter.kronecker(1, 12) == DirichletCharacter.trivial(12)
+    assert DirichletCharacter.kronecker(1, 12).is_trivial()
+    assert DirichletCharacter.kronecker(-3, 12) != DirichletCharacter.trivial(12)
+
 def test_spec_grammar_roundtrip():
     specs = [
         ("trivial", 6),

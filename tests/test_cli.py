@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import sklift
+from sklift import cli
 from sklift.characters import DirichletCharacter
 from sklift.cli import build_parser, main
 from sklift.jacobi import JacobiExpansion, builtin_form, parse_skjf, write_skjf
@@ -358,6 +359,41 @@ def test_parser_reuse_across_main_calls(tmp_path, capsys):
 
     assert build_parser() is not build_parser()
 
+
+
+def _exit(argv, capsys):
+    """(exit code, stdout, stderr) of a main call that ends in SystemExit."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    # the four checks main makes after argparse
+    ["hecke", "--sub=mul", "--level=1", "--m=2"],
+    ["hecke", "--sub=cosets", "--level=1", "--l=2", "--m=5"],
+    ["verify", "--in=x", "--mode=all", "--l=2"],
+    ["verify", "--in=x", "--mode=symmetric", "--p=3"],
+    # one argparse error per verb, and a verb not first or not known
+    ["gen", "--form=E8", "--nmax=4"],
+    ["lift", "--in=x"],
+    ["verify", "--in=x", "--mode=bogus"],
+    ["hecke", "--sub=mul", "--level=x"],
+    ["cohen", "--r=1"],
+    ["verify", "--in=x", "--mode=all", "gen"],
+    ["--out=x", "gen"],
+    ["bogus"],
+    [],
+    # help
+    ["--help"], ["gen", "--help"], ["lift", "-h"], ["verify", "--help"], ["hecke", "--help"],
+    ["cohen", "--help"],
+])
+def test_one_verb_parser_prints_what_the_full_parser_prints(monkeypatch, capsys, argv):
+    got = _exit(argv, capsys)
+    monkeypatch.setattr(cli, "_parser", lambda verb: build_parser())
+    assert got == _exit(argv, capsys)
+    assert got[0] == (0 if "--help" in argv or "-h" in argv else 2)
 
 def test_cohen_rejects_negative_nmax(capsys):
     code, out, err = run(["cohen", "--r=1", "--nmax=-5"], capsys)

@@ -1,12 +1,13 @@
 """The shared table parser behind SKJF and SKSF: one error table, both
-formats, a row-by-row oracle for the parsed values, and the row-by-row
-table reader as an oracle on a corpus of mutated texts."""
+formats, a row-by-row oracle for the parsed values, the row-by-row table
+reader as an oracle on a corpus of mutated texts, and the one-pass read of
+writer output."""
 
 import random
 
 import pytest
 
-from sklift import jacobi, siegel
+from sklift import jacobi, serialize, siegel
 from sklift.characters import DirichletCharacter, parse_character
 from sklift.jacobi import JacobiExpansion, builtin_form, index_shift, parse_skjf, write_skjf
 from sklift.numtheory import Scalar
@@ -420,3 +421,63 @@ def test_short_table_with_a_huge_region_fails_at_once(text, message):
 def test_mutated_texts_parse_as_the_public_constructor_builds(monkeypatch):
     got = _matches_the_public_constructor(monkeypatch, _mutated_corpus())
     assert sum(outcome[0] == "ok" for outcome in got) >= 200
+
+
+# ---------------------------------------------------------------------------
+# the one-pass read of writer output, and the row loop for every other text
+# ---------------------------------------------------------------------------
+
+def _refusing_row_loop(text, magic, header, cell_names, check_cell, *rest):
+    """parse_table with a check_cell that fails on the first row the row
+    loop reads."""
+    def refuse(cell, meta):
+        raise AssertionError(f"the row loop read {cell}")
+    return serialize.parse_table(text, magic, header, cell_names, refuse, *rest)
+
+
+def test_writer_output_is_read_in_one_pass(monkeypatch):
+    texts = [(text, parse) for text, parse, _ in _oracle_tables()] + list(_corpus_bases())
+    expected = [_outcome(parse, text) for text, parse in texts]
+    monkeypatch.setattr(jacobi, "parse_table", _refusing_row_loop)
+    monkeypatch.setattr(siegel, "parse_table", _refusing_row_loop)
+    for (text, parse), outcome in zip(texts, expected):
+        assert outcome[0] == "ok"
+        assert _outcome(parse, text) == outcome
+
+
+# a writer row -> the same row with one value edit
+_VALUE_EDITS = {
+    "trailing tab": lambda row: row + "\t",
+    "doubled space": lambda row: row.rsplit(" ", 1)[0] + "  " + row.rsplit(" ", 1)[1],
+    "empty value": lambda row: row.rsplit(" ", 1)[0] + " ",
+    "arabic-indic digit": lambda row: row.rsplit(" ", 1)[0] + " \u0661/1",
+    "zero denominator": lambda row: row.rsplit(" ", 1)[0] + " 1/0",
+    "plus sign": lambda row: row.rsplit(" ", 1)[0] + " +4/1",
+    "extra field": lambda row: row.rsplit(" ", 1)[0] + " 1/1 x",
+}
+
+
+@pytest.mark.parametrize("edit", list(_VALUE_EDITS.values()), ids=list(_VALUE_EDITS))
+def test_texts_off_writer_output_in_a_value_go_to_the_row_loop(monkeypatch, edit):
+    cases = []
+    bases = list(_corpus_bases()) + [(text, parse) for text, parse, _ in _oracle_tables()]
+    for good, parse in bases:  # the oracle tables span more than one block
+        lines = good.splitlines()
+        for at in (2, len(lines) // 2, len(lines) - 1):
+            edited = lines[:at] + [edit(lines[at])] + lines[at + 1:]
+            cases.append(("\n".join(edited) + "\n", parse))
+    read_rows = serialize._read_rows
+    reads = []
+
+    def counted(body, *args):
+        reads.append(len(body))
+        return read_rows(body, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(serialize, "_read_rows", counted)
+        got = [_outcome(parse, text) for text, parse in cases]
+    assert len(reads) == len(cases)
+    monkeypatch.setattr(jacobi, "parse_table", parse_table_oracle)
+    monkeypatch.setattr(siegel, "parse_table", parse_table_oracle)
+    for (text, parse), outcome in zip(cases, got):
+        assert outcome == _outcome(parse, text), text
