@@ -196,7 +196,8 @@ class DirichletCharacter:
             return NotImplemented
         if self.modulus != other.modulus:
             return False
-        # one spec names one character; two specs may name it too, so walk
+        # equal specs name one character; unequal ones (kronecker:1 and
+        # trivial) may too, so those are compared residue by residue
         return self._spec == other._spec or all(
             self._unit(a) == other._unit(a) for a in self._units()
         )
