@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from functools import cache
 
 from .hecke import _identity_sides, coset_representatives, multiply, tl_element
@@ -19,6 +18,7 @@ from .numtheory import cohen_h, primes_up_to
 from .serialize import rational_to_text
 from .siegel import (
     RelationReport,
+    Violation,
     check_classical,
     check_p_relations,
     check_singular_law,
@@ -82,7 +82,8 @@ def cmd_verify(args) -> int:
         for p in box_primes:
             symmetric = check_symmetric(F, p)
             plocal = RelationReport(
-                [replace(v, relation="plocal") for v in symmetric.violations],
+                [Violation("plocal", v.n, v.r, v.m, v.shift, v.left, v.right)
+                 for v in symmetric.violations],
                 symmetric.skipped,
             )
             report = report.merged_with(symmetric).merged_with(plocal)

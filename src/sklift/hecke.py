@@ -32,7 +32,6 @@ coset list built for the targets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
@@ -56,15 +55,61 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
 class CosetRep:
     """The right coset Gamma_0(N) (a b; 0 d), in canonical form:
-    ad = det, gcd(a, N) = 1, 0 <= b < d."""
+    ad = det, gcd(a, N) = 1, 0 <= b < d.  Immutable; it compares, orders
+    and hashes as the tuple (a, b, d, level), and only with another
+    CosetRep."""
 
-    a: int
-    b: int
-    d: int
-    level: int
+    __slots__ = ("a", "b", "d", "level")
+    __match_args__ = __slots__
+
+    def __init__(self, a: int, b: int, d: int, level: int):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "level", level)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CosetRep is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("CosetRep is immutable")
+
+    def __reduce__(self):
+        return (type(self), (self.a, self.b, self.d, self.level))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.b, self.d, self.level) == (other.a, other.b, other.d, other.level)
+        return NotImplemented
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.b, self.d, self.level) < (other.a, other.b, other.d, other.level)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.b, self.d, self.level) <= (other.a, other.b, other.d, other.level)
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.b, self.d, self.level) > (other.a, other.b, other.d, other.level)
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.b, self.d, self.level) >= (other.a, other.b, other.d, other.level)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.d, self.level))
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(a={self.a!r}, b={self.b!r}, d={self.d!r}, "
+                f"level={self.level!r})")
 
     def matrix(self) -> Mat2:
         return Mat2(self.a, self.b, 0, self.d)
@@ -76,22 +121,64 @@ class CosetRep:
         return gcd(gcd(self.a, self.b), self.d)
 
 
-@dataclass(frozen=True, order=True)
 class DoubleCoset:
     """The double coset T(a, d) = Gamma_0(N) [a, d] Gamma_0(N), a | d,
-    gcd(a, N) = 1."""
+    gcd(a, N) = 1.  Immutable; it compares, orders and hashes as the tuple
+    (a, d, level), and only with another DoubleCoset."""
 
-    a: int
-    d: int
-    level: int
+    __slots__ = ("a", "d", "level")
+    __match_args__ = __slots__
 
-    def __post_init__(self):
-        if self.level < 1:
-            raise ValueError(f"T({self.a},{self.d}) requires level N >= 1")
-        if self.a < 1 or self.d < self.a or self.d % self.a:
-            raise ValueError(f"T({self.a},{self.d}) requires 1 <= a and a | d")
-        if gcd(self.a, self.level) != 1:
-            raise ValueError(f"T({self.a},{self.d}) requires gcd(a, N) = 1")
+    def __init__(self, a: int, d: int, level: int):
+        if level < 1:
+            raise ValueError(f"T({a},{d}) requires level N >= 1")
+        if a < 1 or d < a or d % a:
+            raise ValueError(f"T({a},{d}) requires 1 <= a and a | d")
+        if gcd(a, level) != 1:
+            raise ValueError(f"T({a},{d}) requires gcd(a, N) = 1")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "level", level)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DoubleCoset is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("DoubleCoset is immutable")
+
+    def __reduce__(self):
+        return (type(self), (self.a, self.d, self.level))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.d, self.level) == (other.a, other.d, other.level)
+        return NotImplemented
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.d, self.level) < (other.a, other.d, other.level)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.d, self.level) <= (other.a, other.d, other.level)
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.d, self.level) > (other.a, other.d, other.level)
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.d, self.level) >= (other.a, other.d, other.level)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.a, self.d, self.level))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(a={self.a!r}, d={self.d!r}, level={self.level!r})"
 
     def det(self) -> int:
         return self.a * self.d

@@ -285,6 +285,11 @@ class Scalar:
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, not the raising
+        # __setattr__
+        return (Scalar.from_integers, (self.order, self.nums, self.den))
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod

@@ -1,0 +1,229 @@
+"""The five value classes behave as the dataclasses they replace.
+
+The oracles below are those dataclasses as they were written, under the
+same names, so that even their reprs must agree; the classes under test
+are reached through their modules.
+"""
+
+import copy
+import operator
+import pickle
+import random
+from dataclasses import dataclass, fields
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+from sklift import characters, hecke, siegel
+from sklift.numtheory import Scalar
+
+
+@dataclass(frozen=True)
+class Mat2:
+    a: int
+    b: int
+    c: int
+    d: int
+
+
+@dataclass(frozen=True, order=True)
+class CosetRep:
+    a: int
+    b: int
+    d: int
+    level: int
+
+
+@dataclass(frozen=True, order=True)
+class DoubleCoset:
+    a: int
+    d: int
+    level: int
+
+    def __post_init__(self):
+        if self.level < 1:
+            raise ValueError(f"T({self.a},{self.d}) requires level N >= 1")
+        if self.a < 1 or self.d < self.a or self.d % self.a:
+            raise ValueError(f"T({self.a},{self.d}) requires 1 <= a and a | d")
+        if gcd(self.a, self.level) != 1:
+            raise ValueError(f"T({self.a},{self.d}) requires gcd(a, N) = 1")
+
+
+@dataclass(frozen=True)
+class Violation:
+    relation: str
+    n: int
+    r: int
+    m: int
+    shift: int
+    left: Scalar
+    right: Scalar
+
+
+@dataclass
+class RelationReport:
+    violations: list
+    skipped: int = 0
+
+
+SCALARS = [Scalar.zero(), Scalar.one(), Scalar.zeta(4), Scalar.from_rational(Fraction(-1, 2)),
+           Scalar.zeta(8, 3) / 3]
+
+
+def _coset_fields(rng):
+    level = rng.randint(1, 4)
+    a = rng.choice([a for a in range(1, 5) if gcd(a, level) == 1])
+    return (a, a * rng.randint(1, 3), level)
+
+
+def _violation_fields(rng):
+    return (rng.choice(["classical", "plocal"]), rng.randint(0, 1), rng.randint(-1, 1),
+            rng.randint(0, 1), rng.randint(0, 1), rng.choice(SCALARS), rng.choice(SCALARS))
+
+
+# name -> (class under test, oracle, random constructor arguments); the
+# ranges are small, so that equal and tied values are frequent
+CASES = {
+    "Mat2": (characters.Mat2, Mat2, lambda rng: tuple(rng.randint(-1, 1) for _ in range(4))),
+    "CosetRep": (hecke.CosetRep, CosetRep,
+                 lambda rng: tuple(rng.randint(0, 2) for _ in range(3)) + (rng.randint(1, 2),)),
+    "DoubleCoset": (hecke.DoubleCoset, DoubleCoset, _coset_fields),
+    "Violation": (siegel.Violation, Violation, _violation_fields),
+    "RelationReport": (siegel.RelationReport, RelationReport,
+                       lambda rng: ([siegel.Violation(*_violation_fields(rng))
+                                     for _ in range(rng.randint(0, 2))], rng.randint(0, 1))),
+}
+FROZEN = ["Mat2", "CosetRep", "DoubleCoset", "Violation"]
+ORDERED = ["CosetRep", "DoubleCoset"]
+COMPARISONS = [operator.lt, operator.le, operator.gt, operator.ge]
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of the exception it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _pairs(name, count=300):
+    """``count`` pairs of (new, oracle) instances built from the same random
+    arguments."""
+    new, old, draw = CASES[name]
+    rng = random.Random(name)
+    pairs = []
+    for _ in range(count):
+        args = draw(rng)
+        pairs.append((new(*args), old(*args)))
+    return pairs
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_equality_and_hash_match_the_dataclass(name):
+    pairs = _pairs(name)
+    for x, x_old in pairs:
+        assert _outcome(hash, x) == _outcome(hash, x_old)
+    for (x, x_old), (y, y_old) in zip(pairs, pairs[1:] + pairs[:1]):
+        assert (x == y) == (x_old == y_old)
+        assert (x != y) == (x_old != y_old)
+    assert any(x == y for (x, _), (y, _) in zip(pairs, pairs[1:]))
+
+
+def test_instances_of_different_classes_are_never_equal():
+    assert characters.Mat2(1, 0, 2, 1) != hecke.CosetRep(1, 0, 2, 1)
+    assert not characters.Mat2(1, 0, 2, 1) == hecke.CosetRep(1, 0, 2, 1)
+    assert hecke.CosetRep(1, 2, 2, 1) != hecke.DoubleCoset(1, 2, 1)
+    firsts = [_pairs(name, 1)[0] for name in CASES]
+    for i, (x, x_old) in enumerate(firsts):
+        for j, (y, y_old) in enumerate(firsts):
+            if i != j:
+                assert x != y and not x == y
+                assert x != y_old and x_old != y
+        assert x != tuple(getattr(x, field.name) for field in fields(x_old))
+
+
+@pytest.mark.parametrize("name", ORDERED)
+def test_ordering_matches_the_dataclass(name):
+    pairs = _pairs(name)
+    assert [(x.__class__, repr(x)) for x in sorted(x for x, _ in pairs)] == \
+        [(CASES[name][0], repr(x_old)) for x_old in sorted(x_old for _, x_old in pairs)]
+    for (x, x_old), (y, y_old) in zip(pairs, pairs[1:] + pairs[:1]):
+        for compare in COMPARISONS:
+            assert compare(x, y) == compare(x_old, y_old)
+
+
+def test_ordering_unordered_classes_or_across_classes_is_a_type_error():
+    unordered = [_pairs(name, 2) for name in ("Mat2", "Violation")]
+    for (x, x_old), (y, y_old) in unordered:
+        for compare in COMPARISONS:
+            assert _outcome(compare, x, y)[0] is TypeError
+            assert _outcome(compare, x_old, y_old)[0] is TypeError
+    coset, double = hecke.CosetRep(1, 0, 2, 1), hecke.DoubleCoset(1, 2, 1)
+    for compare in COMPARISONS:
+        for x, y in ((coset, double), (double, coset), (coset, (1, 0, 2, 1)),
+                     (coset, characters.Mat2(1, 0, 2, 1))):
+            assert _outcome(compare, x, y)[0] is TypeError
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_repr_matches_the_dataclass(name):
+    for x, x_old in _pairs(name, 50):
+        assert repr(x) == repr(x_old)
+
+
+@pytest.mark.parametrize("name", FROZEN)
+def test_frozen_classes_refuse_assignment_and_deletion(name):
+    (x, x_old), = _pairs(name, 1)
+    before = repr(x)
+    for obj in (x, x_old):
+        for field in fields(x_old):
+            with pytest.raises(AttributeError):
+                setattr(obj, field.name, 0)
+            with pytest.raises(AttributeError):
+                delattr(obj, field.name)
+        with pytest.raises(AttributeError):
+            obj.extra = 0
+    assert repr(x) == before
+
+
+def test_relation_report_is_mutable_and_unhashable_with_no_skips_by_default():
+    report, report_old = siegel.RelationReport([]), RelationReport([])
+    assert report.skipped == report_old.skipped == 0
+    assert report == siegel.RelationReport([], 0) and report != siegel.RelationReport([], 1)
+    report.skipped = 3
+    report.violations.append(siegel.Violation("classical", 1, 0, 1, 0, SCALARS[0], SCALARS[1]))
+    assert report == siegel.RelationReport(list(report.violations), 3)
+    assert _outcome(hash, report)[0] is _outcome(hash, report_old)[0] is TypeError
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_copy_deepcopy_and_pickle_round_trip(name):
+    for x, _ in _pairs(name, 20):
+        copies = [copy.copy(x), copy.deepcopy(x)]
+        copies += [pickle.loads(pickle.dumps(x, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for y in copies:
+            assert y.__class__ is x.__class__ and y == x and repr(y) == repr(x)
+
+
+def test_scalar_copy_deepcopy_and_pickle_round_trip():
+    for x in SCALARS + [Scalar(12, [Fraction(1, 6), 0, Fraction(-5, 4), 7])]:
+        copies = [copy.copy(x), copy.deepcopy(x)]
+        copies += [pickle.loads(pickle.dumps(x, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for y in copies:
+            assert y.__class__ is Scalar
+            assert (y.order, y.nums, y.den) == (x.order, x.nums, x.den)
+
+
+def test_double_coset_validation_messages_match_the_dataclass():
+    messages = set()
+    for level in range(-1, 4):
+        for a in range(-1, 5):
+            for d in range(-1, 9):
+                got = _outcome(lambda: repr(hecke.DoubleCoset(a, d, level)))
+                assert got == _outcome(lambda: repr(DoubleCoset(a, d, level)))
+                if isinstance(got, tuple):
+                    messages.add(got[1].split(" requires ")[1])
+    assert messages == {"level N >= 1", "1 <= a and a | d", "gcd(a, N) = 1"}
