@@ -27,6 +27,7 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 
+from ._value import Frozen
 from .numtheory import Scalar, is_fundamental_discriminant, kronecker_symbol
 
 __all__ = [
@@ -39,40 +40,12 @@ __all__ = [
 ]
 
 
-class Mat2:
+class Mat2(Frozen):
     """An integer 2x2 matrix (a b; c d), stored exactly.  Immutable; it
     compares and hashes as the tuple (a, b, c, d), and only with another
     Mat2."""
 
     __slots__ = ("a", "b", "c", "d")
-    __match_args__ = __slots__
-
-    def __init__(self, a: int, b: int, c: int, d: int):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Mat2 is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Mat2 is immutable")
-
-    def __reduce__(self):
-        return (type(self), (self.a, self.b, self.c, self.d))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
-
-    def __repr__(self):
-        return (f"{type(self).__qualname__}(a={self.a!r}, b={self.b!r}, c={self.c!r}, "
-                f"d={self.d!r})")
 
     def det(self) -> int:
         return self.a * self.d - self.b * self.c
@@ -228,6 +201,11 @@ class DirichletCharacter:
         )
 
     __hash__ = None
+
+    def __reduce__(self):
+        # the values are held by a function, so copy and pickle rebuild
+        # from the spec
+        return (parse_character, (self._spec, self.modulus))
 
     def __repr__(self):
         return f"DirichletCharacter({self.to_spec()!r}, modulus={self.modulus})"

@@ -35,6 +35,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
+from ._value import Ordered
 from .characters import Mat2, delta_membership_violation
 from .numtheory import _factorize, divisors
 
@@ -55,61 +56,13 @@ __all__ = [
 ]
 
 
-class CosetRep:
+class CosetRep(Ordered):
     """The right coset Gamma_0(N) (a b; 0 d), in canonical form:
     ad = det, gcd(a, N) = 1, 0 <= b < d.  Immutable; it compares, orders
     and hashes as the tuple (a, b, d, level), and only with another
     CosetRep."""
 
     __slots__ = ("a", "b", "d", "level")
-    __match_args__ = __slots__
-
-    def __init__(self, a: int, b: int, d: int, level: int):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "level", level)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CosetRep is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("CosetRep is immutable")
-
-    def __reduce__(self):
-        return (type(self), (self.a, self.b, self.d, self.level))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.a, self.b, self.d, self.level) == (other.a, other.b, other.d, other.level)
-        return NotImplemented
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.a, self.b, self.d, self.level) < (other.a, other.b, other.d, other.level)
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.a, self.b, self.d, self.level) <= (other.a, other.b, other.d, other.level)
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.a, self.b, self.d, self.level) > (other.a, other.b, other.d, other.level)
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.a, self.b, self.d, self.level) >= (other.a, other.b, other.d, other.level)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.d, self.level))
-
-    def __repr__(self):
-        return (f"{type(self).__qualname__}(a={self.a!r}, b={self.b!r}, d={self.d!r}, "
-                f"level={self.level!r})")
 
     def matrix(self) -> Mat2:
         return Mat2(self.a, self.b, 0, self.d)
@@ -121,13 +74,12 @@ class CosetRep:
         return gcd(gcd(self.a, self.b), self.d)
 
 
-class DoubleCoset:
+class DoubleCoset(Ordered):
     """The double coset T(a, d) = Gamma_0(N) [a, d] Gamma_0(N), a | d,
     gcd(a, N) = 1.  Immutable; it compares, orders and hashes as the tuple
     (a, d, level), and only with another DoubleCoset."""
 
     __slots__ = ("a", "d", "level")
-    __match_args__ = __slots__
 
     def __init__(self, a: int, d: int, level: int):
         if level < 1:
@@ -139,46 +91,6 @@ class DoubleCoset:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "level", level)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DoubleCoset is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("DoubleCoset is immutable")
-
-    def __reduce__(self):
-        return (type(self), (self.a, self.d, self.level))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.a, self.d, self.level) == (other.a, other.d, other.level)
-        return NotImplemented
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.a, self.d, self.level) < (other.a, other.d, other.level)
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.a, self.d, self.level) <= (other.a, other.d, other.level)
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.a, self.d, self.level) > (other.a, other.d, other.level)
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.a, self.d, self.level) >= (other.a, other.d, other.level)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.a, self.d, self.level))
-
-    def __repr__(self):
-        return f"{type(self).__qualname__}(a={self.a!r}, d={self.d!r}, level={self.level!r})"
 
     def det(self) -> int:
         return self.a * self.d

@@ -63,6 +63,7 @@ from fractions import Fraction
 from itertools import compress
 from math import gcd, isqrt
 
+from ._value import Immutable
 from .characters import DirichletCharacter, parity_compatible
 from .hecke import coset_representatives
 from .numtheory import Scalar, divisors, pow_fraction, sigma
@@ -127,11 +128,11 @@ def _clean(coeffs, cell_error, *bounds) -> dict:
     return clean
 
 
-class _Expansion:
+class _Expansion(Immutable):
     """What :class:`JacobiExpansion` and
     :class:`~sklift.siegel.SiegelExpansion` share: the level and parity
-    checks, immutability, and equality of the shape (``_shape()``, the
-    character included) and of the coefficients.
+    checks, immutability, copy and pickle, and equality of the shape
+    (``_shape()``, the character included) and of the coefficients.
 
     Each constructor runs its bound checks, ``_check_character``, then
     :func:`_clean` with its format's rule ``_cell_error``, the rule its
@@ -183,8 +184,11 @@ class _Expansion:
         for name, value in fields.items():
             object.__setattr__(self, name, value)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+    def __reduce__(self):
+        # copy and pickle rebuild through _from_region, not the raising
+        # __setattr__, from the cells this expansion holds
+        fields = {name: getattr(self, name) for name in self.__slots__ if name != "_coeffs"}
+        return (_rebuild, (type(self), dict(self._coeffs), fields))
 
     def nonzero_items(self):
         return self._coeffs.items()
@@ -199,6 +203,11 @@ class _Expansion:
         return self._shape() == other._shape() and self._coeffs == other._coeffs
 
     __hash__ = None
+
+
+def _rebuild(cls, coeffs: dict, fields: dict) -> _Expansion:
+    """The expansion :meth:`_Expansion.__reduce__` describes."""
+    return cls._from_region(coeffs, **fields)
 
 
 class JacobiExpansion(_Expansion):

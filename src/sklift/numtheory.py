@@ -45,6 +45,8 @@ from functools import lru_cache
 from math import comb, gcd, isqrt, lcm
 from operator import add as _add
 
+from ._value import Immutable
+
 __all__ = [
     "Scalar",
     "divisors",
@@ -255,7 +257,7 @@ def _rational_parts(value) -> tuple[int, int] | None:
     return None
 
 
-class Scalar:
+class Scalar(Immutable):
     """An exact element of Q(zeta_M), M = ``order``, as integer numerators
     ``nums`` of the power-basis coordinates 1, zeta, ..., zeta^(phi(M)-1)
     over one positive denominator ``den``.
@@ -281,9 +283,6 @@ class Scalar:
         den = lcm(1, *(c.denominator for c in vals))
         nums = _reduce(order, [c.numerator * (den // c.denominator) for c in vals])
         _init(self, order, nums, den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Scalar is immutable")
 
     def __reduce__(self):
         # copy and pickle rebuild through the constructor, not the raising

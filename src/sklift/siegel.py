@@ -45,6 +45,7 @@ from __future__ import annotations
 import re
 from math import gcd, isqrt
 
+from ._value import Frozen, Record
 from .jacobi import JacobiExpansion, _clean, _Expansion, _shifted_coeffs, _twisted_sums
 from .numtheory import Scalar, divisors, is_prime
 from .serialize import (ParseError, parse_header, parse_int, parse_table, scalar_from_text,
@@ -106,81 +107,29 @@ def _cells(n_max: int, m_max: int, nm_max: int | None = None):
                 yield (n, r, m)
 
 
-class Violation:
+class Violation(Frozen):
     """One failed relation instance: identifiers, witness, both sides.
     ``shift`` is the l or p parameter, 0 for relations without one.
     Immutable; it compares as the tuple of its fields, and only with
-    another Violation."""
+    another Violation.  Hashing raises TypeError, as Scalar is unhashable."""
 
     __slots__ = ("relation", "n", "r", "m", "shift", "left", "right")
-    __match_args__ = __slots__
-
-    def __init__(self, relation: str, n: int, r: int, m: int, shift: int, left: Scalar,
-                 right: Scalar):
-        object.__setattr__(self, "relation", relation)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "shift", shift)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Violation is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Violation is immutable")
-
-    def __reduce__(self):
-        return (type(self), (self.relation, self.n, self.r, self.m, self.shift, self.left,
-                             self.right))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.relation, self.n, self.r, self.m, self.shift, self.left, self.right)
-                    == (other.relation, other.n, other.r, other.m, other.shift, other.left,
-                        other.right))
-        return NotImplemented
-
-    def __hash__(self):
-        # raises TypeError, as Scalar is unhashable
-        return hash((self.relation, self.n, self.r, self.m, self.shift, self.left, self.right))
-
-    def __repr__(self):
-        return (f"{type(self).__qualname__}(relation={self.relation!r}, n={self.n!r}, "
-                f"r={self.r!r}, m={self.m!r}, shift={self.shift!r}, left={self.left!r}, "
-                f"right={self.right!r})")
 
     def sort_key(self):
         return (self.n, self.r, self.m, self.shift, self.relation)
 
 
-class RelationReport:
+class RelationReport(Record):
     """Outcome of a relation check: violations plus the count of instances
     skipped because a referenced coefficient fell outside the box.
     Mutable and unhashable; it compares as (violations, skipped), and only
     with another RelationReport."""
 
     __slots__ = ("violations", "skipped")
-    __match_args__ = __slots__
 
     def __init__(self, violations: list[Violation], skipped: int = 0):
         self.violations = violations
         self.skipped = skipped
-
-    def __reduce__(self):
-        return (type(self), (self.violations, self.skipped))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.violations, self.skipped) == (other.violations, other.skipped)
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self):
-        return (f"{type(self).__qualname__}(violations={self.violations!r}, "
-                f"skipped={self.skipped!r})")
 
     @property
     def verdict(self) -> bool:

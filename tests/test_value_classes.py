@@ -1,4 +1,5 @@
-"""The five value classes behave as the dataclasses they replace.
+"""The five value classes behave as the dataclasses they replace, and
+every immutable class can be copied and pickled but not changed.
 
 The oracles below are those dataclasses as they were written, under the
 same names, so that even their reprs must agree; the classes under test
@@ -6,8 +7,10 @@ are reached through their modules.
 """
 
 import copy
+import importlib
 import operator
 import pickle
+import pkgutil
 import random
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -15,8 +18,12 @@ from math import gcd
 
 import pytest
 
-from sklift import characters, hecke, siegel
+import sklift
+from sklift import _value, characters, hecke, siegel
+from sklift.characters import DirichletCharacter
+from sklift.jacobi import builtin_form
 from sklift.numtheory import Scalar
+from synth import order4_table_character_mod5, random_jacobi
 
 
 @dataclass(frozen=True)
@@ -119,6 +126,20 @@ def _pairs(name, count=300):
     return pairs
 
 
+def test_every_record_class_has_an_oracle():
+    for module in pkgutil.iter_modules(sklift.__path__):
+        importlib.import_module(f"sklift.{module.name}")
+    records, pending = [], [_value.Record]
+    while pending:
+        cls = pending.pop()
+        pending += cls.__subclasses__()
+        if cls.__dict__.get("__slots__"):
+            records.append(cls)
+    assert len(records) == len(CASES)
+    for cls in records:
+        assert CASES[cls.__name__][0] is cls
+
+
 @pytest.mark.parametrize("name", list(CASES))
 def test_equality_and_hash_match_the_dataclass(name):
     pairs = _pairs(name)
@@ -197,24 +218,70 @@ def test_relation_report_is_mutable_and_unhashable_with_no_skips_by_default():
     assert _outcome(hash, report)[0] is _outcome(hash, report_old)[0] is TypeError
 
 
+def _immutables(name):
+    """Instances of the immutable class ``name``, which is not a record."""
+    if name == "Scalar":
+        return [Scalar.one(), Scalar.zeta(8, 3) / 3]
+    phi = random_jacobi(9, 3, DirichletCharacter.kronecker(-3), 12, random.Random(3))
+    if name == "JacobiExpansion":
+        return [builtin_form("phi10_1", 6), phi]
+    return [siegel.lift(phi, 3)]
+
+
+@pytest.mark.parametrize("name", ["Scalar", "JacobiExpansion", "SiegelExpansion"])
+def test_immutable_classes_refuse_assignment_and_deletion(name):
+    for x in _immutables(name):
+        assert type(x).__name__ == name
+        before = [getattr(x, field) for field in type(x).__slots__]
+        for field in type(x).__slots__:
+            with pytest.raises(AttributeError, match=f"{name} is immutable"):
+                setattr(x, field, 0)
+            with pytest.raises(AttributeError, match=f"{name} is immutable"):
+                delattr(x, field)
+        with pytest.raises(AttributeError):
+            x.extra = 0
+        assert [getattr(x, field) for field in type(x).__slots__] == before
+    assert (Scalar.one().order, Scalar.one().nums, Scalar.one().den) == (1, (1,), 1)
+
+
+def _copies(x):
+    """A shallow copy, a deep copy and a pickle round trip at every protocol."""
+    pickled = [pickle.loads(pickle.dumps(x, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    return [copy.copy(x), copy.deepcopy(x)] + pickled
+
+
 @pytest.mark.parametrize("name", list(CASES))
 def test_copy_deepcopy_and_pickle_round_trip(name):
     for x, _ in _pairs(name, 20):
-        copies = [copy.copy(x), copy.deepcopy(x)]
-        copies += [pickle.loads(pickle.dumps(x, protocol))
-                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
-        for y in copies:
+        for y in _copies(x):
             assert y.__class__ is x.__class__ and y == x and repr(y) == repr(x)
 
 
 def test_scalar_copy_deepcopy_and_pickle_round_trip():
     for x in SCALARS + [Scalar(12, [Fraction(1, 6), 0, Fraction(-5, 4), 7])]:
-        copies = [copy.copy(x), copy.deepcopy(x)]
-        copies += [pickle.loads(pickle.dumps(x, protocol))
-                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
-        for y in copies:
+        for y in _copies(x):
             assert y.__class__ is Scalar
             assert (y.order, y.nums, y.den) == (x.order, x.nums, x.den)
+
+
+def test_character_copy_deepcopy_and_pickle_round_trip():
+    for x in (DirichletCharacter.trivial(3), DirichletCharacter.kronecker(-4),
+              DirichletCharacter.kronecker(-3, 6), order4_table_character_mod5()):
+        for y in _copies(x):
+            assert y.__class__ is DirichletCharacter and y == x
+            assert (y.to_spec(), y.modulus, y.order) == (x.to_spec(), x.modulus, x.order)
+            assert [y.value(a) for a in range(x.modulus)] == \
+                [x.value(a) for a in range(x.modulus)]
+
+
+@pytest.mark.parametrize("name", ["JacobiExpansion", "SiegelExpansion"])
+def test_expansion_copy_deepcopy_and_pickle_round_trip(name):
+    for x in _immutables(name):
+        for y in _copies(x):
+            assert y.__class__ is x.__class__ and y == x and repr(y) == repr(x)
+            assert y.cusp == x.cusp and y.character.to_spec() == x.character.to_spec()
+            assert list(y.nonzero_items()) == list(x.nonzero_items())
 
 
 def test_double_coset_validation_messages_match_the_dataclass():
