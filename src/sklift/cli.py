@@ -4,13 +4,17 @@ Verbs: gen, lift, verify, hecke, cohen.  Flags are long-form only.  Output
 goes to standard output unless --out is given.  Exit codes: 0 on success
 (and a true verdict for verify / hecke verify-identity), 1 for a false
 verdict, 2 for usage or data errors.
+
+A command line of the verb and ``--flag=value`` words is read directly;
+argparse, imported when first needed, reads every other one and prints
+help and usage errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from functools import cache
+from types import SimpleNamespace
 
 from .hecke import _identity_sides, coset_representatives, multiply, tl_element
 from .jacobi import BUILTIN_FORMS, builtin_form, parse_skjf, write_skjf
@@ -122,60 +126,53 @@ def cmd_cohen(args) -> int:
     return 0
 
 
-def _add_gen(sub) -> None:
-    p = sub.add_parser("gen", help="write a built-in Jacobi form as an SKJF file")
-    p.add_argument("--form", required=True, choices=BUILTIN_FORMS)
-    p.add_argument("--nmax", required=True, type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_gen)
+_OUT = ("--out", "out", str, False, None)
+
+# verb -> (its help, its flags), in the order of the usage line; a flag is
+# (flag, dest, kind, required, help) with kind int, str or the tuple of its
+# choices.  build_parser gives these to argparse and _read_argv checks a
+# command line against them, so the two read the same flags.
+_VERBS = {
+    "gen": ("write a built-in Jacobi form as an SKJF file", (
+        ("--form", "form", BUILTIN_FORMS, True, None),
+        ("--nmax", "nmax", int, True, None),
+        _OUT)),
+    "lift": ("lift an index-1 SKJF file to an SKSF file", (
+        ("--in", "in_path", str, True, None),
+        ("--mmax", "mmax", int, True, None),
+        _OUT)),
+    "verify": ("check Maass relations on an SKSF file", (
+        ("--in", "in_path", str, True, None),
+        ("--mode", "mode", VERIFY_MODES, True, None),
+        ("--l", "l", int, False, "single shift for mode=symmetric"),
+        ("--p", "p", int, False, "single prime for mode=plocal"),
+        _OUT)),
+    "hecke": ("coset lists, products and the product identity", (
+        ("--sub", "sub", ("cosets", "mul", "verify-identity"), True, None),
+        ("--level", "level", int, True, None),
+        ("--l", "l", int, False, "determinant for sub=cosets"),
+        ("--m", "m", int, False, "left factor for sub=mul and verify-identity"),
+        ("--n", "n", int, False, "right factor for sub=mul and verify-identity"),
+        _OUT)),
+    "cohen": ("print H(r, N) for N = 0..nmax", (
+        ("--r", "r", int, True, None),
+        ("--nmax", "nmax", int, True, None),
+        _OUT)),
+}
 
 
-def _add_lift(sub) -> None:
-    p = sub.add_parser("lift", help="lift an index-1 SKJF file to an SKSF file")
-    p.add_argument("--in", required=True, dest="in_path")
-    p.add_argument("--mmax", required=True, type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_lift)
-
-
-def _add_verify(sub) -> None:
-    p = sub.add_parser("verify", help="check Maass relations on an SKSF file")
-    p.add_argument("--in", required=True, dest="in_path")
-    p.add_argument("--mode", required=True, choices=VERIFY_MODES)
-    p.add_argument("--l", type=int, help="single shift for mode=symmetric")
-    p.add_argument("--p", type=int, help="single prime for mode=plocal")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_verify)
-
-
-def _add_hecke(sub) -> None:
-    p = sub.add_parser("hecke", help="coset lists, products and the product identity")
-    p.add_argument("--sub", required=True, choices=("cosets", "mul", "verify-identity"))
-    p.add_argument("--level", required=True, type=int)
-    p.add_argument("--l", type=int, help="determinant for sub=cosets")
-    p.add_argument("--m", type=int, help="left factor for sub=mul and verify-identity")
-    p.add_argument("--n", type=int, help="right factor for sub=mul and verify-identity")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_hecke)
-
-
-def _add_cohen(sub) -> None:
-    p = sub.add_parser("cohen", help="print H(r, N) for N = 0..nmax")
-    p.add_argument("--r", required=True, type=int)
-    p.add_argument("--nmax", required=True, type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_cohen)
-
-
-# verb -> the function that adds its sub-parser, in the order of the usage line
-_VERBS = {"gen": _add_gen, "lift": _add_lift, "verify": _add_verify,
-          "hecke": _add_hecke, "cohen": _add_cohen}
+def _command(verb: str):
+    """The function that runs ``verb``, looked up by name when a command
+    line is read, so that a rebinding of ``cmd_<verb>`` is seen."""
+    return globals()[f"cmd_{verb}"]
 
 
 def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     """The parser of every verb or, given a ``verb``, a parser holding only
     that verb's sub-parser.  Both print the same usage lines and errors for
     a command line that starts with that verb."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="sklift",
         description="Exact Saito-Kurokawa lifts and Maass-relation verification.",
@@ -185,9 +182,13 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     else:  # the usage line still names every verb
         sub = parser.add_subparsers(dest="verb", required=True,
                                     metavar="{" + ",".join(_VERBS) + "}")
-    for name, add in _VERBS.items():
+    for name, (verb_help, flags) in _VERBS.items():
         if verb in (None, name):
-            add(sub)
+            p = sub.add_parser(name, help=verb_help)
+            for flag, dest, kind, required, flag_help in flags:
+                p.add_argument(flag, dest=dest, required=required, help=flag_help,
+                               **({"choices": kind} if isinstance(kind, tuple) else {"type": kind}))
+            p.set_defaults(func=_command(name))
     return parser
 
 
@@ -199,24 +200,68 @@ def _parser(verb: str | None) -> argparse.ArgumentParser:
     return build_parser(verb)
 
 
+def _read_argv(argv) -> SimpleNamespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` returns, for a
+    command line of the verb followed only by ``--flag=value`` words: each
+    flag one of the verb's, written in full and given once, each value
+    non-empty and not ``--``, an int value matching -?[0-9]+, a choice one
+    of its choices, and every required flag given.  None for any other
+    command line: argparse reads those, and names the error in one that is
+    wrong."""
+    if not argv or argv[0] not in _VERBS:
+        return None
+    verb = argv[0]
+    given = {}
+    for word in argv[1:]:
+        flag, _, value = word.partition("=")
+        if not value or flag in given:
+            return None
+        given[flag] = value
+    args = {"verb": verb}
+    for flag, dest, kind, required, _ in _VERBS[verb][1]:
+        value = given.pop(flag, None)
+        if value is None:
+            if required:
+                return None
+        elif kind is int:
+            digits = value[1:] if value[0] == "-" else value
+            if not (digits.isascii() and digits.isdigit()):
+                return None
+            try:
+                value = int(value)
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                return None
+        elif kind is str:
+            if value == "--":  # argparse before Python 3.13 reads it as []
+                return None
+        elif value not in kind:
+            return None
+        args[dest] = value
+    if given:  # a flag the verb does not have
+        return None
+    args["func"] = _command(verb)
+    return SimpleNamespace(**args)
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = _parser(argv[0] if argv and argv[0] in _VERBS else None)
-    args = parser.parse_args(argv)
+    args = _read_argv(argv)
+    if args is None:
+        args = _parser(argv[0] if argv and argv[0] in _VERBS else None).parse_args(argv)
     if args.verb == "hecke":
         needs = ("l",) if args.sub == "cosets" else ("m", "n")
         for name in needs:
             if getattr(args, name) is None:
-                parser.error(f"hecke --sub={args.sub} requires --{name}")
+                _parser(args.verb).error(f"hecke --sub={args.sub} requires --{name}")
         for name in ("l", "m", "n"):
             if name not in needs and getattr(args, name) is not None:
                 wanted = "--sub=cosets" if name == "l" else "--sub=mul or verify-identity"
-                parser.error(f"hecke --{name} requires {wanted}")
+                _parser(args.verb).error(f"hecke --{name} requires {wanted}")
     if args.verb == "verify":
         for name, mode in (("l", "symmetric"), ("p", "plocal")):
             if getattr(args, name) is not None and args.mode != mode:
-                parser.error(f"verify --{name} requires --mode={mode}")
+                _parser(args.verb).error(f"verify --{name} requires --mode={mode}")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

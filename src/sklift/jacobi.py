@@ -604,16 +604,15 @@ def _index1(weight: int, rows: list[list[int]], cusp: bool = False,
     """The index-1 expansion whose rows r = 0 and r = 1 are rows / den:
     c(n, r) = rows[r mod 2][n - (r^2 - r mod 2) / 4] / den."""
     n_max = len(rows[0]) - 1
-    values = [[Scalar.from_rational(Fraction(c, den)) for c in row] for row in rows]
-    coeffs: dict[tuple[int, int], Scalar] = {}
-    for n in range(n_max + 1):
-        for r in region_r_values(1, n):
-            parity = r % 2
-            value = values[parity][n - (r * r - parity) // 4]
-            if value:
-                coeffs[(n, r)] = value
-    return JacobiExpansion(weight, 1, 1, DirichletCharacter.trivial(1), n_max, coeffs,
-                           cusp=cusp)
+    # one Scalar per distinct entry, shared by every cell that holds it
+    scalars = {c: Scalar.from_integers(1, (c,), den) for c in {*rows[0], *rows[1]}}
+    values = [[scalars[c] for c in row] for row in rows]
+    # the region walk yields each cell once, inside the region
+    coeffs = {(n, r): values[r % 2][n - (r * r - r % 2) // 4]
+              for n in range(n_max + 1) for r in region_r_values(1, n)}
+    return JacobiExpansion._from_region(coeffs, weight=weight, index=1, level=1,
+                                        character=DirichletCharacter.trivial(1),
+                                        n_max=n_max, cusp=cusp)
 
 
 BUILTIN_FORMS = ("E4", "E6", "Delta", "E4_1", "E6_1", "phi10_1", "phi12_1")

@@ -1,11 +1,15 @@
 """The command-line surface: verbs, exit codes, determinism."""
 
+import io
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sklift
 from sklift import cli
@@ -412,3 +416,124 @@ def test_cohen_lines(capsys):
         "H 1 3 1/3",
         "H 1 4 1/2",
     ]
+
+
+# -- the direct reader of --flag=value command lines, against argparse -------
+
+# verb -> flag -> (kind, required), from the one option table
+_FLAGS = {verb: {flag: (kind, required) for flag, _, kind, required, _ in flags}
+          for verb, (_, flags) in cli._VERBS.items()}
+_KINDS = {flag: kind for flags in _FLAGS.values() for flag, (kind, _) in flags.items()}
+# texts int() reads or argparse refuses, none of the form -?[0-9]+
+_BAD_INTS = ("+5", " 5", "5 ", "\u0663", "0x1", "1_0", "-", "--5")
+_JUNK = ("-h", "--help", "--", "gen", "=3", "-x=1", "--out", "--=1")
+
+
+def _value(kind):
+    """The values the direct reader takes for a flag of ``kind``."""
+    if kind is int:
+        return st.integers(-30, 300).map(str)
+    if kind is str:
+        return st.text("ab./-=", min_size=1, max_size=4).filter(lambda v: v != "--")
+    return st.sampled_from(kind)
+
+
+@st.composite
+def command_lines(draw):
+    """A command line, and whether it has the shape the direct reader takes:
+    a verb, then only that verb's flags, each in full and once, each as
+    --flag=value with a value of its kind, the required ones all given.
+    In a third of the lines one flag is written another way; in another
+    third, repeated flags, flags of another verb or stray words join them."""
+    verb = draw(st.one_of(st.sampled_from(list(cli._VERBS)),
+                          st.sampled_from(("bogus", "-h", "--help", "--out=x", None))))
+    own = _FLAGS.get(verb, {})
+    pool = sorted(own or _KINDS)
+    required = [flag for flag, (_, needed) in own.items() if needed]
+    chosen = draw(st.lists(st.sampled_from(pool), unique=True, max_size=3))
+    flags = list(dict.fromkeys(required + chosen)) if draw(st.integers(0, 5)) else chosen
+    # (words, the flag of a well-formed word or None)
+    items = [([f"{flag}={draw(_value(_KINDS[flag]))}"], flag) for flag in flags]
+    hostile = draw(st.sampled_from(("no", "rewritten", "joined")))
+    if hostile == "rewritten" and flags:
+        i = draw(st.integers(0, len(flags) - 1))
+        flag, value = flags[i], items[i][0][0].partition("=")[2]
+        abbreviations = [flag[:k] for k in range(3, len(flag)) if flag[:k] not in own]
+        ways = ["split", "empty", "dashes"]
+        if _KINDS[flag] is int:
+            ways.append("bad int")
+        if abbreviations:
+            ways.append("abbreviated")
+        way = draw(st.sampled_from(ways))
+        if way == "split":
+            items[i] = ([flag, value], None)
+        elif way == "empty":
+            items[i] = ([f"{flag}="], None)
+        elif way == "dashes":
+            items[i] = ([f"{flag}=--"], None)
+        elif way == "bad int":
+            items[i] = ([f"{flag}={draw(st.sampled_from(_BAD_INTS))}"], None)
+        else:
+            items[i] = ([f"{draw(st.sampled_from(abbreviations))}={value}"], None)
+    others = sorted(set(_KINDS) - set(own))
+    for _ in range(draw(st.integers(1, 2)) if hostile == "joined" else 0):
+        way = draw(st.sampled_from(("repeated", "other verb", "junk")))
+        if way == "repeated" and flags:
+            flag = draw(st.sampled_from(flags))
+            items.append(([f"{flag}={draw(_value(_KINDS[flag]))}"], flag))
+        elif way == "other verb" and others:
+            other = draw(st.sampled_from(others))
+            items.append(([f"{other}={draw(_value(_KINDS[other]))}"], None))
+        else:
+            items.append(([draw(st.sampled_from(_JUNK))], None))
+    items = draw(st.permutations(items))
+    argv = ([] if verb is None else [verb]) + [word for words, _ in items for word in words]
+    named = [flag for _, flag in items]
+    well_formed = (verb in _FLAGS and None not in named and len(set(named)) == len(named)
+                   and set(required) <= set(named))
+    return argv, well_formed
+
+
+def _check_against_argparse(argv, well_formed):
+    """The direct reader takes exactly the well-formed lines, and returns
+    for each what argparse returns."""
+    got = cli._read_argv(argv)
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            expected = vars(build_parser().parse_args(argv))
+    except SystemExit:  # a usage error or help
+        expected = None
+    if expected is None:
+        assert got is None
+    assert got is None or vars(got) == expected
+    assert (got is not None) == well_formed
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_lines())
+def test_direct_reader_returns_what_argparse_returns(line):
+    _check_against_argparse(*line)
+
+
+@pytest.mark.parametrize("argv,well_formed", [
+    (["lift", "--in=a", "--mm=3"], False),
+    (["hecke", "--sub=cosets", "--le=1", "--l=2"], False),
+    (["lift", "--in", "x", "--mmax=3"], False),
+    (["gen", "--form=E4", "--nmax=1", "--nmax=2"], False),
+    (["gen", "--form=E4", "--nmax=1", "--mmax=2"], False),
+    *((["gen", "--form=E4", f"--nmax={bad}"], False) for bad in _BAD_INTS),
+    # more digits than int() reads at the default sys.get_int_max_str_digits()
+    (["gen", "--form=E4", "--nmax=" + "9" * 5000], False),
+    (["gen", "--form=E4", "--nmax=2", "--out="], False),
+    (["gen", "--form=E4", "--nmax=2", "--out=--"], False),
+    (["gen", "--form=E4", "--nmax=2", "--out=a=b"], True),
+    (["lift", "--in=-x", "--mmax=-3"], True),
+    (["gen", "--form=E4"], False),
+    (["gen", "--form=E4", "--nmax=2", "-h"], False),
+    (["gen", "--form=E4", "--nmax=2", "--help"], False),
+    (["bogus", "--form=E4", "--nmax=2"], False),
+    (["--out=x", "gen", "--form=E4", "--nmax=2"], False),
+    ([], False),
+])
+def test_direct_reader_leaves_every_other_line_to_argparse(argv, well_formed):
+    _check_against_argparse(argv, well_formed)

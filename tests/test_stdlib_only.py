@@ -26,12 +26,34 @@ def test_package_imports_only_the_standard_library():
     assert outside == []
 
 
+def _run_bare(code):
+    """``code`` run under -S (some site setups import inspect on their own)
+    with the package importable."""
+    return subprocess.run(
+        [sys.executable, "-S", "-c", f"import sys; sys.path.insert(0, {str(SOURCES.parent)!r}); "
+         + code], capture_output=True, text=True)
+
+
 def test_cli_imports_neither_dataclasses_nor_inspect():
     # each CLI process pays for its imports; dataclasses (with inspect) cost
-    # about as much as all of sklift.  -S, because some site setups import
-    # inspect on their own.
-    code = (f"import sys; sys.path.insert(0, {str(SOURCES.parent)!r}); import sklift.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                          check=True)
-    assert proc.stdout == "[]\n"
+    # about as much as all of sklift
+    proc = _run_bare("import sklift.cli; "
+                     "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
+
+def test_well_formed_command_lines_do_without_argparse():
+    # argparse, with the gettext and locale it loads, costs each CLI process
+    # more than a short command's arithmetic; only help and usage errors need it
+    loaded = "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))"
+    proc = _run_bare(f"import sklift.cli; {loaded}")
+    assert (proc.returncode, proc.stdout) == (0, "[]\n")
+    proc = _run_bare("from sklift.cli import main; "
+                     f"code = main(['gen', '--form=phi10_1', '--nmax=4']); {loaded}; print(code)")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("SKJF 1\n")
+    assert proc.stdout.endswith("\n[]\n0\n")
+    proc = _run_bare("from sklift.cli import main; main(['gen'])")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: ")
+    assert "the following arguments are required: --form, --nmax" in proc.stderr
