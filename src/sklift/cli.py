@@ -13,7 +13,6 @@ help and usage errors.
 from __future__ import annotations
 
 import sys
-from functools import cache
 from types import SimpleNamespace
 
 from .hecke import _identity_sides, coset_representatives, multiply, tl_element
@@ -41,8 +40,9 @@ def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="ascii") as fh:
-            fh.write(text)
+        data = text.encode("ascii")  # before open, so a text it refuses truncates no file
+        with open(out_path, "wb") as fh:
+            fh.write(data)
 
 
 def _read(path: str) -> str:
@@ -167,37 +167,24 @@ def _command(verb: str):
     return globals()[f"cmd_{verb}"]
 
 
-def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every verb or, given a ``verb``, a parser holding only
-    that verb's sub-parser.  Both print the same usage lines and errors for
-    a command line that starts with that verb."""
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of every verb, from the option table: it reads
+    the command lines :func:`_read_argv` leaves to it, and prints help and
+    usage errors."""
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="sklift",
         description="Exact Saito-Kurokawa lifts and Maass-relation verification.",
     )
-    if verb is None:
-        sub = parser.add_subparsers(dest="verb", required=True)
-    else:  # the usage line still names every verb
-        sub = parser.add_subparsers(dest="verb", required=True,
-                                    metavar="{" + ",".join(_VERBS) + "}")
+    sub = parser.add_subparsers(dest="verb", required=True)
     for name, (verb_help, flags) in _VERBS.items():
-        if verb in (None, name):
-            p = sub.add_parser(name, help=verb_help)
-            for flag, dest, kind, required, flag_help in flags:
-                p.add_argument(flag, dest=dest, required=required, help=flag_help,
-                               **({"choices": kind} if isinstance(kind, tuple) else {"type": kind}))
-            p.set_defaults(func=_command(name))
+        p = sub.add_parser(name, help=verb_help)
+        for flag, dest, kind, required, flag_help in flags:
+            p.add_argument(flag, dest=dest, required=required, help=flag_help,
+                           **({"choices": kind} if isinstance(kind, tuple) else {"type": kind}))
+        p.set_defaults(func=_command(name))
     return parser
-
-
-@cache
-def _parser(verb: str | None) -> argparse.ArgumentParser:
-    """The parser `main` uses for a command line that starts with ``verb``
-    (None when it starts with no verb), built on first use and shared by
-    later calls in the process."""
-    return build_parser(verb)
 
 
 def _read_argv(argv) -> SimpleNamespace | None:
@@ -248,20 +235,24 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = _read_argv(argv)
     if args is None:
-        args = _parser(argv[0] if argv and argv[0] in _VERBS else None).parse_args(argv)
+        args = build_parser().parse_args(argv)
+        for flag, dest, kind, _, _ in _VERBS[args.verb][1]:
+            # argparse before Python 3.13 reads --flag=-- as [], and 3.13 as "--"
+            if kind is str and getattr(args, dest) in ([], "--"):
+                build_parser().error(f"argument {flag}: expected one argument")
     if args.verb == "hecke":
         needs = ("l",) if args.sub == "cosets" else ("m", "n")
         for name in needs:
             if getattr(args, name) is None:
-                _parser(args.verb).error(f"hecke --sub={args.sub} requires --{name}")
+                build_parser().error(f"hecke --sub={args.sub} requires --{name}")
         for name in ("l", "m", "n"):
             if name not in needs and getattr(args, name) is not None:
                 wanted = "--sub=cosets" if name == "l" else "--sub=mul or verify-identity"
-                _parser(args.verb).error(f"hecke --{name} requires {wanted}")
+                build_parser().error(f"hecke --{name} requires {wanted}")
     if args.verb == "verify":
         for name, mode in (("l", "symmetric"), ("p", "plocal")):
             if getattr(args, name) is not None and args.mode != mode:
-                _parser(args.verb).error(f"verify --{name} requires --mode={mode}")
+                build_parser().error(f"verify --{name} requires --mode={mode}")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -32,6 +32,7 @@ coset list built for the targets.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from math import gcd
 
@@ -278,14 +279,10 @@ def _basis_product(level: int, a1: int, d1: int, a2: int, d2: int) -> tuple[tupl
     Every pair of right cosets is multiplied; the product of two canonical
     representatives has the canonical form (a1 a2, (a1 b2 + b1 d2) mod d1 d2,
     d1 d2), counted as a plain (a, b, d) triple."""
-    right = [(r.a, r.b, r.d) for r in double_coset_right_cosets(DoubleCoset(a2, d2, level))]
-    counts: dict[tuple[int, int, int], int] = {}
-    for r in double_coset_right_cosets(DoubleCoset(a1, d1, level)):
-        a, b, d = r.a, r.b, r.d
-        for a_, b_, d_ in right:
-            dd = d * d_
-            key = (a * a_, (a * b_ + b * d_) % dd, dd)
-            counts[key] = counts.get(key, 0) + 1
+    left = double_coset_right_cosets(DoubleCoset(a1, d1, level))
+    right = double_coset_right_cosets(DoubleCoset(a2, d2, level))
+    counts = Counter((x.a * y.a, (x.a * y.b + x.b * y.d) % (x.d * y.d), x.d * y.d)
+                     for x in left for y in right)
     return _multiplicities(level, counts)
 
 

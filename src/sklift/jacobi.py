@@ -669,7 +669,6 @@ def parse_skjf(text: str) -> JacobiExpansion:
          ("nmax", "nmax"), ("cusp", None)),
         ("n", "r"), lambda cell, meta: _cell_error(cell, meta["m"], meta["nmax"]),
         lambda meta: _region_cells(meta["m"], meta["nmax"]),
-        lambda meta: (len(region_r_values(meta["m"], n)) for n in range(meta["nmax"] + 1)),
         lambda meta, coeffs: JacobiExpansion._from_region(
             coeffs, weight=meta["k"], index=meta["m"], level=meta["N"],
             character=meta["chi"], n_max=meta["nmax"], cusp=meta["cusp"]),

@@ -21,7 +21,7 @@ other table is read row by row, with the same result and the same errors.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import islice
 from math import gcd, lcm
 from operator import itemgetter
 
@@ -95,19 +95,8 @@ def parse_header(line: str, keys: tuple[str, ...], line_no: int) -> dict[str, st
     return out
 
 
-class _IntMemo(dict):
-    """Field text -> int, admitting only the texts that read -?[0-9]+; a
-    miss on any other text raises KeyError."""
-
-    def __missing__(self, text: str) -> int:
-        if _INT_RE.fullmatch(text) is None:
-            raise KeyError(text)
-        value = self[text] = int(text)
-        return value
-
-
 def parse_table(text: str, magic: str, header: tuple[tuple[str, str | None], ...],
-                cell_names: tuple[str, ...], check_cell, region, region_sizes, build):
+                cell_names: tuple[str, ...], check_cell, region, build):
     """Parse a coefficient table: the ``magic`` line, one metadata line,
     then one ``<cell> <value>`` row per in-region cell.
 
@@ -121,31 +110,21 @@ def parse_table(text: str, magic: str, header: tuple[tuple[str, str | None], ...
     constructor's message for a row outside the region, or None (``build``
     refuses a nonzero boundary cell of a cusp-flagged table);
     ``region(meta)`` yields every cell that must be present, in the order
-    in which the first missing one is named, and ``region_sizes(meta)``
-    the cell counts of disjoint blocks that cover it, in any order, all
-    but finitely many nonzero; ``build(meta, coeffs)`` makes the object,
-    and a ValueError from it is reported at the metadata line.
-
-    Every integer field must read -?[0-9]+ (see :func:`parse_int`).  The
-    cell fields are read through a memo from field text to int that admits
-    only such texts, so a repeated text is matched once; a row with a field
-    the memo refuses is read again field by field, which names the first
-    bad one.  Each distinct value text is parsed once, so a bad value is
-    reported at the first row that carries it.
-
-    Every accepted row is an in-region cell and no cell repeats, so the
-    table is complete exactly when it holds as many cells as the region.
-    The block sizes are summed only until they pass the row count, and the
-    region is walked, to name the first missing cell, only when they do.
+    in which the first missing one is named; ``build(meta, coeffs)`` makes
+    the object, and a ValueError from it is reported at the metadata line.
 
     A table identical to :func:`write_table` output is read in one pass:
-    when it has as many rows as the region has cells, each row must be the
-    writer's row of the cell the region walk yields next, and each distinct
-    value text must parse.  Such a table passes every row check above, so
-    the row loop is skipped.  Any other table (a row that differs, a blank
-    or extra row, a value that does not parse) is read row by row, which
-    gives the same result and names the same error at the same line.  The
-    row loop is the only code that reports an error in a row.
+    each row must be the writer's row of the cell the region walk yields
+    next, the walk must end with the rows, and each distinct value text
+    must parse.  Any other table (a row that differs, a blank, extra or
+    missing row, a value that does not parse) is read by the row loop,
+    which gives the same result and is the only code that reports an error.
+
+    The row loop reads every integer field as -?[0-9]+ (see
+    :func:`parse_int`), naming the first bad one, and parses each distinct
+    value text once, so a bad value is reported at the first row that
+    carries it.  It then walks the region up to the first cell no row
+    holds, which it reports at the line past the end.
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != magic:
@@ -165,38 +144,25 @@ def parse_table(text: str, magic: str, header: tuple[tuple[str, str | None], ...
         raise ParseError(2, str(exc)) from None
     meta["cusp"] = fields["cusp"] == "1"
     body = lines[2:]
-    coeffs = None
-    if _region_size(region_sizes(meta), len(body)) == len(body):
-        coeffs = _writer_coeffs(body, region(meta), len(cell_names))
+    coeffs = _writer_coeffs(body, region(meta), len(cell_names))
     if coeffs is None:
         coeffs = _read_rows(body, meta, cell_names, check_cell)
-        if _region_size(region_sizes(meta), len(coeffs)) > len(coeffs):
-            for cell in region(meta):
-                if cell not in coeffs:
-                    raise ParseError(len(lines) + 1,
-                                     f"missing in-region coefficient {_cell_text(cell)}")
+        for cell in region(meta):
+            if cell not in coeffs:
+                raise ParseError(len(lines) + 1,
+                                 f"missing in-region coefficient {_cell_text(cell)}")
     try:
         return build(meta, coeffs)
     except ValueError as exc:
         raise ParseError(2, str(exc)) from None
 
 
-def _region_size(sizes, rows: int) -> int:
-    """The sum of the block ``sizes``, or a partial sum past ``rows`` as soon
-    as one passes it, so a short table over a huge region costs little."""
-    total = 0
-    for total in accumulate(sizes):
-        if total > rows:
-            break
-    return total
-
-
 def _writer_coeffs(body: list[str], walk, width: int) -> dict | None:
     """{cell: value} when the rows ``body`` are exactly what
     :func:`write_table` writes for the cells of ``walk``, one row per cell
     in order, each distinct value text parsed once; None for any other
-    rows, or when a value text does not parse, so that the row loop reads
-    them and names the error.  The walk has as many cells as there are rows.
+    rows, for rows that end before the walk does, or when a value text
+    does not parse, so that the row loop reads them and names the error.
 
     Block by block, the rows are split into words, every ``width + 1``-th
     word is taken as a value text, and the writer's rows of the block's
@@ -219,6 +185,8 @@ def _writer_coeffs(body: list[str], walk, width: int) -> dict | None:
                 except ValueError:
                     return None
         coeffs.update(zip(cells, map(values.__getitem__, texts)))
+    if next(walk, None) is not None:
+        return None
     return coeffs
 
 
@@ -227,10 +195,8 @@ def _read_rows(body: list[str], meta: dict, cell_names: tuple[str, ...], check_c
     row: blank rows are skipped and the first bad row is named by its line."""
     usage = " ".join(f"<{name}>" for name in cell_names + ("value",))
     columns = len(cell_names) + 1
-    ints = _IntMemo()
     coeffs: dict[tuple[int, ...], Scalar] = {}
     values: dict[str, Scalar] = {}  # value text -> its (immutable, shared) Scalar
-    field = ints.__getitem__
     for line_no, raw in enumerate(body, start=3):
         parts = raw.split()
         if len(parts) != columns:
@@ -238,12 +204,7 @@ def _read_rows(body: list[str], meta: dict, cell_names: tuple[str, ...], check_c
                 continue
             raise ParseError(line_no, f"expected '{usage}'")
         value_text = parts.pop()
-        try:
-            cell = tuple(map(field, parts))
-        except KeyError:  # a field the memo refuses, so parse_int refuses it too
-            cell = None
-        if cell is None:  # strict, naming the first bad field
-            cell = tuple(parse_int(part, line_no, name) for part, name in zip(parts, cell_names))
+        cell = tuple(parse_int(part, line_no, name) for part, name in zip(parts, cell_names))
         error = check_cell(cell, meta)
         if error is not None:
             raise ParseError(line_no, error)

@@ -398,7 +398,6 @@ def parse_sksf(text: str) -> SiegelExpansion:
          ("mmax", "mmax"), ("cusp", None)),
         ("n", "r", "m"), lambda cell, meta: _cell_error(cell, meta["nmax"], meta["mmax"]),
         lambda meta: _cells(meta["nmax"], meta["mmax"]),
-        lambda meta: _block_sizes(meta["nmax"], meta["mmax"]),
         lambda meta, coeffs: SiegelExpansion._from_region(
             coeffs, weight=meta["k"], level=meta["N"], character=meta["chi"],
             n_max=meta["nmax"], m_max=meta["mmax"], cusp=meta["cusp"]),

@@ -393,11 +393,24 @@ def _exit(argv, capsys):
     ["--help"], ["gen", "--help"], ["lift", "-h"], ["verify", "--help"], ["hecke", "--help"],
     ["cohen", "--help"],
 ])
-def test_one_verb_parser_prints_what_the_full_parser_prints(monkeypatch, capsys, argv):
-    got = _exit(argv, capsys)
-    monkeypatch.setattr(cli, "_parser", lambda verb: build_parser())
-    assert got == _exit(argv, capsys)
-    assert got[0] == (0 if "--help" in argv or "-h" in argv else 2)
+def test_one_verb_parser_prints_what_the_full_parser_prints(capsys, argv):
+    code, out, err = _exit(argv, capsys)
+    assert code == (0 if "--help" in argv or "-h" in argv else 2)
+    assert (out if code == 0 else err).startswith("usage: sklift")
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["gen", "--form=E4", "--nmax=2", "--out=--"], "--out"),
+    (["lift", "--in=--", "--mmax=1"], "--in"),
+])
+def test_dashes_as_a_path_are_a_usage_error(tmp_path, monkeypatch, capsys, argv, flag):
+    # argparse before Python 3.13 reads --flag=-- as [], and 3.13 as "--"
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _exit(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"sklift: error: argument {flag}: expected one argument\n")
+    assert list(tmp_path.iterdir()) == []
+
 
 def test_cohen_rejects_negative_nmax(capsys):
     code, out, err = run(["cohen", "--r=1", "--nmax=-5"], capsys)

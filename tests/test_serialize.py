@@ -258,11 +258,9 @@ def test_parsers_match_the_row_by_row_oracle():
 # the int() path and walks the whole region for missing cells
 # ---------------------------------------------------------------------------
 
-def parse_table_oracle(text, magic, header, cell_names, check_cell, region, region_sizes,
-                       build):
-    """The table reader before the field memo and the count rule; it has
-    the arguments of :func:`sklift.serialize.parse_table` and ignores
-    ``region_sizes``."""
+def parse_table_oracle(text, magic, header, cell_names, check_cell, region, build):
+    """A table reader with no one-pass read; it has the arguments of
+    :func:`sklift.serialize.parse_table`."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != magic:
         raise ParseError(1, f"expected header {magic!r}")
@@ -411,10 +409,26 @@ def test_parsers_match_the_row_by_row_reader_on_mutated_texts(monkeypatch):
      "line 4: missing in-region coefficient (1,-63245)"),
 ], ids=["sksf", "skjf"])
 def test_short_table_with_a_huge_region_fails_at_once(text, message):
-    # the region's size is summed only until it passes the row count
+    # the region is walked only up to its first missing cell
     parse = parse_sksf if text.startswith("SKSF") else parse_skjf
     with pytest.raises(ParseError) as exc:
         parse(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("write,message", [
+    (write_skjf, "line 259: missing in-region coefficient (21,-2)"),
+    (lambda phi: write_sksf(lift(phi, 4)), "line 259: missing in-region coefficient (6,3,2)"),
+], ids=["skjf", "sksf"])
+def test_writer_table_cut_at_a_block_boundary_is_incomplete(write, message):
+    # every row left is the writer's, so only the region walk, which goes
+    # on past the rows, shows the table is short
+    lines = write(builtin_form("phi10_1", 40)).splitlines()
+    assert len(lines) - 2 > 256
+    cut = "\n".join(lines[:2 + 256]) + "\n"
+    parse = parse_skjf if cut.startswith("SKJF") else parse_sksf
+    with pytest.raises(ParseError) as exc:
+        parse(cut)
     assert str(exc.value) == message
 
 

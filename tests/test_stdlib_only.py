@@ -57,3 +57,13 @@ def test_well_formed_command_lines_do_without_argparse():
     assert proc.returncode == 2
     assert proc.stderr.startswith("usage: ")
     assert "the following arguments are required: --form, --nmax" in proc.stderr
+
+
+def test_writing_a_file_loads_no_codec(tmp_path):
+    # --out is written as bytes, with no text wrapper to import a codec for
+    out = tmp_path / "phi.skjf"
+    proc = _run_bare("from sklift.cli import main; before = 'encodings.ascii' in sys.modules; "
+                     f"code = main(['gen', '--form=phi10_1', '--nmax=4', '--out={out}']); "
+                     "print(code, before or 'encodings.ascii' not in sys.modules)")
+    assert (proc.returncode, proc.stdout) == (0, "0 True\n")
+    assert out.read_text(encoding="ascii").startswith("SKJF 1\n")
