@@ -23,12 +23,12 @@ e(j/M).
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from math import gcd, lcm
 
 from ._value import Frozen
-from .numtheory import Scalar, is_fundamental_discriminant, kronecker_symbol
+from .numtheory import (Scalar, is_fundamental_discriminant, kronecker_symbol, read_int,
+                        read_rational)
 
 __all__ = [
     "Mat2",
@@ -211,30 +211,25 @@ class DirichletCharacter:
         return f"DirichletCharacter({self.to_spec()!r}, modulus={self.modulus})"
 
 
-_KRONECKER_RE = re.compile(r"kronecker:(-?[0-9]+)")
-_TABLE_VALUE_RE = re.compile(r"zeta\^(-?[0-9]+)/([0-9]+)")
-
-
 def parse_character(spec: str, modulus: int) -> DirichletCharacter:
     """Parse the character grammar at a given modulus.  Integers must read
     -?[0-9]+, the form :meth:`DirichletCharacter.to_spec` writes."""
     if spec == "trivial":
         return DirichletCharacter.trivial(modulus)
     if spec.startswith("kronecker:"):
-        m = _KRONECKER_RE.fullmatch(spec)
-        if not m:
+        if (disc := read_int(spec[len("kronecker:"):])) is None:
             raise ValueError(f"bad kronecker discriminant {spec[len('kronecker:'):]!r}")
-        return DirichletCharacter.kronecker(int(m.group(1)), modulus)
+        return DirichletCharacter.kronecker(disc, modulus)
     if spec.startswith("table:"):
         entries: list[tuple[int, int] | None] = []
         for token in spec[len("table:"):].split(","):
             if token == "0":
                 entries.append(None)
                 continue
-            m = _TABLE_VALUE_RE.fullmatch(token)
-            if not m:
+            value = read_rational(token[len("zeta^"):]) if token.startswith("zeta^") else None
+            if value is None:
                 raise ValueError(f"bad table value {token!r}")
-            entries.append((int(m.group(1)), int(m.group(2))))
+            entries.append(value)
         return DirichletCharacter.from_table(modulus, entries)
     raise ValueError(f"unknown character spec {spec!r}")
 

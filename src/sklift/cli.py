@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 from .hecke import _identity_sides, coset_representatives, multiply, tl_element
 from .jacobi import BUILTIN_FORMS, builtin_form, parse_skjf, write_skjf
-from .numtheory import cohen_h, primes_up_to
+from .numtheory import cohen_h, primes_up_to, read_int
 from .serialize import rational_to_text
 from .siegel import (
     RelationReport,
@@ -211,12 +211,7 @@ def _read_argv(argv) -> SimpleNamespace | None:
             if required:
                 return None
         elif kind is int:
-            digits = value[1:] if value[0] == "-" else value
-            if not (digits.isascii() and digits.isdigit()):
-                return None
-            try:
-                value = int(value)
-            except ValueError:  # more digits than sys.get_int_max_str_digits()
+            if (value := read_int(value)) is None:
                 return None
         elif kind is str:
             if value == "--":  # argparse before Python 3.13 reads it as []

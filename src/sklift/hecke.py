@@ -278,7 +278,11 @@ def _basis_product(level: int, a1: int, d1: int, a2: int, d2: int) -> tuple[tupl
 
     Every pair of right cosets is multiplied; the product of two canonical
     representatives has the canonical form (a1 a2, (a1 b2 + b1 d2) mod d1 d2,
-    d1 d2), counted as a plain (a, b, d) triple."""
+    d1 d2), counted as a plain (a, b, d) triple.
+
+    The right cosets of T(a, d) depend on N only through its primes that
+    divide d/a, so :func:`multiply` passes gcd(N, (d1/a1) (d2/a2)) as
+    ``level``, the level a failed check names."""
     left = double_coset_right_cosets(DoubleCoset(a1, d1, level))
     right = double_coset_right_cosets(DoubleCoset(a2, d2, level))
     counts = Counter((x.a * y.a, (x.a * y.b + x.b * y.d) % (x.d * y.d), x.d * y.d)
@@ -323,7 +327,8 @@ def multiply(x: HeckeElement, y: HeckeElement) -> HeckeElement:
     out: dict[DoubleCoset, int] = {}
     for dc1, c1 in x._coeffs.items():
         for dc2, c2 in y._coeffs.items():
-            for a, d, c in _basis_product(level, dc1.a, dc1.d, dc2.a, dc2.d):
+            reduced = gcd(level, (dc1.d // dc1.a) * (dc2.d // dc2.a))
+            for a, d, c in _basis_product(reduced, dc1.a, dc1.d, dc2.a, dc2.d):
                 key = DoubleCoset(a, d, level)
                 out[key] = out.get(key, 0) + c1 * c2 * c
     return HeckeElement(level, out)

@@ -37,7 +37,6 @@ Hurwitz class number.  H values are memoised on disk (see
 from __future__ import annotations
 
 import os
-import re
 import sys
 import threading
 from fractions import Fraction
@@ -522,11 +521,24 @@ _SCALAR_ZERO = _scalar(1, (0,), 1)
 _SCALAR_ONE = _scalar(1, (1,), 1)
 
 
-# the only integer and rational texts the writers emit, here and in the
-# SKJF/SKSF formats; int() alone would also read '+4', '0_0' and non-ASCII
-# digits
-_INT_RE = re.compile(r"-?[0-9]+")
-_RATIONAL_RE = re.compile(r"(-?[0-9]+)/([0-9]+)")
+def read_int(text: str) -> int | None:
+    """The value of a -?[0-9]+ text, the only integer text any writer emits
+    (int() alone also reads '+4', '0_0' and non-ASCII digits); None for any
+    other text and for more digits than sys.get_int_max_str_digits()."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:  # past the digit limit
+        return None
+
+
+def read_rational(text: str) -> tuple[int, int] | None:
+    """(num, den) of a num/den text, num read by :func:`read_int` and den
+    [0-9]+, or None; a zero den is returned, for each reader's own rule."""
+    num, _, den = text.partition("/")
+    num, den = read_int(num), (read_int(den) if den.isdigit() else None)
+    return None if num is None or den is None else (num, den)
 
 
 def pow_fraction(base: int, exponent: int) -> Fraction:
@@ -682,11 +694,11 @@ def _parse_cache_record(line: str, path: str, line_no: int) -> tuple[tuple[int, 
     """``H <r> <N> <num>/<den>``: r, N and num read -?[0-9]+, den [0-9]+
     and nonzero."""
     parts = line.split()
-    value = _RATIONAL_RE.fullmatch(parts[3]) if len(parts) == 4 else None
-    if (value is None or parts[0] != "H" or _INT_RE.fullmatch(parts[1]) is None
-            or _INT_RE.fullmatch(parts[2]) is None or int(value.group(2)) == 0):
-        raise ValueError(f"{path} line {line_no}: malformed cache record {line!r}")
-    return (int(parts[1]), int(parts[2])), Fraction(int(value.group(1)), int(value.group(2)))
+    if len(parts) == 4 and parts[0] == "H":
+        r, nval, value = read_int(parts[1]), read_int(parts[2]), read_rational(parts[3])
+        if r is not None and nval is not None and value is not None and value[1]:
+            return (r, nval), Fraction(*value)
+    raise ValueError(f"{path} line {line_no}: malformed cache record {line!r}")
 
 
 def _append_record(path: str, record: str) -> None:

@@ -26,7 +26,7 @@ from math import gcd, lcm
 from operator import itemgetter
 
 from .characters import parse_character
-from .numtheory import _INT_RE, _RATIONAL_RE, Scalar
+from .numtheory import Scalar, read_int, read_rational
 
 __all__ = ["ParseError", "rational_to_text", "scalar_to_text", "scalar_from_text",
            "parse_int", "parse_header", "parse_table", "write_table"]
@@ -57,13 +57,11 @@ def scalar_to_text(value: Scalar) -> str:
 
 def _rational_from_text(text: str, line_no: int) -> tuple[int, int]:
     """(numerator, denominator) of a ``num/den`` text."""
-    m = _RATIONAL_RE.fullmatch(text)
-    if not m:
+    if (value := read_rational(text)) is None:
         raise ParseError(line_no, f"bad rational {text!r} (expected num/den)")
-    den = int(m.group(2))
-    if den == 0:
+    if value[1] == 0:
         raise ParseError(line_no, "zero denominator")
-    return int(m.group(1)), den
+    return value
 
 
 def scalar_from_text(text: str, line_no: int) -> Scalar:
@@ -76,9 +74,9 @@ def scalar_from_text(text: str, line_no: int) -> Scalar:
 
 def parse_int(text: str, line_no: int, what: str) -> int:
     """An integer field of the form -?[0-9]+."""
-    if _INT_RE.fullmatch(text) is None:
+    if (value := read_int(text)) is None:
         raise ParseError(line_no, f"bad {what} {text!r}")
-    return int(text)
+    return value
 
 
 def parse_header(line: str, keys: tuple[str, ...], line_no: int) -> dict[str, str]:

@@ -42,12 +42,11 @@ with :func:`~sklift.jacobi._twisted_sums`.
 
 from __future__ import annotations
 
-import re
 from math import gcd, isqrt
 
 from ._value import Frozen, Record
 from .jacobi import JacobiExpansion, _clean, _Expansion, _shifted_coeffs, _twisted_sums
-from .numtheory import Scalar, divisors, is_prime
+from .numtheory import Scalar, divisors, is_prime, read_int
 from .serialize import (ParseError, parse_header, parse_int, parse_table, scalar_from_text,
                         scalar_to_text, write_table)
 
@@ -255,18 +254,11 @@ def lift(phi: JacobiExpansion, m_max: int) -> SiegelExpansion:
 # Relation checkers: one engine, each family a term list over its region
 # ---------------------------------------------------------------------------
 
-def _block_sizes(n_max: int, m_max: int):
-    """The number of cells :func:`_cells` yields for each (n, m), in (n, m)
-    order, which is not the order of the walk: 0 for (0, 0), which holds
-    only the excluded zero matrix, and at least 1 for every other block."""
-    for n in range(n_max + 1):
-        for m in range(m_max + 1):
-            yield 2 * isqrt(4 * n * m) + 1 - (n == m == 0)
-
-
 def _cell_count(n_max: int, m_max: int) -> int:
-    """The number of cells :func:`_cells` yields."""
-    return sum(_block_sizes(n_max, m_max))
+    """The number of cells :func:`_cells` yields: 2 isqrt(4nm) + 1 for each
+    (n, m), less the zero matrix."""
+    return sum(2 * isqrt(4 * n * m) + 1
+               for n in range(n_max + 1) for m in range(m_max + 1)) - 1
 
 
 def _check(F: SiegelExpansion, relation: str, shift: int, instances,
@@ -438,10 +430,11 @@ def parse_report(text: str) -> RelationReport:
         rel = fields["REL"]
         if rel not in _REPORT_RELATIONS:
             raise ParseError(line_no, f"unknown relation {rel!r}")
-        cell = re.fullmatch(r"\((-?[0-9]+),(-?[0-9]+),(-?[0-9]+)\)", fields["T"])
-        if cell is None:
+        inner = fields["T"][1:-1]
+        cell = [*map(read_int, inner.split(","))] if fields["T"] == f"({inner})" else []
+        if len(cell) != 3 or None in cell:
             raise ParseError(line_no, f"malformed violation line: {line!r}")
-        n, r, m = map(int, cell.groups())
+        n, r, m = cell
         shift = parse_int(fields["l"], line_no, "shift")
         left = scalar_from_text(fields["L"], line_no)
         right = scalar_from_text(fields["R"], line_no)

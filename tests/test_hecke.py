@@ -24,6 +24,7 @@ from sklift.hecke import (
     tl_element,
     verify_theorem_identity,
 )
+from sklift.numtheory import divisors
 
 
 def basis_product_oracle(level, a1, d1, a2, d2):
@@ -232,6 +233,22 @@ def test_basis_product_matches_oracle():
     assert len(products) == 1219
     for args in sorted(products):
         assert _basis_product(*args) == basis_product_oracle(*args), args
+
+
+def test_basis_product_depends_on_the_level_through_the_primes_of_the_quotients():
+    # multiply keys T(a1,d1) o T(a2,d2) by gcd(N, (d1/a1)(d2/a2)): the right
+    # cosets of T(a, d) see only the primes of N that divide d/a
+    pairs = 0
+    for level in range(1, 13):
+        basis = [(a, d) for d in range(1, 65) for a in divisors(d) if gcd(a, level) == 1]
+        for a1, d1 in basis:
+            for a2, d2 in basis:
+                if a1 * d1 * a2 * d2 <= 64:
+                    pairs += 1
+                    reduced = gcd(level, (d1 // a1) * (d2 // a2))
+                    assert (_basis_product(level, a1, d1, a2, d2)
+                            == _basis_product(reduced, a1, d1, a2, d2)), (level, a1, d1, a2, d2)
+    assert pairs == 4482
 
 
 def test_multiplicities_rejects_non_constant_pair_counts():

@@ -569,6 +569,12 @@ def test_sksf_walk_is_the_sorted_box():
         assert walk == box_oracle(n_max, m_max, nm_max), (n_max, m_max, nm_max)
 
 
+def test_cell_count_is_the_length_of_the_walk():
+    for n_max in range(9):
+        for m_max in range(9):
+            assert siegel._cell_count(n_max, m_max) == len(list(siegel._cells(n_max, m_max)))
+
+
 # ---------------------------------------------------------------------------
 # oracles for the shared evaluator and writer: a loop of their own per job
 # ---------------------------------------------------------------------------
