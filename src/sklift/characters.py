@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from ._value import Frozen
+from ._value import Frozen, Immutable
 from .numtheory import (Scalar, is_fundamental_discriminant, kronecker_symbol, read_int,
                         read_rational)
 
@@ -80,8 +80,8 @@ def delta_membership_violation(g: Mat2, level: int) -> str | None:
     return None
 
 
-class DirichletCharacter:
-    """A Dirichlet character mod N with exact root-of-unity values."""
+class DirichletCharacter(Immutable):
+    """An immutable Dirichlet character mod N with exact root-of-unity values."""
 
     __slots__ = ("modulus", "order", "_unit", "_spec")
 
@@ -89,10 +89,10 @@ class DirichletCharacter:
         """``unit`` maps each unit residue a (0 <= a < N, gcd(a, N) = 1) to
         chi(a); no table of N values is built, so a huge modulus costs
         nothing until values are asked for."""
-        self.modulus = modulus
-        self._spec = spec
-        self.order = order
-        self._unit = unit
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "_spec", spec)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "_unit", unit)
 
     # -- constructors ------------------------------------------------------
 
@@ -199,8 +199,6 @@ class DirichletCharacter:
         return self._spec == other._spec or all(
             self._unit(a) == other._unit(a) for a in self._units()
         )
-
-    __hash__ = None
 
     def __reduce__(self):
         # the values are held by a function, so copy and pickle rebuild

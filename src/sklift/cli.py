@@ -17,23 +17,9 @@ from types import SimpleNamespace
 
 from .hecke import _identity_sides, coset_representatives, multiply, tl_element
 from .jacobi import BUILTIN_FORMS, builtin_form, parse_skjf, write_skjf
-from .numtheory import cohen_h, primes_up_to, read_int
+from .numtheory import cohen_h, read_int
 from .serialize import rational_to_text
-from .siegel import (
-    RelationReport,
-    Violation,
-    check_classical,
-    check_p_relations,
-    check_singular_law,
-    check_symmetric,
-    is_maass,
-    lift,
-    parse_sksf,
-    report_to_text,
-    write_sksf,
-)
-
-VERIFY_MODES = ("classical", "symmetric", "plocal", "all")
+from .siegel import VERIFY_MODES, check_mode, lift, parse_sksf, report_to_text, write_sksf
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -65,32 +51,7 @@ def cmd_lift(args) -> int:
 
 def cmd_verify(args) -> int:
     F = parse_sksf(_read(args.in_path))
-    box_primes = primes_up_to(max(F.n_max, F.m_max))
-    report = RelationReport([], 0)
-    if args.mode == "classical":
-        report = check_classical(F)
-    elif args.mode == "symmetric":
-        if args.l is not None:
-            report = check_symmetric(F, args.l)
-        else:
-            report = is_maass(F, box_primes)
-    elif args.mode == "plocal":
-        primes = [args.p] if args.p is not None else box_primes
-        for p in primes:
-            report = report.merged_with(check_p_relations(F, p))
-    else:  # all
-        # is_maass at the box primes, then p-local at each of them; p-local
-        # at p is the symmetric relation at l = p, so each prime is
-        # evaluated once and its report is taken under both labels
-        report = check_classical(F).merged_with(check_singular_law(F))
-        for p in box_primes:
-            symmetric = check_symmetric(F, p)
-            plocal = RelationReport(
-                [Violation("plocal", v.n, v.r, v.m, v.shift, v.left, v.right)
-                 for v in symmetric.violations],
-                symmetric.skipped,
-            )
-            report = report.merged_with(symmetric).merged_with(plocal)
+    report = check_mode(F, args.mode, args.l if args.mode == "symmetric" else args.p)
     _emit(report_to_text(report), args.out)
     return 0 if report.verdict else 1
 

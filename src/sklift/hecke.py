@@ -36,7 +36,7 @@ from collections import Counter
 from functools import lru_cache
 from math import gcd
 
-from ._value import Ordered
+from ._value import Immutable, Ordered
 from .characters import Mat2, delta_membership_violation
 from .numtheory import _factorize, divisors
 
@@ -197,20 +197,20 @@ def _right_coset_count(level: int, a: int, d: int) -> int:
     return count
 
 
-class HeckeElement:
-    """A finite integer combination of double cosets at a fixed level."""
+class HeckeElement(Immutable):
+    """An immutable finite integer combination of double cosets at a fixed level."""
 
     __slots__ = ("level", "_coeffs")
 
     def __init__(self, level: int, coeffs: dict[DoubleCoset, int] | None = None):
-        self.level = level
+        object.__setattr__(self, "level", level)
         clean: dict[DoubleCoset, int] = {}
         for dc, c in (coeffs or {}).items():
             if dc.level != level:
                 raise ValueError("double coset level mismatch")
             if c:
                 clean[dc] = c
-        self._coeffs = clean
+        object.__setattr__(self, "_coeffs", clean)
 
     def coefficients(self) -> dict[DoubleCoset, int]:
         return dict(self._coeffs)
@@ -241,7 +241,8 @@ class HeckeElement:
             return NotImplemented
         return self.level == other.level and self._coeffs == other._coeffs
 
-    __hash__ = None
+    def __reduce__(self):
+        return (HeckeElement, (self.level, self._coeffs))
 
     def __str__(self):
         if not self._coeffs:

@@ -55,6 +55,15 @@ def scalar_to_text(value: Scalar) -> str:
     return ",".join(texts + ["0/1"] * (value.order - len(nums)))
 
 
+def _value_text(value: Scalar, cell: tuple[int, ...], label: str = "") -> str:
+    """:func:`scalar_to_text`, naming ``label`` and ``cell`` in the error for
+    an integer past the int-string digit limit, which ``str()`` refuses."""
+    try:
+        return scalar_to_text(value)
+    except ValueError as exc:
+        raise ValueError(f"cannot write the value at {label}{_cell_text(cell)}: {exc}") from None
+
+
 def _rational_from_text(text: str, line_no: int) -> tuple[int, int]:
     """(numerator, denominator) of a ``num/den`` text."""
     if (value := read_rational(text)) is None:
@@ -256,7 +265,7 @@ def write_table(magic: str, meta: str, cells, coeffs) -> str:
             value = coeffs.get(cell, zero)
             text = memo.get(id(value))
             if text is None:
-                text = memo[id(value)] = scalar_to_text(value)
+                text = memo[id(value)] = _value_text(value, cell)
             texts.append(text)
         blocks.append(_rows_text(block, texts))
     return "".join(blocks)

@@ -14,7 +14,8 @@ construction.  Each shift is evaluated only on the rows of the truncation
 box, n <= floor(phi.n_max / m_max), not on all the rows
 :func:`~sklift.jacobi.index_shift` would return.
 
-Three equivalent relation families are checked coefficient-wise:
+Three relation families are checked coefficient-wise; they characterise the
+Spezialschar (the paper), but are not equivalent on a truncated box:
 
   classical     A(n,r,m) = sum_{d | (n,r,m)} d^(k-1) chi(d) A(nm/d^2, r/d, 1)
   symmetric_l   sum_{d | (n,r,l)} d^(k-1) chi(d) A(nl/d^2, r/d, m)
@@ -46,9 +47,9 @@ from math import gcd, isqrt
 
 from ._value import Frozen, Record
 from .jacobi import JacobiExpansion, _clean, _Expansion, _shifted_coeffs, _twisted_sums
-from .numtheory import Scalar, divisors, is_prime, read_int
-from .serialize import (ParseError, parse_header, parse_int, parse_table, scalar_from_text,
-                        scalar_to_text, write_table)
+from .numtheory import Scalar, divisors, is_prime, primes_up_to, read_int
+from .serialize import (ParseError, _value_text, parse_header, parse_int, parse_table,
+                        scalar_from_text, write_table)
 
 __all__ = [
     "SiegelExpansion",
@@ -61,6 +62,7 @@ __all__ = [
     "check_p_relations",
     "check_singular_law",
     "is_maass",
+    "check_mode",
     "write_sksf",
     "parse_sksf",
     "report_to_text",
@@ -134,9 +136,16 @@ class RelationReport(Record):
     def verdict(self) -> bool:
         return not self.violations
 
-    def merged_with(self, other: "RelationReport") -> "RelationReport":
-        out = sorted(self.violations + other.violations, key=Violation.sort_key)
-        return RelationReport(out, self.skipped + other.skipped)
+    def merged_with(self, *others: "RelationReport") -> "RelationReport":
+        """One report of this one and ``others``: violations sorted once, skips summed."""
+        reports = (self, *others)
+        out = sorted([v for r in reports for v in r.violations], key=Violation.sort_key)
+        return RelationReport(out, sum(r.skipped for r in reports))
+
+    def relabelled(self, relation: str) -> "RelationReport":
+        """The same report with every violation under ``relation``."""
+        return RelationReport([Violation(relation, v.n, v.r, v.m, v.shift, v.left, v.right)
+                               for v in self.violations], self.skipped)
 
 
 class SiegelExpansion(_Expansion):
@@ -321,26 +330,25 @@ def _symmetric_instances(F: SiegelExpansion, l: int):
     )
 
 
-def _symmetric(F: SiegelExpansion, l: int, relation: str) -> RelationReport:
-    """The symmetric family at shift l, reported under ``relation``."""
-    return _check(F, relation, l, _symmetric_instances(F, l),
-                  _cell_count(F.n_max, F.m_max))
-
-
 def check_symmetric(F: SiegelExpansion, l: int) -> RelationReport:
     """The symmetric family at shift l; l = 1 is identically true."""
     if l < 1:
         raise ValueError("shift must be >= 1")
-    return _symmetric(F, l, "symmetric")
+    return _check(F, "symmetric", l, _symmetric_instances(F, l),
+                  _cell_count(F.n_max, F.m_max))
+
+
+def _plocal(symmetric: RelationReport) -> RelationReport:
+    """The p-local report at p from the symmetric report at l = p, which is
+    term for term the same relation (see the module docstring)."""
+    return symmetric.relabelled("plocal")
 
 
 def check_p_relations(F: SiegelExpansion, p: int) -> RelationReport:
-    """The two-term local relation at a prime p.  The divisors of
-    gcd(n, r, p) are 1 and p, so it is term for term the symmetric relation
-    at l = p; for p | N it degenerates to A(np, r, m) = A(n, r, pm)."""
+    """The two-term local relation at a prime p (see :func:`_plocal`)."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return _symmetric(F, p, "plocal")
+    return _plocal(check_symmetric(F, p))
 
 
 def check_singular_law(F: SiegelExpansion) -> RelationReport:
@@ -359,12 +367,35 @@ def is_maass(F: SiegelExpansion, p_list: list[int]) -> RelationReport:
     max(n_max, m_max); the report carries per-prime witnesses via the shift
     field of each violation.
     """
-    report = check_singular_law(F)
     for p in p_list:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        report = report.merged_with(check_symmetric(F, p))
-    return report
+    return check_singular_law(F).merged_with(*(check_symmetric(F, p) for p in p_list))
+
+
+VERIFY_MODES = ("classical", "symmetric", "plocal", "all")
+
+
+def check_mode(F: SiegelExpansion, mode: str, shift: int | None = None) -> RelationReport:
+    """The report of ``sklift verify --mode=<mode>``: symmetric at l = shift
+    or, without one, :func:`is_maass` at the box primes (those up to
+    max(n_max, m_max)); p-local at p = shift or at every box prime; or all:
+    classical, the singular law and each box prime's symmetric report under
+    both labels, symmetric and plocal, so that its skips count twice."""
+    if mode not in VERIFY_MODES or (shift is not None and mode in ("classical", "all")):
+        raise ValueError(f"no verify mode {mode!r} with shift {shift!r}")
+    if mode == "classical":
+        return check_classical(F)
+    if shift is not None:
+        return (check_symmetric if mode == "symmetric" else check_p_relations)(F, shift)
+    primes = primes_up_to(max(F.n_max, F.m_max))
+    if mode == "symmetric":
+        return is_maass(F, primes)
+    if mode == "plocal":
+        return RelationReport([]).merged_with(*(check_p_relations(F, p) for p in primes))
+    classical, singular = check_classical(F), check_singular_law(F)
+    symmetric = [check_symmetric(F, p) for p in primes]
+    return classical.merged_with(singular, *symmetric, *map(_plocal, symmetric))
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +430,9 @@ def parse_sksf(text: str) -> SiegelExpansion:
 def report_to_text(report: RelationReport) -> str:
     lines = ["VERDICT=PASS" if report.verdict else "VERDICT=FAIL"]
     for v in report.violations:
-        lines.append(
-            f"REL={v.relation} T=({v.n},{v.r},{v.m}) l={v.shift} "
-            f"L={scalar_to_text(v.left)} R={scalar_to_text(v.right)}"
-        )
+        cell = (v.n, v.r, v.m)
+        lines.append(f"REL={v.relation} T=({v.n},{v.r},{v.m}) l={v.shift} "
+                     f"L={_value_text(v.left, cell, 'T=')} R={_value_text(v.right, cell, 'T=')}")
     lines.append(f"SKIPPED={report.skipped}")
     return "\n".join(lines) + "\n"
 

@@ -18,9 +18,11 @@ from sklift.cli import build_parser, main
 from sklift.jacobi import JacobiExpansion, builtin_form, parse_skjf, write_skjf
 from sklift.numtheory import Scalar, primes_up_to
 from sklift.siegel import (
+    RelationReport,
     SiegelExpansion,
     check_classical,
     check_p_relations,
+    check_singular_law,
     check_symmetric,
     is_maass,
     lift,
@@ -206,6 +208,30 @@ def verify_all_oracle(F):
     return report
 
 
+def verify_oracle(F, mode, shift):
+    """`verify --mode=<mode>`, with --l or --p = shift when it is given, as
+    the composition of the public checkers, merged one report at a time."""
+    box_primes = primes_up_to(max(F.n_max, F.m_max))
+    if mode == "classical":
+        return check_classical(F)
+    if mode == "symmetric" and shift is not None:
+        return check_symmetric(F, shift)
+    if mode == "plocal" and shift is not None:
+        return check_p_relations(F, shift)
+    if mode == "all":
+        return verify_all_oracle(F)
+    report = check_singular_law(F) if mode == "symmetric" else RelationReport([])
+    check = check_symmetric if mode == "symmetric" else check_p_relations
+    for p in box_primes:
+        report = report.merged_with(check(F, p))
+    return report
+
+
+# (mode, its shift flag): every mode, and symmetric and plocal also at one shift
+VERIFY_MODES_AND_SHIFTS = [("classical", None), ("symmetric", None), ("symmetric", "--l=2"),
+                           ("plocal", None), ("plocal", "--p=3"), ("all", None)]
+
+
 def test_verify_all_matches_oracle(tmp_path, capsys):
     import random
 
@@ -216,6 +242,7 @@ def test_verify_all_matches_oracle(tmp_path, capsys):
         "kronecker-3": lift(random_jacobi(9, 3, DirichletCharacter.kronecker(-3), 24, rng), 2),
     }
     both_labels = 0
+    failed = {mode: 0 for mode, _ in VERIFY_MODES_AND_SHIFTS}
     for name, F in lifts.items():
         # single-cell +1 at the shapes (2j, r, 1) and (j, r, 2), and at a
         # singular cell (l, 0, 0) that only the singular law sees
@@ -224,11 +251,18 @@ def test_verify_all_matches_oracle(tmp_path, capsys):
             G = F if cell is None else F.perturbed(*cell)
             path = tmp_path / f"{name}.sksf"
             path.write_text(write_sksf(G))
-            code, out, _ = run(["verify", f"--in={path}", "--mode=all"], capsys)
-            assert out == report_to_text(verify_all_oracle(G)), (name, cell)
-            assert code == (0 if cell is None else 1), (name, cell)
+            for mode, flag in VERIFY_MODES_AND_SHIFTS:
+                argv = ["verify", f"--in={path}", f"--mode={mode}", *([flag] if flag else [])]
+                code, out, _ = run(argv, capsys)
+                shift = int(flag.partition("=")[2]) if flag else None
+                oracle = verify_oracle(G, mode, shift)
+                assert out == report_to_text(oracle), (name, cell, mode, flag)
+                assert code == (0 if oracle.verdict else 1), (name, cell, mode, flag)
+                failed[mode] += code
+            assert code == (0 if cell is None else 1), (name, cell)  # the all mode
             both_labels += "REL=symmetric" in out and "REL=plocal" in out
     assert both_labels > 0
+    assert all(failed.values()), failed
 
 
 def _shared_and_copies(coeffs):

@@ -2,7 +2,8 @@
 cells and values, reports, character specs, the H cache and command lines
 all read -?[0-9]+ through ``numtheory.read_int`` (and num/den through
 ``read_rational``), so an integer past Python's int-string digit limit gets
-its site's own line-numbered message."""
+its site's own line-numbered message; a value the writers cannot write for
+the same limit is named by its cell."""
 
 import re
 import sys
@@ -11,11 +12,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sklift.characters import DirichletCharacter
 from sklift.cli import main
 from sklift.jacobi import builtin_form, parse_skjf, write_skjf
-from sklift.numtheory import cohen_cache, cohen_h, read_int, read_rational
+from sklift.numtheory import Scalar, cohen_cache, cohen_h, read_int, read_rational
 from sklift.serialize import ParseError
-from sklift.siegel import lift, parse_report, parse_sksf, write_sksf
+from sklift.siegel import (RelationReport, SiegelExpansion, Violation, lift, parse_report,
+                           parse_sksf, report_to_text, write_sksf)
 
 # 0 where there is no limit (before Python 3.10.7, or when it is switched off)
 LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -107,3 +110,30 @@ def test_a_flag_past_the_limit_is_a_usage_error(capsys):
         main(["gen", "--form=phi10_1", f"--nmax={BIG}"])
     assert exc.value.code == 2
     assert "argument --nmax: invalid int value" in capsys.readouterr().err
+
+
+@needs_limit
+def test_a_value_past_the_limit_is_named_by_its_cell_when_written():
+    big = Scalar.coerce(10 ** LIMIT)  # LIMIT + 1 digits
+    F = SiegelExpansion(10, 1, DirichletCharacter.trivial(), 2, 1,
+                        {(1, 1, 1): Scalar.one(), (2, -1, 1): big / 3})
+    message = rf"Exceeds the limit \({LIMIT} digits\)"
+    with pytest.raises(ValueError, match=rf"^cannot write the value at \(2,-1,1\): {message}"):
+        write_sksf(F)
+    report = RelationReport([Violation("classical", 1, 0, 1, 0, Scalar.one(), Scalar.zero()),
+                             Violation("plocal", 2, -1, 3, 2, Scalar.zero(), big)])
+    with pytest.raises(ValueError, match=rf"^cannot write the value at T=\(2,-1,3\): {message}"):
+        report_to_text(report)
+
+
+@needs_limit
+def test_a_lift_past_the_limit_names_the_cell_and_writes_no_file(tmp_path, capsys):
+    # C(3) of LIMIT digits is read, but A(2, -2, 2) = C(12) + 2^9 C(3) has more
+    phi = tmp_path / "phi.skjf"
+    phi.write_text(_replace_line(write_skjf(builtin_form("phi10_1", 24)), 5,
+                                 f"1 -1 {'9' * LIMIT}/1"))
+    out = tmp_path / "phi.sksf"
+    assert main(["lift", f"--in={phi}", "--mmax=4", f"--out={out}"]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot write the value at (2,-2,2): Exceeds the limit ({LIMIT} digits) ")
+    assert not out.exists()

@@ -27,6 +27,7 @@ from sklift.siegel import (
     Violation,
     _symmetric_instances,
     check_classical,
+    check_mode,
     check_p_relations,
     check_singular_law,
     check_symmetric,
@@ -285,6 +286,30 @@ def test_is_maass():
     assert any(v.relation == "symmetric" and v.shift in (2, 3) for v in report.violations)
     with pytest.raises(ValueError, match="prime"):
         is_maass(F, [6])
+
+
+def test_merged_with_takes_any_number_of_reports():
+    broken = small_lift().perturbed(2, 1, 1).perturbed(1, 1, 3)
+    a, b, c = check_classical(broken), check_symmetric(broken, 3), check_p_relations(broken, 2)
+    assert a.violations and b.violations and c.violations
+    assert a.merged_with(b, c) == a.merged_with(b).merged_with(c) == c.merged_with(a, b)
+    assert a.merged_with() == a and a.merged_with() is not a
+    assert b.merged_with(c).skipped == b.skipped + c.skipped
+    symmetric = check_symmetric(broken, 2)
+    assert symmetric.relabelled("plocal") == c
+    assert symmetric.relabelled("symmetric") == symmetric
+    assert [v.relation for v in symmetric.violations] == ["symmetric"] * len(c.violations)
+
+
+def test_check_mode_refuses_an_unknown_mode_or_a_stray_shift():
+    F = small_lift()
+    for mode, shift in (("bogus", None), ("Classical", None), ("classical", 2), ("all", 3)):
+        with pytest.raises(ValueError, match=f"^no verify mode {mode!r} with shift {shift!r}$"):
+            check_mode(F, mode, shift)
+    with pytest.raises(ValueError, match="^shift must be >= 1$"):
+        check_mode(F, "symmetric", 0)
+    with pytest.raises(ValueError, match="^4 is not prime$"):
+        check_mode(F, "plocal", 4)
 
 
 def test_genuine_non_lift_fails():

@@ -218,17 +218,29 @@ def test_relation_report_is_mutable_and_unhashable_with_no_skips_by_default():
     assert _outcome(hash, report)[0] is _outcome(hash, report_old)[0] is TypeError
 
 
+def _hecke_elements():
+    return [hecke.HeckeElement(1), hecke.tl_element(2, 4),
+            hecke.multiply(hecke.tl_element(1, 6), hecke.tl_element(1, 4)),
+            3 * hecke.t_ad(3, 2, 4) + hecke.tl_element(3, 8)]
+
+
 def _immutables(name):
     """Instances of the immutable class ``name``, which is not a record."""
     if name == "Scalar":
         return [Scalar.one(), Scalar.zeta(8, 3) / 3]
+    if name == "DirichletCharacter":
+        return [DirichletCharacter.trivial(3), DirichletCharacter.kronecker(-3, 6),
+                order4_table_character_mod5(), builtin_form("phi10_1", 6).character]
+    if name == "HeckeElement":
+        return _hecke_elements()
     phi = random_jacobi(9, 3, DirichletCharacter.kronecker(-3), 12, random.Random(3))
     if name == "JacobiExpansion":
         return [builtin_form("phi10_1", 6), phi]
     return [siegel.lift(phi, 3)]
 
 
-@pytest.mark.parametrize("name", ["Scalar", "JacobiExpansion", "SiegelExpansion"])
+@pytest.mark.parametrize("name", ["Scalar", "JacobiExpansion", "SiegelExpansion",
+                                  "DirichletCharacter", "HeckeElement"])
 def test_immutable_classes_refuse_assignment_and_deletion(name):
     for x in _immutables(name):
         assert type(x).__name__ == name
@@ -273,6 +285,15 @@ def test_character_copy_deepcopy_and_pickle_round_trip():
             assert (y.to_spec(), y.modulus, y.order) == (x.to_spec(), x.modulus, x.order)
             assert [y.value(a) for a in range(x.modulus)] == \
                 [x.value(a) for a in range(x.modulus)]
+
+
+def test_hecke_element_copy_deepcopy_and_pickle_round_trip():
+    for x in _hecke_elements():
+        for y in _copies(x):
+            assert y.__class__ is hecke.HeckeElement and y == x and str(y) == str(x)
+            assert y.level == x.level and y.coefficients() == x.coefficients()
+            assert hecke.multiply(y, hecke.tl_element(x.level, 2)) == \
+                hecke.multiply(x, hecke.tl_element(x.level, 2))
 
 
 @pytest.mark.parametrize("name", ["JacobiExpansion", "SiegelExpansion"])
