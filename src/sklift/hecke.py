@@ -261,8 +261,10 @@ def t_ad(level: int, a: int, d: int) -> HeckeElement:
     return HeckeElement(level, {DoubleCoset(a, d, level): 1})
 
 
+@lru_cache(maxsize=None)
 def tl_element(level: int, l: int) -> HeckeElement:
-    """T(l) = sum of T(a, d) over ad = l, a | d, gcd(a, N) = 1."""
+    """T(l) = sum of T(a, d) over ad = l, a | d, gcd(a, N) = 1; built once
+    per (level, l), as a HeckeElement is immutable."""
     if l < 1:
         raise ValueError("determinant must be positive")
     coeffs = {}

@@ -60,8 +60,9 @@ evaluated by one helper, :func:`_twisted_sums`.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, repeat
 from math import gcd, isqrt
+from operator import is_not
 
 from ._value import Immutable
 from .characters import DirichletCharacter, parity_compatible
@@ -138,8 +139,8 @@ class _Expansion(Immutable):
     :func:`_clean` with its format's rule ``_cell_error``, the rule its
     parser checks each row with, so the first bad cell in the dict's order
     names the first rule it breaks; ``_freeze`` sets the fields.
-    :meth:`_from_region` builds from cells already known to lie in the
-    region, with no per-cell test.
+    :meth:`_from_region` builds from nonzero values on cells already known
+    to lie in the region, with no per-cell test.
     """
 
     __slots__ = ()
@@ -147,24 +148,20 @@ class _Expansion(Immutable):
     @classmethod
     def _from_region(cls, coeffs: dict, **fields):
         """The expansion with the constructor's arguments ``fields`` (all
-        but ``coeffs``, by name), for Scalar values on distinct cells that
-        the caller has proved to lie in the region within the bounds.
+        but ``coeffs``, by name), for nonzero Scalar values on distinct
+        cells that the caller has proved to lie in the region within the
+        bounds.
 
-        Only three checks are left: the character and the level; zero
-        values are dropped, each distinct value object tested once; and
-        with the cusp flag set, the boundary cells (4nm - r^2 = 0) must be
-        absent.  If they are not, the public constructor is called, so it
-        raises its own error for the first bad cell.  ``coeffs`` becomes
-        the expansion's own dict, its zero cells deleted, so the caller must
-        not keep it.
+        No value is tested: it is the caller's part to hand over a dict
+        with no zero value, as the readers, :func:`_shifted_coeffs`,
+        :func:`_index1` and ``__reduce__`` do.  Two checks are left: the
+        character and the level; and with the cusp flag set, the boundary
+        cells (4nm - r^2 = 0) must be absent.  If they are not, the public
+        constructor is called, so it raises its own error for the first
+        bad cell.  ``coeffs`` becomes the expansion's own dict, so the
+        caller must not keep it.
         """
         cls._check_character(fields["weight"], fields["level"], fields["character"])
-        ids = list(map(id, coeffs.values()))
-        distinct = dict(zip(ids, coeffs.values()))  # id -> value, alive in coeffs
-        zero_ids = {key for key, value in distinct.items() if not value}
-        if zero_ids:
-            for cell in list(compress(coeffs, map(zero_ids.__contains__, ids))):
-                del coeffs[cell]
         expansion = object.__new__(cls)
         expansion._freeze(_coeffs=coeffs, **fields)
         if expansion.cusp and any(cell in coeffs for cell in expansion._boundary_cells()):
@@ -338,28 +335,29 @@ def _twisted_sums(form: _Expansion, lookup):
     reused under the memo and a miss only costs a recomputation.
     """
     chi, k = form.character, form.weight
-    coeffs = form._coeffs
+    get = form._coeffs.get
     twists: dict[int, Scalar] = {}  # d -> chi(d) d^(k-1)
     sums: dict[tuple, Scalar] = {}  # ((d, id(stored coefficient)), ...) -> the sum
 
     def total(terms) -> Scalar:
-        refs, key = [], []
+        key = []
         for d, cell in terms:
-            ref = coeffs.get(cell)
+            ref = get(cell)
             if ref is None:
                 lookup(*cell)  # zero, or beyond the region and refused
             else:
-                refs.append((d, ref))
                 key.append((d, id(ref)))
         key = tuple(key)
         value = sums.get(key)
         if value is None:
             value = Scalar.zero()
-            for d, ref in refs:
-                twist = twists.get(d)
-                if twist is None:
-                    twist = twists[d] = chi.value(d) * pow_fraction(d, k - 1)
-                value = value + twist * ref
+            for d, cell in terms:
+                ref = get(cell)
+                if ref is not None:
+                    twist = twists.get(d)
+                    if twist is None:
+                        twist = twists[d] = chi.value(d) * pow_fraction(d, k - 1)
+                    value = value + twist * ref
             sums[key] = value
         return value
 
@@ -394,24 +392,32 @@ def _shifted_coeffs(phi: JacobiExpansion, l: int, out_n_max: int, total, out: di
     The largest reference is c(out_n_max l, r), so out_n_max l must not
     exceed phi.n_max.  A cell with gcd(n, r, l) = 1 has the single term
     c(nl, r), which is stored as it is; any other cell is the sum over the
-    divisors a of gcd(n, r, l) with gcd(a, N) = 1 and chi(a) != 0.
+    divisors a of gcd(n, r, l) with gcd(a, N) = 1 and chi(a) != 0.  Row n
+    of the output has the r of row nl of phi, so a row with gcd(n, l) = 1
+    is row nl of phi, its absent (zero) cells left out.
     """
     if out_n_max * l > phi.n_max:
         raise ValueError(f"rows up to {out_n_max} of V_{l} need n_max >= {out_n_max * l}")
     chi = phi.character
     shifts = [a for a in divisors(l)
               if gcd(a, phi.level) == 1 and not chi.value(a).is_zero()]
-    coeffs = phi._coeffs
+    get = phi._coeffs.get
     for n in range(out_n_max + 1):
-        nl = n * l
-        for r in region_r_values(phi.index * l, n):
-            g = gcd(gcd(n, r), l)
-            if g == 1:
-                value = coeffs.get((nl, r))
+        nl, g = n * l, gcd(n, l)
+        rs = region_r_values(phi.index * l, n)
+        if g == 1:
+            values = list(map(get, zip(repeat(nl), rs)))
+            cells = zip(repeat(n), rs) if m is None else zip(repeat(n), rs, repeat(m))
+            out.update(compress(zip(cells, values), map(is_not, values, repeat(None))))
+            continue
+        for r in rs:
+            h = gcd(g, r)
+            if h == 1:
+                value = get((nl, r))
                 if value is None:
                     continue
             else:
-                value = total([(a, (nl // (a * a), r // a)) for a in shifts if g % a == 0])
+                value = total([(a, (nl // (a * a), r // a)) for a in shifts if h % a == 0])
                 if not value:
                     continue
             out[(n, r) if m is None else (n, r, m)] = value
@@ -606,10 +612,9 @@ def _index1(weight: int, rows: list[list[int]], cusp: bool = False,
     n_max = len(rows[0]) - 1
     # one Scalar per distinct entry, shared by every cell that holds it
     scalars = {c: Scalar.from_integers(1, (c,), den) for c in {*rows[0], *rows[1]}}
-    values = [[scalars[c] for c in row] for row in rows]
-    # the region walk yields each cell once, inside the region
-    coeffs = {(n, r): values[r % 2][n - (r * r - r % 2) // 4]
-              for n in range(n_max + 1) for r in region_r_values(1, n)}
+    # the region walk yields each cell once, inside the region; zeros are left out
+    coeffs = {(n, r): scalars[c] for n in range(n_max + 1) for r in region_r_values(1, n)
+              if (c := rows[r % 2][n - (r * r - r % 2) // 4])}
     return JacobiExpansion._from_region(coeffs, weight=weight, index=1, level=1,
                                         character=DirichletCharacter.trivial(1),
                                         n_max=n_max, cusp=cusp)

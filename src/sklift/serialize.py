@@ -12,16 +12,20 @@ Jacobi form has c(n, r) = C(4n - r^2); a lift's A(n, r, m) depends only on
 per call and its immutable :class:`Scalar` is shared by every cell that
 carries it, and each distinct value object is written once per call.
 
-A table identical to what the writer emits is read in one pass: its rows
-are compared, a block at a time, with the rows the writer writes for the
-cells of the region walk and the value texts the table carries.  Any
-other table is read row by row, with the same result and the same errors.
+A table whose first two lines are the writer's, each ended by a newline,
+and whose rows are exactly what the writer emits is read in one pass: a
+chunk of whole rows at a time, its rows are compared with the rows the
+writer writes for the next cells of the region walk and the value texts
+the chunk carries.  Any other table is read row by row, with the same
+result and the same errors.  Either way a zero value leaves no cell in
+the dict the expansion is built from: the reader knows which distinct
+value texts are zero.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
+from itertools import compress, filterfalse, islice
 from math import gcd, lcm
 from operator import itemgetter
 
@@ -73,12 +77,46 @@ def _rational_from_text(text: str, line_no: int) -> tuple[int, int]:
     return value
 
 
+# every character of a value text but its digits and minus signs; the
+# rest of a text the writer writes is "/" for one coordinate, "/,/" for
+# two, and so on
+_PUNCTUATION = str.maketrans("", "", "0123456789-")
+
+
+def _read_scalar(text: str) -> Scalar | None:
+    """The value of a text of comma-joined ``num/den`` parts, each num a
+    -?[0-9]+ and each den a [0-9]+ other than zero, the grammar
+    :func:`~sklift.numtheory.read_rational` reads part by part; None for
+    any other text.
+
+    The punctuation test leaves only ASCII digits and minus signs between
+    the separators, where ``int`` reads just -?[0-9]+ and refuses an
+    integer past the int-string digit limit."""
+    if text.translate(_PUNCTUATION) != "/," * text.count(",") + "/":
+        return None
+    try:
+        numbers = list(map(int, text.replace(",", "/").split("/")))
+    except ValueError:  # an empty number, a misplaced sign or too many digits
+        return None
+    if len(numbers) == 2:  # a rational value
+        num, den = numbers
+        return Scalar.from_integers(1, (num,), den) if den > 0 else None
+    dens = numbers[1::2]
+    if min(dens) < 1:  # zero, or a den written with a sign
+        return None
+    den = lcm(*dens)
+    return Scalar.from_integers(len(dens), [x * (den // d) for x, d in zip(numbers[::2], dens)],
+                                den)
+
+
 def scalar_from_text(text: str, line_no: int) -> Scalar:
     """The value ``num/den``, or, for comma-joined ``num/den`` texts, the
     element of Q(zeta_M) with those M power-basis coordinates."""
-    parts = [_rational_from_text(part, line_no) for part in text.split(",")]
-    den = lcm(*(d for _, d in parts))
-    return Scalar.from_integers(len(parts), [x * (den // d) for x, d in parts], den)
+    value = _read_scalar(text)
+    if value is None:
+        for part in text.split(","):  # the first part read_rational refuses
+            _rational_from_text(part, line_no)
+    return value
 
 
 def parse_int(text: str, line_no: int, what: str) -> int:
@@ -118,27 +156,43 @@ def parse_table(text: str, magic: str, header: tuple[tuple[str, str | None], ...
     refuses a nonzero boundary cell of a cusp-flagged table);
     ``region(meta)`` yields every cell that must be present, in the order
     in which the first missing one is named; ``build(meta, coeffs)`` makes
-    the object, and a ValueError from it is reported at the metadata line.
+    the object from the nonzero cells, and a ValueError from it is
+    reported at the metadata line.
 
-    A table identical to :func:`write_table` output is read in one pass:
+    A table that starts with the ``magic`` line and a metadata line, each
+    ended by a newline, is first read in one pass (:func:`_writer_coeffs`):
     each row must be the writer's row of the cell the region walk yields
     next, the walk must end with the rows, and each distinct value text
-    must parse.  Any other table (a row that differs, a blank, extra or
-    missing row, a value that does not parse) is read by the row loop,
-    which gives the same result and is the only code that reports an error.
-
-    The row loop reads every integer field as -?[0-9]+ (see
-    :func:`parse_int`), naming the first bad one, and parses each distinct
-    value text once, so a bad value is reported at the first row that
-    carries it.  It then walks the region up to the first cell no row
-    holds, which it reports at the line past the end.
+    must parse.  Any other table (another line ending, a row that differs,
+    a blank, extra or missing row, a value that does not parse) is read by
+    the row loop, :func:`_read_rows`, which gives the same result and is
+    the only code that reports an error in the rows.
     """
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != magic:
-        raise ParseError(1, f"expected header {magic!r}")
-    if len(lines) < 2:
-        raise ParseError(2, "missing metadata line")
-    fields = parse_header(lines[1], tuple(key for key, _ in header), 2)
+    first = text.find("\n")
+    second = text.find("\n", first + 1) if first >= 0 else -1
+    meta = coeffs = None
+    if second >= 0 and text[:first] == magic and text[first + 1:second].isprintable():
+        # the lines splitlines() gives, as no line break is left in either
+        meta = _read_meta(text[first + 1:second], header)
+        coeffs = _writer_coeffs(text, second + 1, region(meta), len(cell_names))
+    if coeffs is None:
+        lines = text.splitlines()
+        if meta is None:
+            if not lines or lines[0].strip() != magic:
+                raise ParseError(1, f"expected header {magic!r}")
+            if len(lines) < 2:
+                raise ParseError(2, "missing metadata line")
+            meta = _read_meta(lines[1], header)
+        coeffs = _read_rows(lines[2:], meta, cell_names, check_cell, region)
+    try:
+        return build(meta, coeffs)
+    except ValueError as exc:
+        raise ParseError(2, str(exc)) from None
+
+
+def _read_meta(line: str, header: tuple[tuple[str, str | None], ...]) -> dict:
+    """The metadata dict of :func:`parse_table` from its line 2."""
+    fields = parse_header(line, tuple(key for key, _ in header), 2)
     meta: dict = {key: parse_int(fields[key], 2, what) for key, what in header if what}
     if fields["cusp"] not in ("0", "1"):
         raise ParseError(2, f"bad cusp flag {fields['cusp']!r}")
@@ -150,56 +204,68 @@ def parse_table(text: str, magic: str, header: tuple[tuple[str, str | None], ...
     except ValueError as exc:
         raise ParseError(2, str(exc)) from None
     meta["cusp"] = fields["cusp"] == "1"
-    body = lines[2:]
-    coeffs = _writer_coeffs(body, region(meta), len(cell_names))
-    if coeffs is None:
-        coeffs = _read_rows(body, meta, cell_names, check_cell)
-        for cell in region(meta):
-            if cell not in coeffs:
-                raise ParseError(len(lines) + 1,
-                                 f"missing in-region coefficient {_cell_text(cell)}")
-    try:
-        return build(meta, coeffs)
-    except ValueError as exc:
-        raise ParseError(2, str(exc)) from None
+    return meta
 
 
-def _writer_coeffs(body: list[str], walk, width: int) -> dict | None:
-    """{cell: value} when the rows ``body`` are exactly what
-    :func:`write_table` writes for the cells of ``walk``, one row per cell
-    in order, each distinct value text parsed once; None for any other
-    rows, for rows that end before the walk does, or when a value text
-    does not parse, so that the row loop reads them and names the error.
+# characters per chunk of the one-pass read: enough to spread the cost of a
+# call, few enough that the chunk's words stay small
+_CHUNK = 8192
 
-    Block by block, the rows are split into words, every ``width + 1``-th
-    word is taken as a value text, and the writer's rows of the block's
-    cells with those texts are compared with the rows as given."""
+
+def _writer_coeffs(text: str, start: int, walk, width: int) -> dict | None:
+    """{cell: value} of the nonzero values when the rows of ``text`` from
+    ``start`` on are exactly what :func:`write_table` writes for the cells
+    of ``walk``, one row per cell in order, each ended by a newline; None
+    for any other rows, for rows that end before the walk does, or when a
+    value text does not parse, so that the row loop reads them and names
+    the error.
+
+    Chunk by chunk of whole rows, the rows are split into words, every
+    ``width + 1``-th word is taken as a value text, and the writer's rows
+    of the next cells of the walk with those texts are compared with the
+    rows as given; the walk goes no further than the rows do, plus one
+    cell.  Each distinct text is parsed when it is first seen, and the
+    cells of the texts that read as zero are taken out again as each
+    chunk is added."""
     coeffs: dict[tuple[int, ...], Scalar] = {}
     values: dict[str, Scalar] = {}  # value text -> its (immutable, shared) Scalar
-    for start in range(0, len(body), _BLOCK):
-        rows = "\n".join(body[start:start + _BLOCK]) + "\n"
+    zeros: set[str] = set()  # the value texts that read as zero
+    int_texts = _IntTexts()
+    end = len(text)
+    while start < end:
+        stop = text.rfind("\n", start, start + _CHUNK) + 1 or text.find("\n", start) + 1
+        if not stop:  # the last row has no newline
+            return None
+        rows, start = text[start:stop], stop
         words = rows.split()
-        cells = list(islice(walk, _BLOCK))
-        if len(words) != len(cells) * (width + 1):
-            return None
+        cells = list(islice(walk, len(words) // (width + 1)))
         texts = words[width::width + 1]
-        if _rows_text(cells, texts) != rows:
+        if len(words) != len(cells) * (width + 1) or _rows_text(cells, texts, int_texts) != rows:
             return None
-        for text in texts:
-            if text not in values:
-                try:
-                    values[text] = scalar_from_text(text, 0)
-                except ValueError:
-                    return None
+        for new in filterfalse(values.__contains__, texts):  # each text once
+            value = values[new] = _read_scalar(new)
+            if value is None:
+                return None
+            if not value:
+                zeros.add(new)
         coeffs.update(zip(cells, map(values.__getitem__, texts)))
+        if zeros:
+            for cell in compress(cells, map(zeros.__contains__, texts)):
+                del coeffs[cell]
     if next(walk, None) is not None:
         return None
     return coeffs
 
 
-def _read_rows(body: list[str], meta: dict, cell_names: tuple[str, ...], check_cell) -> dict:
-    """{cell: value} of the rows ``body`` (lines 3, 4, ...), read row by
-    row: blank rows are skipped and the first bad row is named by its line."""
+def _read_rows(body: list[str], meta: dict, cell_names: tuple[str, ...], check_cell,
+               region) -> dict:
+    """{cell: value} of the nonzero values of the rows ``body`` (lines 3,
+    4, ...), read row by row: blank rows are skipped, every integer field
+    is read as -?[0-9]+ (see :func:`parse_int`), and the first bad row is
+    named by its line; each distinct value text is parsed once, so a bad
+    value is named at the first row that carries it.  The region is then
+    walked up to the first cell no row holds, which is named at the line
+    past the end."""
     usage = " ".join(f"<{name}>" for name in cell_names + ("value",))
     columns = len(cell_names) + 1
     coeffs: dict[tuple[int, ...], Scalar] = {}
@@ -221,28 +287,43 @@ def _read_rows(body: list[str], meta: dict, cell_names: tuple[str, ...], check_c
         if value is None:
             value = values[value_text] = scalar_from_text(value_text, line_no)
         coeffs[cell] = value
-    return coeffs
+    for cell in region(meta):
+        if cell not in coeffs:
+            raise ParseError(len(body) + 3, f"missing in-region coefficient {_cell_text(cell)}")
+    return {cell: value for cell, value in coeffs.items() if value}
 
 
 def _cell_text(cell: tuple[int, ...]) -> str:
     return "(" + ",".join(map(str, cell)) + ")"
 
 
-# rows per block of the one-pass read and of the writer: enough to spread
-# the cost of a call, few enough that the block's words stay small
+# rows per block of the writer: enough to spread the cost of a call, few
+# enough that the block's texts stay small
 _BLOCK = 256
 
 
-def _rows_text(cells: list[tuple[int, ...]], texts: list[str]) -> str:
+class _IntTexts(dict):
+    """str(i) for each int i asked for, kept: a call's memo of the texts of
+    its cell fields."""
+
+    def __missing__(self, i: int) -> str:
+        text = self[i] = str(i)
+        return text
+
+
+def _rows_text(cells: list[tuple[int, ...]], texts: list[str], int_texts: _IntTexts) -> str:
     """The table rows the writer writes, each ended by a newline: the
-    fields of each cell in ``cells`` and its value text in ``texts``,
-    separated by single spaces."""
+    fields of each cell in ``cells`` (their texts from the memo
+    ``int_texts``) and its value text in ``texts``, separated by single
+    spaces."""
     width = len(cells[0]) if cells else 0
-    fields: list = [None] * (len(cells) * (width + 1))
+    step = 2 * width + 2  # the words and separators of a row
+    pieces = [" "] * (len(cells) * step)
     for i in range(width):
-        fields[i::width + 1] = map(itemgetter(i), cells)
-    fields[width::width + 1] = texts
-    return ("%d " * width + "%s\n") * len(cells) % tuple(fields)
+        pieces[2 * i::step] = map(int_texts.__getitem__, map(itemgetter(i), cells))
+    pieces[2 * width::step] = texts
+    pieces[step - 1::step] = ["\n"] * len(cells)
+    return "".join(pieces)
 
 
 def write_table(magic: str, meta: str, cells, coeffs) -> str:
@@ -257,6 +338,7 @@ def write_table(magic: str, meta: str, cells, coeffs) -> str:
     """
     zero = Scalar.zero()
     memo: dict[int, str] = {}  # id of a value in coeffs (or of zero) -> its text
+    int_texts = _IntTexts()
     blocks = [f"{magic}\n{meta}\n"]
     walk = iter(cells)
     while block := list(islice(walk, _BLOCK)):
@@ -267,5 +349,5 @@ def write_table(magic: str, meta: str, cells, coeffs) -> str:
             if text is None:
                 text = memo[id(value)] = _value_text(value, cell)
             texts.append(text)
-        blocks.append(_rows_text(block, texts))
+        blocks.append(_rows_text(block, texts, int_texts))
     return "".join(blocks)

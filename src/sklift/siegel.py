@@ -31,18 +31,21 @@ degenerates to A(np, r, m) = A(n, r, pm).  The rank-<=1 ("singular")
 coefficients a(l) = A(l, 0, 0) of any member of the lift image satisfy
 a(l) = (sum_{d | l} d^(k-1) chi(d)) a(1).
 
-One engine evaluates every family: an instance is a cell with two lists of
-twisted references.  In each family the d = 1 references bound all the
-others, so the instances whose references stay inside the box form a
-sub-region known up front (nm <= n_max for classical, nl <= n_max and
-ml <= m_max for symmetric_l, all of l <= n_max for the singular law).  Only
-that sub-region is evaluated; the box cells outside it are counted in the
-report as skipped.  The lift and the engine sum their twisted divisor sums
-with :func:`~sklift.jacobi._twisted_sums`.
+One engine evaluates every family: an instance is a cell with two sides,
+each a list of twisted references or, where the gcd is 1 so that d = 1 is
+the only divisor, a lone reference, the cell itself, which is read as the
+stored coefficient with no sum and no term list built.  In each family the
+d = 1 references bound all the others, so the instances whose references
+stay inside the box form a sub-region known up front (nm <= n_max for
+classical, nl <= n_max and ml <= m_max for symmetric_l, all of l <= n_max
+for the singular law).  Only that sub-region is evaluated; the box cells
+outside it are counted in the report as skipped.  The lift and the engine
+sum their twisted divisor sums with :func:`~sklift.jacobi._twisted_sums`.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd, isqrt
 
 from ._value import Frozen, Record
@@ -260,60 +263,75 @@ def lift(phi: JacobiExpansion, m_max: int) -> SiegelExpansion:
 
 
 # ---------------------------------------------------------------------------
-# Relation checkers: one engine, each family a term list over its region
+# Relation checkers: one engine, each family its instances over its region
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _cell_count(n_max: int, m_max: int) -> int:
     """The number of cells :func:`_cells` yields: 2 isqrt(4nm) + 1 for each
-    (n, m), less the zero matrix."""
+    (n, m), less the zero matrix.  Every family of a ``check_mode`` call
+    counts the same box, so the count is kept."""
     return sum(2 * isqrt(4 * n * m) + 1
                for n in range(n_max + 1) for m in range(m_max + 1)) - 1
 
 
+def _terms(side) -> list:
+    """The term list of an instance's side: a lone reference, the cell
+    itself, is the single term (1, cell)."""
+    return side if side.__class__ is list else [(1, side)]
+
+
 def _check(F: SiegelExpansion, relation: str, shift: int, instances,
            enumerated: int) -> RelationReport:
-    """Evaluate relation instances (cell, left, right), where each side is a
-    list of terms (d, (n, r, m)) standing for d^(k-1) chi(d) A(n, r, m).
+    """Evaluate relation instances (cell, left, right).  A side is a list of
+    terms (d, (n, r, m)), standing for d^(k-1) chi(d) A(n, r, m), or, when
+    its only term is d = 1, a lone reference: the cell (n, r, m) itself,
+    as chi(1) 1^(k-1) = 1.
 
     The instances come from the family's evaluable sub-region; of the
     ``enumerated`` box instances, those not evaluated are reported as
-    skipped.  A side is summed by :func:`~sklift.jacobi._twisted_sums`,
-    which refuses references beyond the box, except that a lone d = 1 term
-    is compared as the reference itself, since chi(1) 1^(k-1) = 1.  A
-    violated instance reports both sides as sums.
+    skipped.  A lone reference is read from the stored coefficients, and
+    an absent one through ``F.a`` (zero inside the box); a term list is
+    summed by :func:`~sklift.jacobi._twisted_sums`, which refuses
+    references beyond the box.  A violated instance reports both sides as
+    full term sums.
     """
     total = _twisted_sums(F, F.a)
-    coeffs = F._coeffs
-
-    def side(terms) -> Scalar:
-        if len(terms) == 1 and terms[0][0] == 1:
-            ref = coeffs.get(terms[0][1])
-            return F.a(*terms[0][1]) if ref is None else ref
-        return total(terms)
-
+    get = F._coeffs.get
     violations: list[Violation] = []
     evaluated = 0
-    for (n, r, m), left_terms, right_terms in instances:
+    for cell, left_side, right_side in instances:
         evaluated += 1
-        left, right = side(left_terms), side(right_terms)
+        if left_side.__class__ is list:
+            left = total(left_side)
+        elif (left := get(left_side)) is None:
+            left = F.a(*left_side)
+        if right_side.__class__ is list:
+            right = total(right_side)
+        elif (right := get(right_side)) is None:
+            right = F.a(*right_side)
         if left != right:
-            violations.append(Violation(relation, n, r, m, shift,
-                                        total(left_terms), total(right_terms)))
+            violations.append(Violation(relation, *cell, shift, total(_terms(left_side)),
+                                        total(_terms(right_side))))
     return RelationReport(violations, enumerated - evaluated)
 
 
-def check_classical(F: SiegelExpansion) -> RelationReport:
-    """A(n,r,m) = sum_{d | (n,r,m)} d^(k-1) chi(d) A(nm/d^2, r/d, 1).
+def _classical_instances(F: SiegelExpansion):
+    """The evaluable instances of the classical family.
 
     The d = 1 reference A(nm, r, 1) bounds the others, so the instance is
     evaluable exactly when nm <= n_max, and nowhere when m_max = 0."""
-    cells = _cells(F.n_max, F.m_max, F.n_max) if F.m_max >= 1 else ()
-    instances = (
-        ((n, r, m), [(1, (n, r, m))],
-         [(d, (n * m // (d * d), r // d, 1)) for d in divisors(gcd(gcd(n, r), m))])
-        for n, r, m in cells
-    )
-    return _check(F, "classical", 0, instances, _cell_count(F.n_max, F.m_max))
+    for cell in _cells(F.n_max, F.m_max, F.n_max) if F.m_max >= 1 else ():
+        n, r, m = cell
+        g = gcd(n, r, m)
+        yield (cell, cell,
+               (n * m, r, 1) if g == 1
+               else [(d, (n * m // (d * d), r // d, 1)) for d in divisors(g)])
+
+
+def check_classical(F: SiegelExpansion) -> RelationReport:
+    """A(n,r,m) = sum_{d | (n,r,m)} d^(k-1) chi(d) A(nm/d^2, r/d, 1)."""
+    return _check(F, "classical", 0, _classical_instances(F), _cell_count(F.n_max, F.m_max))
 
 
 def _symmetric_instances(F: SiegelExpansion, l: int):
@@ -322,12 +340,14 @@ def _symmetric_instances(F: SiegelExpansion, l: int):
     The d = 1 references A(nl, r, m) and A(n, r, ml) bound the others, so
     the instance is evaluable exactly on the sub-box nl <= n_max,
     ml <= m_max."""
-    return (
-        ((n, r, m),
-         [(d, (n * l // (d * d), r // d, m)) for d in divisors(gcd(gcd(n, r), l))],
-         [(d, (n, r // d, m * l // (d * d))) for d in divisors(gcd(gcd(l, r), m))])
-        for n, r, m in _cells(F.n_max // l, F.m_max // l)
-    )
+    for cell in _cells(F.n_max // l, F.m_max // l):
+        n, r, m = cell
+        g, h = gcd(n, r, l), gcd(l, r, m)
+        yield (cell,
+               (n * l, r, m) if g == 1
+               else [(d, (n * l // (d * d), r // d, m)) for d in divisors(g)],
+               (n, r, m * l) if h == 1
+               else [(d, (n, r // d, m * l // (d * d))) for d in divisors(h)])
 
 
 def check_symmetric(F: SiegelExpansion, l: int) -> RelationReport:
@@ -354,7 +374,7 @@ def check_p_relations(F: SiegelExpansion, p: int) -> RelationReport:
 def check_singular_law(F: SiegelExpansion) -> RelationReport:
     """A(l, 0, 0) = (sum_{d | l} d^(k-1) chi(d)) A(1, 0, 0) for l <= n_max."""
     instances = (
-        ((l, 0, 0), [(1, (l, 0, 0))], [(d, (1, 0, 0)) for d in divisors(l)])
+        ((l, 0, 0), (l, 0, 0), [(d, (1, 0, 0)) for d in divisors(l)] if l > 1 else (1, 0, 0))
         for l in range(1, F.n_max + 1)
     )
     return _check(F, "singular", 0, instances, F.n_max)

@@ -1,16 +1,20 @@
 """The shared table parser behind SKJF and SKSF: one error table, both
 formats, a row-by-row oracle for the parsed values, the row-by-row table
-reader as an oracle on a corpus of mutated texts, and the one-pass read of
-writer output."""
+reader as an oracle on a corpus of mutated texts, the one-pass read of
+writer output, the value-text reader and the one-pass read's memory."""
 
 import random
+import tracemalloc
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from sklift import jacobi, serialize, siegel
 from sklift.characters import DirichletCharacter, parse_character
 from sklift.jacobi import JacobiExpansion, builtin_form, index_shift, parse_skjf, write_skjf
-from sklift.numtheory import Scalar
+from sklift.numtheory import Scalar, read_rational
 from sklift.serialize import ParseError, _cell_text, parse_header, parse_int, scalar_from_text
 from sklift.siegel import SiegelExpansion, lift, parse_sksf, write_sksf
 
@@ -459,6 +463,19 @@ def test_writer_output_is_read_in_one_pass(monkeypatch):
         assert _outcome(parse, text) == outcome
 
 
+@pytest.mark.parametrize("chunk", [1, 40, 1000])
+def test_writer_output_is_read_in_one_pass_at_any_chunk_size(monkeypatch, chunk):
+    # a chunk shorter than a row holds that one row; a longer one ends at
+    # the last newline it holds
+    texts = list(_corpus_bases())
+    expected = [_outcome(parse, text) for text, parse in texts]
+    monkeypatch.setattr(serialize, "_CHUNK", chunk)
+    monkeypatch.setattr(jacobi, "parse_table", _refusing_row_loop)
+    monkeypatch.setattr(siegel, "parse_table", _refusing_row_loop)
+    for (text, parse), outcome in zip(texts, expected):
+        assert _outcome(parse, text) == outcome
+
+
 # a writer row -> the same row with one value edit
 _VALUE_EDITS = {
     "trailing tab": lambda row: row + "\t",
@@ -495,3 +512,52 @@ def test_texts_off_writer_output_in_a_value_go_to_the_row_loop(monkeypatch, edit
     monkeypatch.setattr(siegel, "parse_table", parse_table_oracle)
     for (text, parse), outcome in zip(cases, got):
         assert outcome == _outcome(parse, text), text
+
+
+# ---------------------------------------------------------------------------
+# a value text read at once, as read_rational reads its parts
+# ---------------------------------------------------------------------------
+
+@given(st.text(alphabet="-0123456789/,+_ x١²", max_size=12))
+@example("١/1")
+@example("1/2,-3/١")
+@example("+4/1")
+@example("1_0/1")
+@example(" 1/2")
+@example("1/-2")
+@example("1/-0")
+@example("-0/007,1/2")
+@example("1/2/3,4")
+@example("1/2,,3/4")
+@example("1/0,1/2")
+def test_a_value_text_is_read_as_read_rational_reads_its_parts(text):
+    parts = [read_rational(part) for part in text.split(",")]
+    bad = next((i for i, part in enumerate(parts) if part is None or part[1] == 0), None)
+    if bad is None:
+        value = scalar_from_text(text, 7)
+        expected = Scalar(len(parts), [Fraction(num, den) for num, den in parts])
+        assert (value.order, value.coords) == (expected.order, expected.coords)
+        return
+    assert serialize._read_scalar(text) is None
+    part = text.split(",")[bad]
+    message = "zero denominator" if parts[bad] else f"bad rational {part!r} (expected num/den)"
+    with pytest.raises(ParseError) as exc:
+        scalar_from_text(text, 7)
+    assert str(exc.value) == f"line 7: {message}"
+
+
+# ---------------------------------------------------------------------------
+# memory: the one-pass read holds a chunk of rows at a time
+# ---------------------------------------------------------------------------
+
+def test_reading_a_table_peaks_below_three_times_what_the_result_keeps():
+    phi = builtin_form("phi10_1", 300)
+    for text, parse in ((write_skjf(phi), parse_skjf), (write_sksf(lift(phi, 20)), parse_sksf)):
+        tracemalloc.start()
+        try:
+            form = parse(text)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(form.nonzero_items()) > 9000
+        assert peak <= 3 * kept, (text[:6], peak, kept)
