@@ -60,9 +60,7 @@ evaluated by one helper, :func:`_twisted_sums`.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, repeat
 from math import gcd, isqrt
-from operator import is_not
 
 from ._value import Immutable
 from .characters import DirichletCharacter, parity_compatible
@@ -392,9 +390,7 @@ def _shifted_coeffs(phi: JacobiExpansion, l: int, out_n_max: int, total, out: di
     The largest reference is c(out_n_max l, r), so out_n_max l must not
     exceed phi.n_max.  A cell with gcd(n, r, l) = 1 has the single term
     c(nl, r), which is stored as it is; any other cell is the sum over the
-    divisors a of gcd(n, r, l) with gcd(a, N) = 1 and chi(a) != 0.  Row n
-    of the output has the r of row nl of phi, so a row with gcd(n, l) = 1
-    is row nl of phi, its absent (zero) cells left out.
+    divisors a of gcd(n, r, l) with gcd(a, N) = 1 and chi(a) != 0.
     """
     if out_n_max * l > phi.n_max:
         raise ValueError(f"rows up to {out_n_max} of V_{l} need n_max >= {out_n_max * l}")
@@ -404,13 +400,7 @@ def _shifted_coeffs(phi: JacobiExpansion, l: int, out_n_max: int, total, out: di
     get = phi._coeffs.get
     for n in range(out_n_max + 1):
         nl, g = n * l, gcd(n, l)
-        rs = region_r_values(phi.index * l, n)
-        if g == 1:
-            values = list(map(get, zip(repeat(nl), rs)))
-            cells = zip(repeat(n), rs) if m is None else zip(repeat(n), rs, repeat(m))
-            out.update(compress(zip(cells, values), map(is_not, values, repeat(None))))
-            continue
-        for r in rs:
+        for r in region_r_values(phi.index * l, n):
             h = gcd(g, r)
             if h == 1:
                 value = get((nl, r))

@@ -3,7 +3,9 @@
 Rational values serialize as ``<numerator>/<denominator>``; scalars with
 irrational cyclotomic coordinates serialize as the comma-joined coordinate
 vector (one rational per power-basis coordinate, length = ring order).
-Parse failures carry 1-based line numbers.
+Every value text is read by :func:`scalar_from_text`, which reads each of
+its parts with :func:`~sklift.numtheory.read_rational`.  Parse failures
+carry 1-based line numbers.
 
 :func:`parse_table` is the one parser and :func:`write_table` the one
 writer behind SKJF and SKSF.  Their values repeat heavily (an index-1
@@ -77,46 +79,13 @@ def _rational_from_text(text: str, line_no: int) -> tuple[int, int]:
     return value
 
 
-# every character of a value text but its digits and minus signs; the
-# rest of a text the writer writes is "/" for one coordinate, "/,/" for
-# two, and so on
-_PUNCTUATION = str.maketrans("", "", "0123456789-")
-
-
-def _read_scalar(text: str) -> Scalar | None:
-    """The value of a text of comma-joined ``num/den`` parts, each num a
-    -?[0-9]+ and each den a [0-9]+ other than zero, the grammar
-    :func:`~sklift.numtheory.read_rational` reads part by part; None for
-    any other text.
-
-    The punctuation test leaves only ASCII digits and minus signs between
-    the separators, where ``int`` reads just -?[0-9]+ and refuses an
-    integer past the int-string digit limit."""
-    if text.translate(_PUNCTUATION) != "/," * text.count(",") + "/":
-        return None
-    try:
-        numbers = list(map(int, text.replace(",", "/").split("/")))
-    except ValueError:  # an empty number, a misplaced sign or too many digits
-        return None
-    if len(numbers) == 2:  # a rational value
-        num, den = numbers
-        return Scalar.from_integers(1, (num,), den) if den > 0 else None
-    dens = numbers[1::2]
-    if min(dens) < 1:  # zero, or a den written with a sign
-        return None
-    den = lcm(*dens)
-    return Scalar.from_integers(len(dens), [x * (den // d) for x, d in zip(numbers[::2], dens)],
-                                den)
-
-
 def scalar_from_text(text: str, line_no: int) -> Scalar:
     """The value ``num/den``, or, for comma-joined ``num/den`` texts, the
-    element of Q(zeta_M) with those M power-basis coordinates."""
-    value = _read_scalar(text)
-    if value is None:
-        for part in text.split(","):  # the first part read_rational refuses
-            _rational_from_text(part, line_no)
-    return value
+    element of Q(zeta_M) with those M power-basis coordinates; each part
+    is read by :func:`~sklift.numtheory.read_rational`."""
+    parts = [_rational_from_text(part, line_no) for part in text.split(",")]
+    den = lcm(*[d for _, d in parts])
+    return Scalar.from_integers(len(parts), [x * (den // d) for x, d in parts], den)
 
 
 def parse_int(text: str, line_no: int, what: str) -> int:
@@ -162,11 +131,12 @@ def parse_table(text: str, magic: str, header: tuple[tuple[str, str | None], ...
     A table that starts with the ``magic`` line and a metadata line, each
     ended by a newline, is first read in one pass (:func:`_writer_coeffs`):
     each row must be the writer's row of the cell the region walk yields
-    next, the walk must end with the rows, and each distinct value text
-    must parse.  Any other table (another line ending, a row that differs,
-    a blank, extra or missing row, a value that does not parse) is read by
-    the row loop, :func:`_read_rows`, which gives the same result and is
-    the only code that reports an error in the rows.
+    next, the walk must end with the rows, and :func:`scalar_from_text`
+    must read each distinct value text.  Any other table (another line
+    ending, a row that differs, a blank, extra or missing row, a value
+    that does not parse) is read by the row loop, :func:`_read_rows`,
+    which gives the same result and is the only code that reports an
+    error in the rows.
     """
     first = text.find("\n")
     second = text.find("\n", first + 1) if first >= 0 else -1
@@ -216,17 +186,17 @@ def _writer_coeffs(text: str, start: int, walk, width: int) -> dict | None:
     """{cell: value} of the nonzero values when the rows of ``text`` from
     ``start`` on are exactly what :func:`write_table` writes for the cells
     of ``walk``, one row per cell in order, each ended by a newline; None
-    for any other rows, for rows that end before the walk does, or when a
-    value text does not parse, so that the row loop reads them and names
-    the error.
+    for any other rows, for rows that end before the walk does, or when
+    :func:`scalar_from_text` refuses a value text, so that the row loop
+    reads them and names the error.
 
     Chunk by chunk of whole rows, the rows are split into words, every
     ``width + 1``-th word is taken as a value text, and the writer's rows
     of the next cells of the walk with those texts are compared with the
     rows as given; the walk goes no further than the rows do, plus one
-    cell.  Each distinct text is parsed when it is first seen, and the
-    cells of the texts that read as zero are taken out again as each
-    chunk is added."""
+    cell.  Each distinct text is read by :func:`scalar_from_text` when it
+    is first seen, and the cells of the texts that read as zero are taken
+    out again as each chunk is added."""
     coeffs: dict[tuple[int, ...], Scalar] = {}
     values: dict[str, Scalar] = {}  # value text -> its (immutable, shared) Scalar
     zeros: set[str] = set()  # the value texts that read as zero
@@ -243,8 +213,9 @@ def _writer_coeffs(text: str, start: int, walk, width: int) -> dict | None:
         if len(words) != len(cells) * (width + 1) or _rows_text(cells, texts, int_texts) != rows:
             return None
         for new in filterfalse(values.__contains__, texts):  # each text once
-            value = values[new] = _read_scalar(new)
-            if value is None:
+            try:
+                value = values[new] = scalar_from_text(new, 0)
+            except ParseError:
                 return None
             if not value:
                 zeros.add(new)

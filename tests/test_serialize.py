@@ -515,7 +515,7 @@ def test_texts_off_writer_output_in_a_value_go_to_the_row_loop(monkeypatch, edit
 
 
 # ---------------------------------------------------------------------------
-# a value text read at once, as read_rational reads its parts
+# a value text read part by part by read_rational, in and out of a table
 # ---------------------------------------------------------------------------
 
 @given(st.text(alphabet="-0123456789/,+_ x١²", max_size=12))
@@ -538,12 +538,39 @@ def test_a_value_text_is_read_as_read_rational_reads_its_parts(text):
         expected = Scalar(len(parts), [Fraction(num, den) for num, den in parts])
         assert (value.order, value.coords) == (expected.order, expected.coords)
         return
-    assert serialize._read_scalar(text) is None
     part = text.split(",")[bad]
     message = "zero denominator" if parts[bad] else f"bad rational {part!r} (expected num/den)"
     with pytest.raises(ParseError) as exc:
         scalar_from_text(text, 7)
     assert str(exc.value) == f"line 7: {message}"
+
+
+_PHI10_ROWS = write_skjf(builtin_form("phi10_1", 6)).splitlines()
+
+
+@given(st.text(alphabet="-0123456789/,+_ x١²", max_size=12))
+@example("١/1")
+@example("1/2,-3/١")
+@example("+4/1")
+@example("1_0/1")
+@example(" 1/2")
+@example("1/-2")
+@example("1/-0")
+@example("-0/007,1/2")
+@example("1/2/3,4")
+@example("1/2,,3/4")
+@example("1/0,1/2")
+def test_a_value_text_in_a_writer_table_is_read_as_the_row_loop_reads_it(text):
+    # the text as the value of a mid-table row of writer output: the one-pass
+    # read takes it or hands the table to the row loop, which names the line
+    lines = list(_PHI10_ROWS)
+    at = len(lines) // 2
+    lines[at] = lines[at].rsplit(" ", 1)[0] + " " + text
+    table = "\n".join(lines) + "\n"
+    got = _outcome(parse_skjf, table)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(jacobi, "parse_table", parse_table_oracle)
+        assert got == _outcome(parse_skjf, table)
 
 
 # ---------------------------------------------------------------------------
