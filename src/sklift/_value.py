@@ -16,6 +16,7 @@ because the Hecke path hashes tens of thousands of double cosets per
 process.
 """
 
+from functools import total_ordering
 from operator import attrgetter
 
 
@@ -79,9 +80,11 @@ class Frozen(Record, Immutable):
         return hash(self._fields(self))
 
 
+@total_ordering
 class Ordered(Frozen):
     """A frozen record ordered as its field tuple, against instances of the
-    same class only."""
+    same class only.  ``sorted`` calls ``__lt__`` alone, so it is written
+    out; the other three comparisons are derived from it and ``__eq__``."""
 
     __slots__ = ()
 
@@ -89,22 +92,4 @@ class Ordered(Frozen):
         if other.__class__ is self.__class__:
             fields = self._fields
             return fields(self) < fields(other)
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            fields = self._fields
-            return fields(self) <= fields(other)
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            fields = self._fields
-            return fields(self) > fields(other)
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            fields = self._fields
-            return fields(self) >= fields(other)
         return NotImplemented

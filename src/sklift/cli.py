@@ -122,12 +122,6 @@ _VERBS = {
 }
 
 
-def _command(verb: str):
-    """The function that runs ``verb``, looked up by name when a command
-    line is read, so that a rebinding of ``cmd_<verb>`` is seen."""
-    return globals()[f"cmd_{verb}"]
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The argparse parser of every verb, from the option table: it reads
     the command lines :func:`_read_argv` leaves to it, and prints help and
@@ -144,7 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, dest, kind, required, flag_help in flags:
             p.add_argument(flag, dest=dest, required=required, help=flag_help,
                            **({"choices": kind} if isinstance(kind, tuple) else {"type": kind}))
-        p.set_defaults(func=_command(name))
     return parser
 
 
@@ -182,7 +175,6 @@ def _read_argv(argv) -> SimpleNamespace | None:
         args[dest] = value
     if given:  # a flag the verb does not have
         return None
-    args["func"] = _command(verb)
     return SimpleNamespace(**args)
 
 
@@ -210,7 +202,8 @@ def main(argv: list[str] | None = None) -> int:
             if getattr(args, name) is not None and args.mode != mode:
                 build_parser().error(f"verify --{name} requires --mode={mode}")
     try:
-        return args.func(args)
+        # looked up by name at the call, so that a rebinding of cmd_<verb> is seen
+        return globals()[f"cmd_{args.verb}"](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -36,7 +36,7 @@ from collections import Counter
 from functools import lru_cache
 from math import gcd
 
-from ._value import Immutable, Ordered
+from ._value import Frozen, Immutable, Ordered
 from .characters import Mat2, delta_membership_violation
 from .numtheory import _factorize, divisors
 
@@ -89,9 +89,7 @@ class DoubleCoset(Ordered):
             raise ValueError(f"T({a},{d}) requires 1 <= a and a | d")
         if gcd(a, level) != 1:
             raise ValueError(f"T({a},{d}) requires gcd(a, N) = 1")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "level", level)
+        Frozen.__init__(self, a, d, level)
 
     def det(self) -> int:
         return self.a * self.d

@@ -317,20 +317,20 @@ class JacobiExpansion(_Expansion):
 # Index-shift operators
 # ---------------------------------------------------------------------------
 
-def _twisted_sums(form: _Expansion, lookup):
+def _twisted_sums(form: _Expansion):
     """The evaluator of twisted divisor sums over ``form``: a function that
     takes a list of terms (d, cell), each standing for chi(d) d^(k-1) times
     the coefficient at the cell, and returns their sum, taken from zero in
     list order.
 
-    A cell is read from the stored nonzero coefficients, and an absent one
-    through ``lookup(*cell)``, which is zero inside the region and refuses
-    a cell beyond it.  Coefficient values repeat heavily (an index-1 form
-    has c(n, r) = C(4n - r^2), and a lift's A(n, r, m) depends only on
-    4nm - r^2 and gcd(n, r, m)), so each distinct list of present
-    (d, id(stored coefficient)) is summed once.  The memo lives as long as
-    the function, which holds the stored coefficients, so an id is never
-    reused under the memo and a miss only costs a recomputation.
+    Every cell a caller hands over lies in the stored region, as its row or
+    sub-region bound proves (tests/test_region_reads.py records the cells
+    read), so an absent cell is zero.  Coefficient values repeat heavily
+    (an index-1 form has c(n, r) = C(4n - r^2), and a lift's A(n, r, m)
+    depends only on 4nm - r^2 and gcd(n, r, m)), so each distinct list of
+    present (d, id(stored coefficient)) is summed once.  The memo lives as
+    long as the function, which holds the stored coefficients, so an id is
+    never reused under the memo and a miss only costs a recomputation.
     """
     chi, k = form.character, form.weight
     get = form._coeffs.get
@@ -341,9 +341,7 @@ def _twisted_sums(form: _Expansion, lookup):
         key = []
         for d, cell in terms:
             ref = get(cell)
-            if ref is None:
-                lookup(*cell)  # zero, or beyond the region and refused
-            else:
+            if ref is not None:
                 key.append((d, id(ref)))
         key = tuple(key)
         value = sums.get(key)
@@ -374,7 +372,7 @@ def index_shift(phi: JacobiExpansion, l: int) -> JacobiExpansion:
         raise ValueError(f"need n_max >= {l} to shift by {l}")
     out_n_max = phi.n_max // l
     coeffs: dict[tuple[int, int], Scalar] = {}
-    _shifted_coeffs(phi, l, out_n_max, _twisted_sums(phi, phi.coeff), coeffs)
+    _shifted_coeffs(phi, l, out_n_max, _twisted_sums(phi), coeffs)
     return JacobiExpansion._from_region(
         coeffs, weight=phi.weight, index=phi.index * l, level=phi.level,
         character=phi.character, n_max=out_n_max, cusp=phi.cusp,
@@ -387,13 +385,13 @@ def _shifted_coeffs(phi: JacobiExpansion, l: int, out_n_max: int, total, out: di
     n <= out_n_max in ``out``, keyed (n, r), or (n, r, m) when m is given;
     ``total`` is the :func:`_twisted_sums` evaluator over phi.
 
-    The largest reference is c(out_n_max l, r), so out_n_max l must not
-    exceed phi.n_max.  A cell with gcd(n, r, l) = 1 has the single term
-    c(nl, r), which is stored as it is; any other cell is the sum over the
-    divisors a of gcd(n, r, l) with gcd(a, N) = 1 and chi(a) != 0.
+    The largest reference is c(out_n_max l, r), and both callers take
+    out_n_max = floor(n_max / l) or less, so every reference lies in phi's
+    stored region (tests/test_region_reads.py checks it).  A cell with
+    gcd(n, r, l) = 1 has the single term c(nl, r), which is stored as it
+    is; any other cell is the sum over the divisors a of gcd(n, r, l) with
+    gcd(a, N) = 1 and chi(a) != 0.
     """
-    if out_n_max * l > phi.n_max:
-        raise ValueError(f"rows up to {out_n_max} of V_{l} need n_max >= {out_n_max * l}")
     chi = phi.character
     shifts = [a for a in divisors(l)
               if gcd(a, phi.level) == 1 and not chi.value(a).is_zero()]

@@ -39,8 +39,11 @@ d = 1 references bound all the others, so the instances whose references
 stay inside the box form a sub-region known up front (nm <= n_max for
 classical, nl <= n_max and ml <= m_max for symmetric_l, all of l <= n_max
 for the singular law).  Only that sub-region is evaluated; the box cells
-outside it are counted in the report as skipped.  The lift and the engine
-sum their twisted divisor sums with :func:`~sklift.jacobi._twisted_sums`.
+outside it are counted in the report as skipped.  So no reference leaves
+the box, and a cell with no stored coefficient is read as zero with no
+bound test; tests/test_region_reads.py records every cell read to prove
+it.  The lift and the engine sum their twisted divisor sums with
+:func:`~sklift.jacobi._twisted_sums`.
 """
 
 from __future__ import annotations
@@ -252,7 +255,7 @@ def lift(phi: JacobiExpansion, m_max: int) -> SiegelExpansion:
     if m_max > phi.n_max:
         raise ValueError(f"m_max={m_max} exceeds the input truncation {phi.n_max}")
     n_max = phi.n_max // m_max
-    total = _twisted_sums(phi, phi.coeff)
+    total = _twisted_sums(phi)
     coeffs: dict[tuple[int, int, int], Scalar] = {}
     for l in range(1, m_max + 1):
         _shifted_coeffs(phi, l, n_max, total, coeffs, m=l)
@@ -290,26 +293,21 @@ def _check(F: SiegelExpansion, relation: str, shift: int, instances,
 
     The instances come from the family's evaluable sub-region; of the
     ``enumerated`` box instances, those not evaluated are reported as
-    skipped.  A lone reference is read from the stored coefficients, and
-    an absent one through ``F.a`` (zero inside the box); a term list is
-    summed by :func:`~sklift.jacobi._twisted_sums`, which refuses
-    references beyond the box.  A violated instance reports both sides as
-    full term sums.
+    skipped.  Every reference of such an instance lies in the stored box
+    (tests/test_region_reads.py proves it), so a lone reference is read as
+    the stored coefficient or zero, and a term list is summed by
+    :func:`~sklift.jacobi._twisted_sums`.  A violated instance reports both
+    sides as full term sums, so a lone side is written in the twisted sum's ring.
     """
-    total = _twisted_sums(F, F.a)
+    total = _twisted_sums(F)
     get = F._coeffs.get
+    zero = Scalar.zero()
     violations: list[Violation] = []
     evaluated = 0
     for cell, left_side, right_side in instances:
         evaluated += 1
-        if left_side.__class__ is list:
-            left = total(left_side)
-        elif (left := get(left_side)) is None:
-            left = F.a(*left_side)
-        if right_side.__class__ is list:
-            right = total(right_side)
-        elif (right := get(right_side)) is None:
-            right = F.a(*right_side)
+        left = total(left_side) if left_side.__class__ is list else get(left_side, zero)
+        right = total(right_side) if right_side.__class__ is list else get(right_side, zero)
         if left != right:
             violations.append(Violation(relation, *cell, shift, total(_terms(left_side)),
                                         total(_terms(right_side))))
@@ -358,17 +356,12 @@ def check_symmetric(F: SiegelExpansion, l: int) -> RelationReport:
                   _cell_count(F.n_max, F.m_max))
 
 
-def _plocal(symmetric: RelationReport) -> RelationReport:
-    """The p-local report at p from the symmetric report at l = p, which is
-    term for term the same relation (see the module docstring)."""
-    return symmetric.relabelled("plocal")
-
-
 def check_p_relations(F: SiegelExpansion, p: int) -> RelationReport:
-    """The two-term local relation at a prime p (see :func:`_plocal`)."""
+    """The two-term local relation at a prime p: the symmetric report at
+    l = p, term for term the same relation (see the module docstring)."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return _plocal(check_symmetric(F, p))
+    return check_symmetric(F, p).relabelled("plocal")
 
 
 def check_singular_law(F: SiegelExpansion) -> RelationReport:
@@ -415,7 +408,7 @@ def check_mode(F: SiegelExpansion, mode: str, shift: int | None = None) -> Relat
         return RelationReport([]).merged_with(*(check_p_relations(F, p) for p in primes))
     classical, singular = check_classical(F), check_singular_law(F)
     symmetric = [check_symmetric(F, p) for p in primes]
-    return classical.merged_with(singular, *symmetric, *map(_plocal, symmetric))
+    return classical.merged_with(singular, *symmetric, *(s.relabelled("plocal") for s in symmetric))
 
 
 # ---------------------------------------------------------------------------

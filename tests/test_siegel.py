@@ -362,7 +362,7 @@ def test_symmetric_sides_are_coset_sums():
         for l in range(1, 7):
             left = [index_shift_oracle(fj_coefficient(F, m), l) for m in range(F.m_max // l + 1)]
             right = [index_shift_oracle(fj_coefficient(G, n), l) for n in range(F.n_max // l + 1)]
-            side = _twisted_sums(F, F.a)
+            side = _twisted_sums(F)
             for (n, r, m), left_side, right_side in _symmetric_instances(F, l):
                 assert side(_terms(left_side)) == left[m].coeff(n, r), (F, l, n, r, m)
                 assert side(_terms(right_side)) == right[n].coeff(m, r), (F, l, n, r, m)
