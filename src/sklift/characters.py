@@ -23,7 +23,6 @@ e(j/M).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from ._value import Frozen, Immutable
@@ -36,6 +35,7 @@ __all__ = [
     "char_on_delta",
     "parity_compatible",
     "delta_membership_violation",
+    "require_delta",
     "parse_character",
 ]
 
@@ -78,6 +78,13 @@ def delta_membership_violation(g: Mat2, level: int) -> str | None:
     if gcd(g.a, level) != 1:
         return f"upper-left entry {g.a} is not coprime to the level {level}"
     return None
+
+
+def require_delta(g: Mat2, level: int) -> None:
+    """A ValueError naming the first violated Delta_N condition, if any."""
+    reason = delta_membership_violation(g, level)
+    if reason is not None:
+        raise ValueError(f"matrix not in Delta_N at level {level}: {reason}")
 
 
 class DirichletCharacter(Immutable):
@@ -234,13 +241,10 @@ def parse_character(spec: str, modulus: int) -> DirichletCharacter:
 
 def char_on_delta(chi: DirichletCharacter, g: Mat2) -> Scalar:
     """The extension of chi to Delta_N: conj(chi(a)) for g = (a b; c d)."""
-    reason = delta_membership_violation(g, chi.modulus)
-    if reason is not None:
-        raise ValueError(f"matrix not in Delta_N at level {chi.modulus}: {reason}")
+    require_delta(g, chi.modulus)
     return chi.value(g.a).conj()
 
 
 def parity_compatible(chi: DirichletCharacter, weight: int) -> bool:
     """True iff chi(-1) = (-1)^weight in the scalar ring."""
-    sign = Fraction(1) if weight % 2 == 0 else Fraction(-1)
-    return chi.value(-1) == Scalar.from_rational(sign)
+    return chi.value(-1) == (1 if weight % 2 == 0 else -1)

@@ -37,7 +37,7 @@ from functools import lru_cache
 from math import gcd
 
 from ._value import Frozen, Immutable, Ordered
-from .characters import Mat2, delta_membership_violation
+from .characters import Mat2, require_delta
 from .numtheory import _factorize, divisors
 
 __all__ = [
@@ -109,17 +109,11 @@ def coset_representatives(level: int, l: int) -> tuple[CosetRep, ...]:
     return tuple(reps)
 
 
-def _require_delta(g: Mat2, level: int) -> None:
-    reason = delta_membership_violation(g, level)
-    if reason is not None:
-        raise ValueError(f"matrix not in Delta_N at level {level}: {reason}")
-
-
 def coset_equal(g1: Mat2, g2: Mat2, level: int) -> bool:
     """Whether Gamma_0(N) g1 = Gamma_0(N) g2, i.e. g1 g2^{-1} lies in
     Gamma_0(N).  Both matrices must be in Delta_N with equal determinant."""
-    _require_delta(g1, level)
-    _require_delta(g2, level)
+    require_delta(g1, level)
+    require_delta(g2, level)
     det = g2.det()
     if g1.det() != det:
         raise ValueError(f"determinant mismatch: {g1.det()} != {det}")
@@ -130,32 +124,19 @@ def coset_equal(g1: Mat2, g2: Mat2, level: int) -> bool:
     return a * d - b * c == 1 and c % level == 0
 
 
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with s*a + t*b = g = gcd(a, b) >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def canonicalize_coset(g: Mat2, level: int) -> CosetRep:
     """The unique canonical representative of Gamma_0(N) g.
 
-    Computed directly: with g0 = gcd(a, c) the row operation
-    (s t; -c/g0 a/g0), s a/g0 + t c/g0 = 1, lies in Gamma_0(N) (N | c and
-    gcd(g0, N) = 1 force N | c/g0) and upper-triangularizes g.
+    Computed directly: with g0 = gcd(a, c), a0 = a/g0 and c0 = c/g0, the
+    row operation (s t; -c0 a0), s a0 + t c0 = 1, lies in Gamma_0(N)
+    (N | c and gcd(g0, N) = 1 force N | c0) and upper-triangularizes g.
     """
-    _require_delta(g, level)
+    require_delta(g, level)
     det = g.det()
     g0 = gcd(g.a, g.c)
-    _, s, t = _ext_gcd(g.a // g0, g.c // g0)
+    a0, c0 = g.a // g0, g.c // g0
+    s = pow(a0, -1, c0) if c0 else a0
+    t = (1 - s * a0) // c0 if c0 else 0
     d0 = det // g0
     rep = CosetRep(g0, (s * g.b + t * g.d) % d0, d0, level)
     if not coset_equal(rep.matrix(), g, level):

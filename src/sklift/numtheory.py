@@ -84,16 +84,7 @@ def divisors(n: int) -> tuple[int, ...]:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    for d in range(3, isqrt(n) + 1, 2):
-        if n % d == 0:
-            return False
-    return True
+    return n >= 2 and _factorize(n) == ((n, 1),)
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -256,6 +247,13 @@ def _rational_parts(value) -> tuple[int, int] | None:
     return None
 
 
+def _exact_parts(value) -> tuple[int, int]:
+    """:func:`_rational_parts`, or a TypeError for a float, a str, a Decimal."""
+    if (parts := _rational_parts(value)) is None:
+        raise TypeError(f"not an exact rational (int or Fraction): {value!r}")
+    return parts
+
+
 class Scalar(Immutable):
     """An exact element of Q(zeta_M), M = ``order``, as integer numerators
     ``nums`` of the power-basis coordinates 1, zeta, ..., zeta^(phi(M)-1)
@@ -270,7 +268,8 @@ class Scalar(Immutable):
     (an int, a Fraction or an order-1 Scalar) keeps the other's order: the
     order is never lowered.  M = 1 is plain rational arithmetic.
     ``coords`` is the coordinate vector as M Fractions, zero beyond
-    phi(M) - 1.  Instances are immutable.
+    phi(M) - 1.  Instances are immutable.  Values are read as the operators
+    read them: an int or a Fraction; a float, a str or a Decimal raises TypeError.
     """
 
     __slots__ = ("order", "nums", "den")
@@ -278,9 +277,9 @@ class Scalar(Immutable):
     def __init__(self, order: int, coords):
         if order < 1:
             raise ValueError("scalar order must be >= 1")
-        vals = [c if isinstance(c, Fraction) else Fraction(c) for c in coords]
-        den = lcm(1, *(c.denominator for c in vals))
-        nums = _reduce(order, [c.numerator * (den // c.denominator) for c in vals])
+        parts = [_exact_parts(c) for c in coords]
+        den = lcm(1, *(d for _, d in parts))
+        nums = _reduce(order, [n * (den // d) for n, d in parts])
         _init(self, order, nums, den)
 
     def __reduce__(self):
@@ -302,10 +301,9 @@ class Scalar(Immutable):
 
     @staticmethod
     def from_rational(value) -> "Scalar":
-        if value.__class__ is not int:
-            value = Fraction(value)
-            return _scalar(1, (value.numerator,), value.denominator)
-        return _scalar(1, (value,), 1)
+        """The order-1 Scalar of an int or a Fraction; TypeError otherwise."""
+        num, den = _exact_parts(value)
+        return _scalar(1, (num,), den)
 
     @staticmethod
     def zero() -> "Scalar":
@@ -602,11 +600,6 @@ def _bernoulli_kronecker(n: int, disc: int) -> Fraction:
     return _bernoulli_sum(n, abs(disc), lambda a: kronecker_symbol(disc, a))
 
 
-def _zeta_negative(m: int) -> Fraction:
-    """zeta(1 - m) = -B_m / m for m >= 1 (B_1 = +1/2 convention)."""
-    return -_bernoulli_kronecker(m, 1) / m
-
-
 # ---------------------------------------------------------------------------
 # Cohen's H-function and its disk cache
 # ---------------------------------------------------------------------------
@@ -745,7 +738,7 @@ def cohen_h(r: int, nval: int) -> Fraction:
     if cached is not None:
         return cached
     if nval == 0:
-        value = _zeta_negative(2 * r)
+        value = -_bernoulli_number(2 * r) / (2 * r)  # zeta(1 - 2r)
     else:
         signed = nval if r % 2 == 0 else -nval
         if signed % 4 not in (0, 1):

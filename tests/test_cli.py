@@ -94,6 +94,15 @@ def test_lift_rejects_eisenstein_part(tmp_path, capsys):
     assert "constant term" in err
 
 
+def test_lift_with_mmax_zero_is_a_data_error(tmp_path, capsys):
+    skjf = tmp_path / "phi10.skjf"
+    assert run(["gen", "--form=phi10_1", "--nmax=8", f"--out={skjf}"], capsys)[0] == 0
+    out = tmp_path / "never.sksf"
+    assert run(["lift", f"--in={skjf}", "--mmax=0", f"--out={out}"], capsys) == \
+        (2, "", "error: m_max must be >= 1\n")
+    assert not out.exists()
+
+
 def test_lift_deterministic_output(tmp_path, capsys):
     skjf = tmp_path / "in.skjf"
     run(["gen", "--form=phi12_1", "--nmax=12", f"--out={skjf}"], capsys)

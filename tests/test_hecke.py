@@ -112,6 +112,33 @@ def test_canonicalize_agrees_with_scanning():
             assert by_scan == [rep] == [r]
 
 
+# g -> a matrix of the left coset Gamma_0(N) g whose first column the
+# Bezout step of canonicalize_coset meets in a corner case
+_CORNERS = {
+    "a = 0 (S at level 1)": (lambda level: Mat2(0, -1, 1, 0), (1,)),
+    "c = 0, a < 0 (-I)": (lambda level: Mat2(-1, 0, 0, -1), (1, 2, 3, 4, 6)),
+    "c < 0 ((1 0; -N 1))": (lambda level: Mat2(1, 0, -level, 1), (1, 2, 3, 4, 6)),
+    "a < 0 (-I (1 0; -N 1))": (lambda level: Mat2(-1, 0, level, -1), (1, 2, 3, 4, 6)),
+}
+
+
+@pytest.mark.parametrize("corner", list(_CORNERS))
+def test_canonicalize_corner_cases_agree_with_scanning(corner):
+    gamma_of, levels = _CORNERS[corner]
+    cases = 0
+    for level in levels:
+        gamma = gamma_of(level)
+        assert gamma.det() == 1 and gamma.c % level == 0
+        for l in range(1, 13):
+            reps = coset_representatives(level, l)
+            for r in reps:
+                g = gamma * r.matrix()
+                by_scan = [cand for cand in reps if coset_equal(cand.matrix(), g, level)]
+                assert by_scan == [canonicalize_coset(g, level)] == [r], (level, g)
+                cases += 1
+    assert cases >= 90
+
+
 def test_double_coset_of_matches_expansion_scan():
     # the content rule against the definitional test: membership of the
     # canonical representative in a candidate's right-coset expansion
@@ -202,6 +229,16 @@ def test_theorem_identity_examples():
     assert multiply(tl_element(4, 3), tl_element(4, 5)) == tl_element(4, 15)
     # degenerate at p | N: T(2) o T(2) = T(4) at level 2
     assert multiply(tl_element(2, 2), tl_element(2, 2)) == tl_element(2, 4)
+
+
+def test_element_coefficients_and_zero():
+    x = tl_element(1, 4) + 2 * t_ad(1, 2, 2)
+    assert x.coefficient(DoubleCoset(2, 2, 1)) == 3
+    assert x.coefficient(DoubleCoset(1, 4, 1)) == 1
+    assert x.coefficient(DoubleCoset(1, 2, 1)) == 0
+    assert not x.is_zero()
+    assert HeckeElement(1).is_zero()
+    assert (x + (-1) * x).is_zero()
 
 
 def test_element_formatting():

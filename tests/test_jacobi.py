@@ -326,6 +326,41 @@ def test_mul_elliptic_rejects_nonzero_index():
         mul_elliptic(phi, phi)
 
 
+def test_mul_elliptic_rejects_a_level_mismatch_and_a_nontrivial_character():
+    phi = builtin_form("phi10_1", 4)
+    with pytest.raises(ValueError) as exc:
+        mul_elliptic(phi, _elliptic(2, 4, {0: 1}))
+    assert str(exc.value) == "level mismatch"
+    chi = DirichletCharacter.kronecker(5)
+    phi5 = JacobiExpansion(10, 1, 5, DirichletCharacter.trivial(5), 4, {})
+    with pytest.raises(ValueError) as exc:
+        mul_elliptic(phi5, JacobiExpansion(4, 0, 5, chi, 4, {(0, 0): 1}))
+    assert str(exc.value) == "index-0 factor must carry the trivial character"
+
+
+def test_add_refuses_an_incompatible_expansion():
+    phi = builtin_form("phi10_1", 4)
+    for other in (builtin_form("phi12_1", 4),
+                  JacobiExpansion(10, 2, 1, TRIV, 4, {}),
+                  JacobiExpansion(10, 1, 2, DirichletCharacter.trivial(2), 4, {})):
+        with pytest.raises(ValueError) as exc:
+            phi + other
+        assert str(exc.value) == "incompatible weight/index/level"
+    trivial5 = JacobiExpansion(10, 1, 5, DirichletCharacter.trivial(5), 4, {})
+    kronecker5 = JacobiExpansion(10, 1, 5, DirichletCharacter.kronecker(5), 4, {})
+    with pytest.raises(ValueError) as exc:
+        trivial5 + kronecker5
+    assert str(exc.value) == "incompatible characters"
+
+
+def test_truncate_refuses_to_extend():
+    phi = builtin_form("phi10_1", 4)
+    assert phi.truncate(4) == phi
+    with pytest.raises(ValueError) as exc:
+        phi.truncate(5)
+    assert str(exc.value) == "cannot extend a truncated expansion"
+
+
 def test_index_shift_identity_and_zero():
     phi = builtin_form("phi10_1", 10)
     assert index_shift(phi, 1) == phi

@@ -27,6 +27,7 @@ from sklift.numtheory import (
     divisors,
     generalized_bernoulli,
     is_fundamental_discriminant,
+    is_prime,
     kronecker_symbol,
     moebius,
 )
@@ -162,6 +163,26 @@ def test_kronecker_matches_euler_criterion():
             else:
                 euler = pow(disc % p, (p - 1) // 2, p)
                 assert kronecker_symbol(disc, p) == (1 if euler == 1 else -1)
+
+
+def test_kronecker_at_a_negative_bottom():
+    # (top / n) = (top / -1) (top / |n|) for n < 0, (top / -1) = -1 iff top < 0
+    assert kronecker_symbol(-3, -5) == 1
+    assert kronecker_symbol(-4, -3) == 1 and kronecker_symbol(4, -3) == 1
+    assert kronecker_symbol(-7, -1) == -1 and kronecker_symbol(7, -1) == 1
+    for top in range(-40, 41):
+        sign = -1 if top < 0 else 1
+        for n in range(-40, 0):
+            assert kronecker_symbol(top, n) == sign * kronecker_symbol(top, -n), (top, n)
+
+
+def test_is_prime_matches_trial_division():
+    def by_trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, n))
+
+    assert [n for n in range(-5, 1200) if is_prime(n)] == \
+        [n for n in range(-5, 1200) if by_trial_division(n)]
+    assert is_prime(2 ** 31 - 1) and not is_prime(2 ** 31 + 1) and not is_prime(10 ** 6)
 
 
 def test_kronecker_multiplicative_and_periodic():

@@ -92,6 +92,8 @@ CASES = [
     ("sksf", "same bad value twice", _replace_values("0/0", 12, 6), 6, "zero denominator"),
     # integer fields read -?[0-9]+ only: no '+', no '_', no non-ASCII digits
     ("skjf", "plus in header", _edit_header("nmax=4", "nmax=+4"), 2, "bad nmax '+4'"),
+    ("skjf", "nmax out of range", _edit_header("nmax=4", "nmax=-1"), 2,
+     "index/level/nmax out of range"),
     ("sksf", "underscore in header", _edit_header("mmax=2", "mmax=0_2"), 2, "bad mmax '0_2'"),
     ("skjf", "plus in chi", _edit_header("chi=trivial", "chi=kronecker:+1"), 2,
      "bad kronecker discriminant '+1'"),
@@ -474,6 +476,26 @@ def test_writer_output_is_read_in_one_pass_at_any_chunk_size(monkeypatch, chunk)
     monkeypatch.setattr(siegel, "parse_table", _refusing_row_loop)
     for (text, parse), outcome in zip(texts, expected):
         assert _outcome(parse, text) == outcome
+
+
+def test_a_table_without_its_last_newline_goes_to_the_row_loop(monkeypatch):
+    # the one-pass read meets a last row with no newline and hands the
+    # table to the row loop, which reads it as the table with the newline
+    read_rows = serialize._read_rows
+    reads = []
+
+    def counted(body, *args):
+        reads.append(len(body))
+        return read_rows(body, *args)
+
+    monkeypatch.setattr(serialize, "_read_rows", counted)
+    for good, parse in _corpus_bases():
+        assert good.endswith("\n") and not good.endswith("\n\n")
+        expected = _outcome(parse, good)
+        assert expected[0] == "ok" and not reads
+        assert _outcome(parse, good[:-1]) == expected
+        assert reads == [len(good.splitlines()) - 2]
+        reads.clear()
 
 
 # a writer row -> the same row with one value edit

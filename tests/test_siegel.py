@@ -101,6 +101,21 @@ def test_lift_validation():
         lift(builtin_form("E4_1", 8), 2)
     with pytest.raises(ValueError, match="m_max"):
         lift(builtin_form("phi10_1", 4), 5)
+    with pytest.raises(ValueError) as exc:
+        lift(builtin_form("phi10_1", 4), 0)
+    assert str(exc.value) == "m_max must be >= 1"
+
+
+def test_perturbed_drops_a_cell_it_brings_back_to_zero():
+    F = small_lift()
+    value = F.a(2, 1, 1)
+    assert value and (2, 1, 1) in dict(F.nonzero_items())
+    G = F.perturbed(2, 1, 1, delta=-value)
+    assert G.a(2, 1, 1) == 0 and (2, 1, 1) not in dict(G.nonzero_items())
+    assert dict(G.nonzero_items()) == {cell: c for cell, c in F.nonzero_items()
+                                       if cell != (2, 1, 1)}
+    assert not G.cusp
+    assert G.perturbed(2, 1, 1, delta=value).a(2, 1, 1) == value
 
 
 def test_lift_support_and_cusp():
@@ -810,6 +825,8 @@ def test_report_text_shape():
     ("\n\nVERDICT=FAIL\nSKIPPED=0\n", 3, "verdict line inconsistent with violation list"),
     ("\nVERDICT=MAYBE\nSKIPPED=0\n", 2, "expected VERDICT=PASS or VERDICT=FAIL"),
     ("VERDICT=PASS\n\nSKIPPED=-3\n", 3, "negative skip count -3"),
+    ("VERDICT=FAIL\nREL=classical T=(1,0,1) l=0 L=1/1 R=0/1\n\n", 2,
+     "expected trailing SKIPPED=<count>"),
     ("VERDICT=FAIL\n\nREL=bogus T=(1,0,1) l=0 L=1/1 R=0/1\nSKIPPED=0\n", 3,
      "unknown relation 'bogus'"),
     ("VERDICT=FAIL\nclassical T=(1,0,1) l=0 L=1/1 R=0/1\nSKIPPED=0\n", 2,
@@ -833,8 +850,8 @@ def test_report_text_shape():
     ("VERDICT=FAIL\nREL=classical T=(1,0,1) l=0 L=\u0661/1 R=0/1\nSKIPPED=0\n", 2,
      "bad rational '\u0661/1' (expected num/den)"),
 ], ids=["skip-count", "bad-rational", "malformed-violation", "inconsistent-verdict",
-        "bad-verdict", "negative-skip-count", "unknown-relation", "bare-rel", "bare-t",
-        "t-without-parens", "bare-l", "bare-left", "bare-right", "equal-sides",
+        "bad-verdict", "negative-skip-count", "no-skipped-line", "unknown-relation",
+        "bare-rel", "bare-t", "t-without-parens", "bare-l", "bare-left", "bare-right", "equal-sides",
         "underscore-skip-count", "plus-skip-count", "plus-underscore-shift",
         "non-ascii-digit"])
 def test_report_parse_errors_keep_the_text_line_numbers(text, line_no, message):

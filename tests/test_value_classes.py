@@ -305,6 +305,17 @@ def test_expansion_copy_deepcopy_and_pickle_round_trip(name):
             assert list(y.nonzero_items()) == list(x.nonzero_items())
 
 
+def test_frozen_records_refuse_the_wrong_number_of_fields():
+    for build, message in ((lambda: characters.Mat2(1, 2, 3),
+                            "Mat2() takes 4 arguments (3 given)"),
+                           (lambda: hecke.CosetRep(1, 0, 2, 1, 5),
+                            "CosetRep() takes 4 arguments (5 given)"),
+                           (lambda: characters.Mat2(), "Mat2() takes 4 arguments (0 given)")):
+        with pytest.raises(TypeError) as exc:
+            build()
+        assert str(exc.value) == message
+
+
 def test_double_coset_validation_messages_match_the_dataclass():
     messages = set()
     for level in range(-1, 4):
