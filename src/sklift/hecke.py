@@ -157,13 +157,15 @@ def double_coset_of(g: Mat2 | CosetRep, level: int | None = None) -> DoubleCoset
     return DoubleCoset(e1, rep.det() // e1, rep.level)
 
 
-@lru_cache(maxsize=None)
 def double_coset_right_cosets(dc: DoubleCoset) -> tuple[CosetRep, ...]:
     """The right cosets of T(a, d): representatives of determinant ad whose
     content equals a."""
-    return tuple(
-        r for r in coset_representatives(dc.level, dc.det()) if r.content() == dc.a
-    )
+    return _right_cosets(dc.level, dc.a, dc.d)
+
+
+@lru_cache(maxsize=None)
+def _right_cosets(level: int, a: int, d: int) -> tuple[CosetRep, ...]:
+    return tuple(r for r in coset_representatives(level, a * d) if r.content() == a)
 
 
 def _right_coset_count(level: int, a: int, d: int) -> int:
@@ -177,25 +179,21 @@ def _right_coset_count(level: int, a: int, d: int) -> int:
 
 
 class HeckeElement(Immutable):
-    """An immutable finite integer combination of double cosets at a fixed level."""
+    """An immutable finite integer combination of double cosets at a fixed
+    level, stored as {(a, d): c} over the T(a, d) of its level, c != 0."""
 
     __slots__ = ("level", "_coeffs")
 
-    def __init__(self, level: int, coeffs: dict[DoubleCoset, int] | None = None):
-        object.__setattr__(self, "level", level)
-        clean: dict[DoubleCoset, int] = {}
-        for dc, c in (coeffs or {}).items():
-            if dc.level != level:
-                raise ValueError("double coset level mismatch")
-            if c:
-                clean[dc] = c
-        object.__setattr__(self, "_coeffs", clean)
+    def __new__(cls, level: int, coeffs: dict[DoubleCoset, int] | None = None):
+        if any(dc.level != level for dc in coeffs or ()):
+            raise ValueError("double coset level mismatch")
+        return _element(level, {(dc.a, dc.d): c for dc, c in (coeffs or {}).items()})
 
     def coefficients(self) -> dict[DoubleCoset, int]:
-        return dict(self._coeffs)
+        return {DoubleCoset(a, d, self.level): c for (a, d), c in self._coeffs.items()}
 
     def coefficient(self, dc: DoubleCoset) -> int:
-        return self._coeffs.get(dc, 0)
+        return self._coeffs.get((dc.a, dc.d), 0) if dc.level == self.level else 0
 
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -204,14 +202,14 @@ class HeckeElement(Immutable):
         if self.level != other.level:
             raise ValueError("level mismatch")
         out = dict(self._coeffs)
-        for dc, c in other._coeffs.items():
-            out[dc] = out.get(dc, 0) + c
-        return HeckeElement(self.level, out)
+        for key, c in other._coeffs.items():
+            out[key] = out.get(key, 0) + c
+        return _element(self.level, out)
 
     def __rmul__(self, n: int) -> "HeckeElement":
         if not isinstance(n, int):
             return NotImplemented
-        return HeckeElement(self.level, {dc: n * c for dc, c in self._coeffs.items()})
+        return _element(self.level, {key: n * c for key, c in self._coeffs.items()})
 
     __mul__ = __rmul__
 
@@ -221,18 +219,23 @@ class HeckeElement(Immutable):
         return self.level == other.level and self._coeffs == other._coeffs
 
     def __reduce__(self):
-        return (HeckeElement, (self.level, self._coeffs))
+        return (HeckeElement, (self.level, self.coefficients()))
 
     def __str__(self):
         if not self._coeffs:
             return "0"
-        terms = [
-            f"{c}*T({dc.a},{dc.d})"
-            for dc, c in sorted(self._coeffs.items(), key=lambda kv: (kv[0].a, kv[0].d))
-        ]
-        return " + ".join(terms)
+        return " + ".join(f"{c}*T({a},{d})" for (a, d), c in sorted(self._coeffs.items()))
 
     __repr__ = __str__
+
+
+def _element(level: int, coeffs: dict[tuple[int, int], int]) -> HeckeElement:
+    """The HeckeElement of ``coeffs`` {(a, d): c}, each (a, d) already a
+    T(a, d) of ``level``; zeros are dropped and nothing is re-checked."""
+    out = object.__new__(HeckeElement)
+    object.__setattr__(out, "level", level)
+    object.__setattr__(out, "_coeffs", {key: c for key, c in coeffs.items() if c})
+    return out
 
 
 def t_ad(level: int, a: int, d: int) -> HeckeElement:
@@ -246,12 +249,10 @@ def tl_element(level: int, l: int) -> HeckeElement:
     per (level, l), as a HeckeElement is immutable."""
     if l < 1:
         raise ValueError("determinant must be positive")
-    coeffs = {}
-    for a in divisors(l):
-        d = l // a
-        if d % a == 0 and gcd(a, level) == 1:
-            coeffs[DoubleCoset(a, d, level)] = 1
-    return HeckeElement(level, coeffs)
+    if level < 1:  # the message of DoubleCoset for T(1, l), its first term
+        raise ValueError(f"T(1,{l}) requires level N >= 1")
+    return _element(level, {(a, l // a): 1 for a in divisors(l)
+                            if (l // a) % a == 0 and gcd(a, level) == 1})
 
 
 @lru_cache(maxsize=None)
@@ -265,8 +266,7 @@ def _basis_product(level: int, a1: int, d1: int, a2: int, d2: int) -> tuple[tupl
     The right cosets of T(a, d) depend on N only through its primes that
     divide d/a, so :func:`multiply` passes gcd(N, (d1/a1) (d2/a2)) as
     ``level``, the level a failed check names."""
-    left = double_coset_right_cosets(DoubleCoset(a1, d1, level))
-    right = double_coset_right_cosets(DoubleCoset(a2, d2, level))
+    left, right = _right_cosets(level, a1, d1), _right_cosets(level, a2, d2)
     counts = Counter((x.a * y.a, (x.a * y.b + x.b * y.d) % (x.d * y.d), x.d * y.d)
                      for x in left for y in right)
     return _multiplicities(level, counts)
@@ -306,24 +306,23 @@ def multiply(x: HeckeElement, y: HeckeElement) -> HeckeElement:
     if x.level != y.level:
         raise ValueError("level mismatch")
     level = x.level
-    out: dict[DoubleCoset, int] = {}
-    for dc1, c1 in x._coeffs.items():
-        for dc2, c2 in y._coeffs.items():
-            reduced = gcd(level, (dc1.d // dc1.a) * (dc2.d // dc2.a))
-            for a, d, c in _basis_product(reduced, dc1.a, dc1.d, dc2.a, dc2.d):
-                key = DoubleCoset(a, d, level)
-                out[key] = out.get(key, 0) + c1 * c2 * c
-    return HeckeElement(level, out)
+    out: dict[tuple[int, int], int] = {}
+    for (a1, d1), c1 in x._coeffs.items():
+        for (a2, d2), c2 in y._coeffs.items():
+            reduced = gcd(level, (d1 // a1) * (d2 // a2))
+            for a, d, c in _basis_product(reduced, a1, d1, a2, d2):  # a | a1 a2, so gcd(a, N) = 1
+                out[a, d] = out.get((a, d), 0) + c1 * c2 * c
+    return _element(level, out)
 
 
 def diagonal_shift(d: int, x: HeckeElement) -> HeckeElement:
     """T(d, d) o x for gcd(d, N) = 1: every T(a0, d0) maps to T(d a0, d d0)."""
     if gcd(d, x.level) != 1:
         raise ValueError(f"diagonal shift requires gcd({d}, {x.level}) = 1")
-    out = {
-        DoubleCoset(d * dc.a, d * dc.d, x.level): c for dc, c in x._coeffs.items()
-    }
-    return HeckeElement(x.level, out)
+    if d < 1 and x._coeffs:  # the message of DoubleCoset for the first term
+        a0, d0 = next(iter(x._coeffs))
+        raise ValueError(f"T({d * a0},{d * d0}) requires 1 <= a and a | d")
+    return _element(x.level, {(d * a0, d * d0): c for (a0, d0), c in x._coeffs.items()})
 
 
 def _identity_sides(level: int, m: int, n: int) -> tuple[HeckeElement, HeckeElement]:

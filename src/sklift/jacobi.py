@@ -65,7 +65,7 @@ from math import gcd, isqrt
 from ._value import Immutable
 from .characters import DirichletCharacter, parity_compatible
 from .hecke import coset_representatives
-from .numtheory import Scalar, divisors, pow_fraction, sigma
+from .numtheory import Scalar, _from_integers, divisors, pow_fraction, sigma
 from .serialize import parse_table, write_table
 
 __all__ = [
@@ -599,7 +599,7 @@ def _index1(weight: int, rows: list[list[int]], cusp: bool = False,
     c(n, r) = rows[r mod 2][n - (r^2 - r mod 2) / 4] / den."""
     n_max = len(rows[0]) - 1
     # one Scalar per distinct entry, shared by every cell that holds it
-    scalars = {c: Scalar.from_integers(1, (c,), den) for c in {*rows[0], *rows[1]}}
+    scalars = {c: _from_integers(1, (c,), den) for c in {*rows[0], *rows[1]}}
     # the region walk yields each cell once, inside the region; zeros are left out
     coeffs = {(n, r): scalars[c] for n in range(n_max + 1) for r in region_r_values(1, n)
               if (c := rows[r % 2][n - (r * r - r % 2) // 4])}

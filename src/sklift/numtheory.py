@@ -83,8 +83,40 @@ def divisors(n: int) -> tuple[int, ...]:
     return tuple(small + large[::-1])
 
 
+# the primes up to 41: strong-probable-prime tests to all of them are exact
+# below psi_13 (Sorenson and Webster, "Strong pseudoprimes to twelve prime
+# bases", Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981  # psi_13, the least composite passing all
+
+
 def is_prime(n: int) -> bool:
-    return n >= 2 and _factorize(n) == ((n, 1),)
+    """Whether n is prime, by deterministic Miller-Rabin on the bases
+    2, 3, ..., 41; a ValueError at or above psi_13, where it is no longer
+    exact."""
+    if n >= _MR_BOUND:
+        raise ValueError(f"primality is decided only below {_MR_BOUND} "
+                         f"(Miller-Rabin on the primes up to 41): {n}")
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:  # no prime factor up to 41, so no composite
+        return True
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s t, t odd
+    t = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, t, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -292,12 +324,12 @@ class Scalar(Immutable):
     @staticmethod
     def from_integers(order: int, nums, den: int = 1) -> "Scalar":
         """The value (sum_j nums[j] zeta_order^j) / den, for integers nums
-        (any length) and den >= 1."""
-        if order < 1:
-            raise ValueError("scalar order must be >= 1")
-        if den < 1:
-            raise ValueError("scalar denominator must be >= 1")
-        return _scalar(order, _reduce(order, nums), den)
+        (any length) and den >= 1; a TypeError for any other number."""
+        nums = tuple(nums)
+        for x in (den, *nums):
+            if not isinstance(x, int):
+                raise TypeError(f"not an integer: {x!r}")
+        return _from_integers(order, nums, den)
 
     @staticmethod
     def from_rational(value) -> "Scalar":
@@ -513,6 +545,15 @@ def _scalar(order: int, nums: tuple[int, ...], den: int) -> Scalar:
     out = _new(Scalar)
     _init(out, order, nums, den)
     return out
+
+
+def _from_integers(order: int, nums, den: int) -> Scalar:
+    """:meth:`Scalar.from_integers` for ints the caller built itself."""
+    if order < 1:
+        raise ValueError("scalar order must be >= 1")
+    if den < 1:
+        raise ValueError("scalar denominator must be >= 1")
+    return _scalar(order, _reduce(order, nums), den)
 
 
 _SCALAR_ZERO = _scalar(1, (0,), 1)

@@ -32,7 +32,7 @@ from math import gcd, lcm
 from operator import itemgetter
 
 from .characters import parse_character
-from .numtheory import Scalar, read_int, read_rational
+from .numtheory import Scalar, _from_integers, read_int, read_rational
 
 __all__ = ["ParseError", "rational_to_text", "scalar_to_text", "scalar_from_text",
            "parse_int", "parse_header", "parse_table", "write_table"]
@@ -85,7 +85,7 @@ def scalar_from_text(text: str, line_no: int) -> Scalar:
     is read by :func:`~sklift.numtheory.read_rational`."""
     parts = [_rational_from_text(part, line_no) for part in text.split(",")]
     den = lcm(*[d for _, d in parts])
-    return Scalar.from_integers(len(parts), [x * (den // d) for x, d in parts], den)
+    return _from_integers(len(parts), [x * (den // d) for x, d in parts], den)
 
 
 def parse_int(text: str, line_no: int, what: str) -> int:

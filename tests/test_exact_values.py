@@ -88,6 +88,15 @@ def test_a_scalar_is_taken_as_it_is_where_a_value_is_coerced():
             entry(zeta)
 
 
+def test_from_integers_takes_ints_only():
+    for args in ((1, [0.5]), (1, ["1"]), (1, [1], 2.0), (2, [1, Fraction(1)]),
+                 (1, [1], Fraction(2))):
+        with pytest.raises(TypeError, match="not an integer"):
+            Scalar.from_integers(*args)
+    assert Scalar.from_integers(1, [True], True) == Scalar.one()
+    assert Scalar.from_integers(4, [0, 2], 4) == Scalar.zeta(4) / 2
+
+
 def test_the_operators_refuse_what_the_constructors_refuse():
     x = Scalar.zeta(4)
     for value in INEXACT:

@@ -1,16 +1,21 @@
 """Coset enumeration, double-coset arithmetic and the product identity."""
 
+import pickle
 import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sklift.characters import Mat2
+from sklift import hecke
 from sklift.hecke import (
     CosetRep,
     DoubleCoset,
     HeckeElement,
     _basis_product,
+    _identity_sides,
     _multiplicities,
     _right_coset_count,
     canonicalize_coset,
@@ -314,3 +319,120 @@ def test_right_coset_count_matches_enumeration():
             for d in range(a, 256 // a + 1, a):
                 dc = DoubleCoset(a, d, level)
                 assert _right_coset_count(level, a, d) == len(double_coset_right_cosets(dc))
+
+
+# ---------------------------------------------------------------------------
+# HeckeElement against a DoubleCoset-keyed dict oracle: an element is
+# {DoubleCoset: c} with no zero c, and every operation is written out on it
+# ---------------------------------------------------------------------------
+
+def _oracle_clean(coeffs):
+    return {dc: c for dc, c in coeffs.items() if c}
+
+
+def _oracle_add(x, y):
+    out = dict(x)
+    for dc, c in y.items():
+        out[dc] = out.get(dc, 0) + c
+    return _oracle_clean(out)
+
+
+def _oracle_multiply(level, x, y):
+    out = {}
+    for dc1, c1 in x.items():
+        for dc2, c2 in y.items():
+            for a, d, c in basis_product_oracle(level, dc1.a, dc1.d, dc2.a, dc2.d):
+                key = DoubleCoset(a, d, level)
+                out[key] = out.get(key, 0) + c1 * c2 * c
+    return _oracle_clean(out)
+
+
+def _oracle_str(x):
+    terms = [f"{c}*T({dc.a},{dc.d})" for dc, c in sorted(x.items(), key=lambda kv: (kv[0].a, kv[0].d))]
+    return " + ".join(terms) or "0"
+
+
+@st.composite
+def _oracle_elements(draw, level, max_det=8):
+    basis = [DoubleCoset(a, d, level) for d in range(1, max_det + 1) for a in divisors(d)
+             if a * d <= max_det and gcd(a, level) == 1]
+    keys = draw(st.lists(st.sampled_from(basis), max_size=3, unique=True))
+    return {dc: draw(st.integers(-3, 3)) for dc in keys}
+
+
+def _check_against_oracle(level, x, oracle):
+    """x, a HeckeElement at ``level``, against the dict ``oracle``."""
+    assert x.level == level and x.coefficients() == oracle
+    assert list(x.coefficients().items()) == list(oracle.items())  # the same order
+    assert x.is_zero() == (not oracle)
+    assert str(x) == repr(x) == _oracle_str(oracle)
+    assert x == HeckeElement(level, oracle) and x != HeckeElement(level + 1)
+    for dc, c in oracle.items():
+        assert x.coefficient(dc) == c
+        assert x.coefficient(DoubleCoset(dc.a, dc.d, 13)) == 0  # another level
+    assert x.coefficient(DoubleCoset(1, 1024, level)) == 0
+    assert pickle.loads(pickle.dumps(x)) == x
+    assert x.__reduce__() == (HeckeElement, (level, oracle))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12).flatmap(
+    lambda level: st.tuples(st.just(level), _oracle_elements(level), _oracle_elements(level),
+                            st.integers(-3, 3), st.integers(1, 6))))
+def test_hecke_element_operations_match_a_double_coset_keyed_oracle(case):
+    level, x0, y0, n, d = case
+    x, y = HeckeElement(level, x0), HeckeElement(level, y0)
+    ox, oy = _oracle_clean(x0), _oracle_clean(y0)
+    _check_against_oracle(level, x, ox)
+    _check_against_oracle(level, x + y, _oracle_add(ox, oy))
+    scaled = {dc: n * c for dc, c in ox.items()}
+    _check_against_oracle(level, n * x, _oracle_clean(scaled))
+    _check_against_oracle(level, x * n, _oracle_clean(scaled))
+    _check_against_oracle(level, multiply(x, y), _oracle_multiply(level, ox, oy))
+    if gcd(d, level) == 1:
+        shifted = {DoubleCoset(d * dc.a, d * dc.d, level): c for dc, c in ox.items()}
+        _check_against_oracle(level, diagonal_shift(d, x), shifted)
+    else:
+        with pytest.raises(ValueError, match=rf"^diagonal shift requires gcd\({d}, {level}\) = 1$"):
+            diagonal_shift(d, x)
+    tl = {DoubleCoset(a, 12 // a, level): 1 for a in divisors(12)
+          if (12 // a) % a == 0 and gcd(a, level) == 1}
+    _check_against_oracle(level, tl_element(level, 12), tl)
+
+
+def test_hecke_element_edge_errors_keep_their_messages():
+    with pytest.raises(ValueError, match="^double coset level mismatch$"):
+        HeckeElement(2, {DoubleCoset(1, 2, 1): 1})
+    with pytest.raises(ValueError, match="^double coset level mismatch$"):
+        HeckeElement(2, {DoubleCoset(1, 2, 2): 1, DoubleCoset(1, 2, 1): 0})
+    with pytest.raises(ValueError, match="^level mismatch$"):
+        tl_element(1, 2) + tl_element(2, 2)
+    with pytest.raises(ValueError, match=r"^T\(1,4\) requires level N >= 1$"):
+        tl_element(-1, 4)
+    with pytest.raises(ValueError, match="^determinant must be positive$"):
+        tl_element(-1, 0)
+    for d, message in ((0, r"^T\(0,0\) requires 1 <= a and a \| d$"),
+                       (-1, r"^T\(-1,-2\) requires 1 <= a and a \| d$")):
+        with pytest.raises(ValueError, match=message):
+            diagonal_shift(d, t_ad(1, 1, 2) + t_ad(1, 1, 1))
+    assert diagonal_shift(0, HeckeElement(1)).is_zero()
+    assert (3 * t_ad(1, 1, 2)).__rmul__(0.5) is NotImplemented
+
+
+def test_identity_sides_construct_no_double_coset(monkeypatch):
+    # every T(a, d) the identity derives is kept as its (a, d) pair, from a
+    # cold start as well: DoubleCoset is built only at the public edge
+    for cached in (tl_element, hecke._basis_product, hecke._right_cosets, coset_representatives):
+        cached.cache_clear()
+    built = []
+    init = DoubleCoset.__init__
+    monkeypatch.setattr(DoubleCoset, "__init__",
+                        lambda self, *args: (built.append(args), init(self, *args))[1])
+    for level in range(1, 9):
+        for m in range(1, 17):
+            for n in range(1, 17):
+                left, right = _identity_sides(level, m, n)
+                assert left == right and str(left)
+    assert built == []
+    assert tl_element(2, 4).coefficients() == {DoubleCoset(1, 4, 2): 1}
+    assert built == [(1, 4, 2)] * 2

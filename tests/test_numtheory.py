@@ -185,6 +185,34 @@ def test_is_prime_matches_trial_division():
     assert is_prime(2 ** 31 - 1) and not is_prime(2 ** 31 + 1) and not is_prime(10 ** 6)
 
 
+def test_is_prime_matches_trial_division_below_ten_to_the_five():
+    primes = []  # n is prime when no prime p with p^2 <= n divides it
+    for n in range(2, 10 ** 5):
+        for p in primes:
+            if p * p > n:
+                primes.append(n)
+                break
+            if n % p == 0:
+                break
+        else:
+            primes.append(n)
+    assert [n for n in range(10 ** 5) if is_prime(n)] == primes
+
+
+def test_is_prime_refuses_strong_pseudoprimes_and_stops_at_psi_13():
+    # psi_5, psi_9 and psi_12: the least strong pseudoprimes to the first
+    # 5, 9 and 12 primes (the last passes every base up to 37)
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n), n
+    assert is_prime(2 ** 61 - 1)
+    assert not is_prime(2 ** 61 + 1) and not is_prime((2 ** 61 - 1) * (2 ** 13 - 1))
+    psi_13 = 3317044064679887385961981
+    assert not is_prime(psi_13 - 1)
+    for n in (psi_13, psi_13 + 2, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match=f"only below {psi_13} "):
+            is_prime(n)
+
+
 def test_kronecker_multiplicative_and_periodic():
     for disc in (-3, -4, 5, 8, -7):
         assert is_fundamental_discriminant(disc)

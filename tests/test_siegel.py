@@ -265,6 +265,17 @@ def test_p_relations_rejects_composite():
         check_p_relations(F, 4)
 
 
+def test_p_relations_past_the_box_skip_every_instance():
+    F = small_lift(8, 2)
+    cells = len(list(siegel._cells(F.n_max, F.m_max)))
+    report = check_p_relations(F, 2 ** 61 - 1)
+    assert (report.violations, report.skipped) == ([], cells) and report.verdict
+    with pytest.raises(ValueError, match=f"^{2 ** 61 + 1} is not prime$"):
+        check_p_relations(F, 2 ** 61 + 1)
+    with pytest.raises(ValueError, match="only below 3317044064679887385961981 "):
+        check_p_relations(F, 3317044064679887385961981)
+
+
 def test_p_relations_zero_form():
     zero = SiegelExpansion(10, 1, TRIV, 4, 4, {})
     assert check_p_relations(zero, 2).verdict
