@@ -10,7 +10,6 @@ floating point.
 from .characters import (
     DirichletCharacter,
     Mat2,
-    char_on_delta,
     parity_compatible,
     parse_character,
 )
@@ -30,11 +29,8 @@ from .jacobi import (
     JacobiExpansion,
     builtin_form,
     index_shift,
-    index_shift_oracle,
     mul_elliptic,
     parse_skjf,
-    v0_shift,
-    v_diag,
     write_skjf,
 )
 from .numtheory import (

@@ -1,9 +1,11 @@
-"""Dirichlet characters mod N and their extension to the monoid Delta_N.
+"""Dirichlet characters mod N, and the monoid Delta_N.
 
 Delta_N is the set of integral 2x2 matrices g = (a b; c d) with positive
-determinant, N | c and gcd(a, N) = 1.  A character chi mod N extends to
-Delta_N by chi(g) := conj(chi(a)); this extension is constant on left
-Gamma_0(N)-cosets and multiplicative on Delta_N.
+determinant, N | c and gcd(a, N) = 1.  :class:`Mat2` holds such a matrix,
+and :func:`require_delta` refuses one outside Delta_N for the coset
+functions of :mod:`sklift.hecke`.  A character chi mod N extends to
+Delta_N by chi(g) := conj(chi(a)); that extension, ``char_on_delta``, is
+a test oracle, in tests/slow_oracles.py.
 
 Three kinds of characters are supported: the principal ("trivial")
 character, quadratic characters given by a Kronecker symbol with
@@ -32,7 +34,6 @@ from .numtheory import (Scalar, is_fundamental_discriminant, kronecker_symbol, r
 __all__ = [
     "Mat2",
     "DirichletCharacter",
-    "char_on_delta",
     "parity_compatible",
     "delta_membership_violation",
     "require_delta",
@@ -237,12 +238,6 @@ def parse_character(spec: str, modulus: int) -> DirichletCharacter:
             entries.append(value)
         return DirichletCharacter.from_table(modulus, entries)
     raise ValueError(f"unknown character spec {spec!r}")
-
-
-def char_on_delta(chi: DirichletCharacter, g: Mat2) -> Scalar:
-    """The extension of chi to Delta_N: conj(chi(a)) for g = (a b; c d)."""
-    require_delta(g, chi.modulus)
-    return chi.value(g.a).conj()
 
 
 def parity_compatible(chi: DirichletCharacter, weight: int) -> bool:

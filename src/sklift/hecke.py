@@ -47,7 +47,6 @@ __all__ = [
     "coset_representatives",
     "coset_equal",
     "canonicalize_coset",
-    "double_coset_of",
     "double_coset_right_cosets",
     "t_ad",
     "tl_element",
@@ -144,19 +143,6 @@ def canonicalize_coset(g: Mat2, level: int) -> CosetRep:
     return rep
 
 
-def double_coset_of(g: Mat2 | CosetRep, level: int | None = None) -> DoubleCoset:
-    """The double coset containing g, via its elementary divisors: the
-    diagonal representative is [content, det/content]."""
-    if isinstance(g, CosetRep):
-        rep = g
-    else:
-        if level is None:
-            raise ValueError("level required for raw matrices")
-        rep = canonicalize_coset(g, level)
-    e1 = rep.content()
-    return DoubleCoset(e1, rep.det() // e1, rep.level)
-
-
 def double_coset_right_cosets(dc: DoubleCoset) -> tuple[CosetRep, ...]:
     """The right cosets of T(a, d): representatives of determinant ad whose
     content equals a."""
@@ -185,6 +171,8 @@ class HeckeElement(Immutable):
     __slots__ = ("level", "_coeffs")
 
     def __new__(cls, level: int, coeffs: dict[DoubleCoset, int] | None = None):
+        if level < 1:
+            raise ValueError(f"HeckeElement requires level N >= 1, not {level}")
         if any(dc.level != level for dc in coeffs or ()):
             raise ValueError("double coset level mismatch")
         return _element(level, {(dc.a, dc.d): c for dc, c in (coeffs or {}).items()})
@@ -316,12 +304,12 @@ def multiply(x: HeckeElement, y: HeckeElement) -> HeckeElement:
 
 
 def diagonal_shift(d: int, x: HeckeElement) -> HeckeElement:
-    """T(d, d) o x for gcd(d, N) = 1: every T(a0, d0) maps to T(d a0, d d0)."""
+    """T(d, d) o x for d >= 1, gcd(d, N) = 1: every T(a0, d0) maps to
+    T(d a0, d d0)."""
+    if d < 1:
+        raise ValueError(f"diagonal shift requires d >= 1, not {d}")
     if gcd(d, x.level) != 1:
         raise ValueError(f"diagonal shift requires gcd({d}, {x.level}) = 1")
-    if d < 1 and x._coeffs:  # the message of DoubleCoset for the first term
-        a0, d0 = next(iter(x._coeffs))
-        raise ValueError(f"T({d * a0},{d * d0}) requires 1 <= a and a | d")
     return _element(x.level, {(d * a0, d * d0): c for (a0, d0), c in x._coeffs.items()})
 
 

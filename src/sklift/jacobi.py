@@ -1,5 +1,5 @@
 """Truncated Fourier expansions of Jacobi forms and their index-shift
-operators.
+operator.
 
 A :class:`JacobiExpansion` of weight k, index m, level N with character chi
 stores the coefficients c(n, r) of sum c(n, r) q^n zeta^r for 0 <= n <=
@@ -7,22 +7,15 @@ n_max, supported on 4nm - r^2 >= 0 (and only r = 0 when m = 0).  Zeros
 inside the support region are implied; the file format stores them
 explicitly.
 
-Two independent realizations of the index-shift operator V_{l,chi} are
-provided.  The closed coefficient formula::
+The index-shift operator V_{l,chi} is computed by its closed coefficient
+formula::
 
     c'(n, r) = sum_{a | (n, r, l), (a, N) = 1} chi(a) a^(k-1) c(n l / a^2, r / a)
 
-and a slash-action evaluation that sums the substitutions
-
-    chi(a) d^{-k} Phi((a tau + b)/d, a z),      ad = l, (a, N) = 1, b mod d
-
-over the right cosets (a b; 0 d) of T(l) listed by
-:func:`sklift.hecke.coset_representatives`, each phase e(nb/d) a Scalar
-root of unity, times the normalization l^(k-1).  V^0 denotes the same
-operator without the l^(k-1) prefactor; the diagonal operator V^0(a, a)
-sends Phi(tau, z) to chi(a) a^{-k} Phi(tau, az) and multiplies the index
-by a^2.  Every stored coefficient is a :class:`~sklift.numtheory.Scalar`,
-and the operators on expansions use its arithmetic, never its coordinates.
+Its slash-action realization over the right cosets of T(l), V^0 and the
+diagonal operator V^0(a, a) are test oracles, in tests/slow_oracles.py.
+Every stored coefficient is a :class:`~sklift.numtheory.Scalar`, and the
+operators on expansions use its arithmetic, never its coordinates.
 
 Built-in generators (level 1): the elliptic series E4, E6, Delta as
 index-0 expansions, and four index-1 forms.  An index-1 form has
@@ -64,7 +57,6 @@ from math import gcd, isqrt
 
 from ._value import Immutable
 from .characters import DirichletCharacter, parity_compatible
-from .hecke import coset_representatives
 from .numtheory import Scalar, _from_integers, divisors, pow_fraction, sigma
 from .serialize import parse_table, write_table
 
@@ -72,9 +64,6 @@ __all__ = [
     "JacobiExpansion",
     "region_r_values",
     "index_shift",
-    "index_shift_oracle",
-    "v0_shift",
-    "v_diag",
     "mul_elliptic",
     "builtin_form",
     "BUILTIN_FORMS",
@@ -409,62 +398,6 @@ def _shifted_coeffs(phi: JacobiExpansion, l: int, out_n_max: int, total, out: di
                 if not value:
                     continue
             out[(n, r) if m is None else (n, r, m)] = value
-
-
-def index_shift_oracle(phi: JacobiExpansion, l: int) -> JacobiExpansion:
-    """V_{l,chi}(phi) by direct slash-action evaluation: the sum of
-    chi(a) d^{-k} l^(k-1) Phi((a tau + b)/d, az) over the right cosets
-    Gamma_0(N) (a b; 0 d) of Delta_N(l) that
-    :func:`~sklift.hecke.coset_representatives` lists for T(l) as well.
-
-    A monomial c q^n zeta^r contributes chi(a) d^{-k} l^(k-1) c e(nb/d),
-    e(nb/d) = zeta_d^(nb), at q^{na/d} zeta^{ra} = q^{na^2/l} zeta^{ra}.
-    The b-sum must cancel every fractional q-exponent; a nonzero
-    fractional residue is an internal error.  The truncation is that of
-    :func:`index_shift`.
-    """
-    if l < 1:
-        raise ValueError("shift parameter must be >= 1")
-    if phi.n_max < l:
-        raise ValueError(f"need n_max >= {l} to shift by {l}")
-    k, level, chi = phi.weight, phi.level, phi.character
-    out_n_max = phi.n_max // l
-    acc: dict[tuple[int, int], Scalar] = {}  # (n a^2, r a) -> the sum of the terms
-    for rep in coset_representatives(level, l):
-        a, b, d = rep.a, rep.b, rep.d
-        weight = chi.value(a) * (pow_fraction(d, -k) * pow_fraction(l, k - 1))
-        for (n, r), c in phi.nonzero_items():
-            key = (n * a * a, r * a)
-            acc[key] = acc.get(key, Scalar.zero()) + weight * c * Scalar.zeta(d, n * b)
-    out: dict[tuple[int, int], Scalar] = {}
-    for (num, r), value in acc.items():
-        if num % l == 0:
-            if num // l <= out_n_max:
-                out[(num // l, r)] = value
-        elif value:
-            raise ArithmeticError(
-                f"fractional exponent {Fraction(num, l)} survived the b-sum at r={r}"
-            )
-    return JacobiExpansion(k, phi.index * l, level, chi, out_n_max, out, cusp=phi.cusp)
-
-
-def v0_shift(phi: JacobiExpansion, l: int) -> JacobiExpansion:
-    """V^0_{l,chi} = l^(1-k) V_{l,chi}."""
-    return index_shift(phi, l) * pow_fraction(l, 1 - phi.weight)
-
-
-def v_diag(phi: JacobiExpansion, a: int) -> JacobiExpansion:
-    """The diagonal operator V^0(a, a): chi(a) a^{-k} Phi(tau, az), index ma^2."""
-    if a < 1:
-        raise ValueError("diagonal parameter must be >= 1")
-    if gcd(a, phi.level) != 1:
-        raise ValueError(f"V^0(a,a) requires gcd({a}, {phi.level}) = 1")
-    factor = phi.character.value(a) * pow_fraction(a, -phi.weight)
-    out = {(n, r * a): factor * c for (n, r), c in phi.nonzero_items()}
-    return JacobiExpansion(
-        phi.weight, phi.index * a * a, phi.level, phi.character, phi.n_max, out,
-        cusp=phi.cusp,
-    )
 
 
 def mul_elliptic(phi: JacobiExpansion, f: JacobiExpansion) -> JacobiExpansion:

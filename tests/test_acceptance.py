@@ -14,11 +14,8 @@ from sklift.hecke import (
 from sklift.jacobi import (
     builtin_form,
     index_shift,
-    index_shift_oracle,
     parse_skjf,
     region_r_values,
-    v0_shift,
-    v_diag,
     write_skjf,
 )
 from sklift.numtheory import cohen_h, divisors, primes_up_to
@@ -29,6 +26,7 @@ from sklift.siegel import (
     lift,
 )
 
+from slow_oracles import index_shift_oracle, v0_shift, v_diag
 from synth import (
     degenerate_level2_siegel,
     odd_table_character_mod4,

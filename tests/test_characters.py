@@ -8,7 +8,6 @@ import pytest
 from sklift.characters import (
     DirichletCharacter,
     Mat2,
-    char_on_delta,
     delta_membership_violation,
     parity_compatible,
     parse_character,
@@ -16,6 +15,7 @@ from sklift.characters import (
 from sklift.jacobi import parse_skjf
 from sklift.numtheory import Scalar, is_fundamental_discriminant
 
+from slow_oracles import char_on_delta
 from synth import order4_table_character_mod5
 
 

@@ -380,6 +380,18 @@ def test_hecke_rejects_flags_of_another_sub(capsys, argv, flag, wanted):
     assert f"hecke {flag} requires {wanted}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--sub=cosets", "--level=0", "--l=2"], "level and determinant must be positive"),
+    (["--sub=cosets", "--level=1", "--l=0"], "level and determinant must be positive"),
+    (["--sub=mul", "--level=0", "--m=2", "--n=2"], "T(1,2) requires level N >= 1"),
+    (["--sub=mul", "--level=1", "--m=0", "--n=2"], "determinant must be positive"),
+    (["--sub=verify-identity", "--level=0", "--m=2", "--n=2"], "T(1,2) requires level N >= 1"),
+    (["--sub=verify-identity", "--level=1", "--m=0", "--n=2"], "m and n must be positive"),
+])
+def test_hecke_bad_arguments_exit_2_with_one_error_line(capsys, argv, message):
+    assert run(["hecke", *argv], capsys) == (2, "", f"error: {message}\n")
+
+
 def test_parser_reuse_across_main_calls(tmp_path, capsys):
     skjf = tmp_path / "in.skjf"
     sksf = tmp_path / "lift.sksf"

@@ -22,7 +22,6 @@ from sklift.hecke import (
     coset_equal,
     coset_representatives,
     diagonal_shift,
-    double_coset_of,
     double_coset_right_cosets,
     multiply,
     t_ad,
@@ -30,6 +29,8 @@ from sklift.hecke import (
     verify_theorem_identity,
 )
 from sklift.numtheory import divisors
+
+from slow_oracles import double_coset_of
 
 
 def basis_product_oracle(level, a1, d1, a2, d2):
@@ -407,15 +408,19 @@ def test_hecke_element_edge_errors_keep_their_messages():
         HeckeElement(2, {DoubleCoset(1, 2, 2): 1, DoubleCoset(1, 2, 1): 0})
     with pytest.raises(ValueError, match="^level mismatch$"):
         tl_element(1, 2) + tl_element(2, 2)
+    for level in (0, -3):
+        with pytest.raises(ValueError, match=rf"^HeckeElement requires level N >= 1, not {level}$"):
+            HeckeElement(level)
     with pytest.raises(ValueError, match=r"^T\(1,4\) requires level N >= 1$"):
         tl_element(-1, 4)
     with pytest.raises(ValueError, match="^determinant must be positive$"):
         tl_element(-1, 0)
-    for d, message in ((0, r"^T\(0,0\) requires 1 <= a and a \| d$"),
-                       (-1, r"^T\(-1,-2\) requires 1 <= a and a \| d$")):
+    for d, message in ((0, r"^diagonal shift requires d >= 1, not 0$"),
+                       (-1, r"^diagonal shift requires d >= 1, not -1$")):
         with pytest.raises(ValueError, match=message):
             diagonal_shift(d, t_ad(1, 1, 2) + t_ad(1, 1, 1))
-    assert diagonal_shift(0, HeckeElement(1)).is_zero()
+    with pytest.raises(ValueError, match=r"^diagonal shift requires d >= 1, not 0$"):
+        diagonal_shift(0, HeckeElement(1))
     assert (3 * t_ad(1, 1, 2)).__rmul__(0.5) is NotImplemented
 
 

@@ -24,17 +24,15 @@ from sklift.jacobi import (
     JacobiExpansion,
     builtin_form,
     index_shift,
-    index_shift_oracle,
     mul_elliptic,
     parse_skjf,
     region_r_values,
-    v0_shift,
-    v_diag,
     write_skjf,
 )
 from sklift.numtheory import Scalar, cohen_h, divisors, sigma
 from sklift.serialize import ParseError
 
+from slow_oracles import index_shift_oracle, v0_shift, v_diag
 from synth import (
     constructor_outcomes,
     odd_table_character_mod4,
@@ -432,7 +430,7 @@ def test_oracle_on_constant_index0_form():
 def test_oracle_refuses_a_fractional_exponent(monkeypatch):
     # without the coset (1 1; 0 2) the b-sum at d = 2 leaves q^(n/2), n odd
     monkeypatch.setattr(
-        "sklift.jacobi.coset_representatives",
+        "slow_oracles.coset_representatives",
         lambda level, l: tuple(rep for rep in coset_representatives(level, l)
                                if (rep.a, rep.b, rep.d) != (1, 1, 2)))
     with pytest.raises(ArithmeticError, match="fractional exponent 1/2 survived the b-sum"):

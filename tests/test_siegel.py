@@ -15,7 +15,6 @@ from sklift.jacobi import (
     _twisted_sums,
     builtin_form,
     index_shift,
-    index_shift_oracle,
     region_r_values,
     write_skjf,
 )
@@ -41,6 +40,7 @@ from sklift.siegel import (
     write_sksf,
 )
 
+from slow_oracles import index_shift_oracle
 from synth import (
     constructor_outcomes,
     degenerate_level2_siegel,
