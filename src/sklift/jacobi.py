@@ -57,7 +57,7 @@ from math import gcd, isqrt
 
 from ._value import Immutable
 from .characters import DirichletCharacter, parity_compatible
-from .numtheory import Scalar, _from_integers, divisors, pow_fraction, sigma
+from .numtheory import Scalar, _from_integers, divisors, sigma
 from .serialize import parse_table, write_table
 
 __all__ = [
@@ -341,7 +341,7 @@ def _twisted_sums(form: _Expansion):
                 if ref is not None:
                     twist = twists.get(d)
                     if twist is None:
-                        twist = twists[d] = chi.value(d) * pow_fraction(d, k - 1)
+                        twist = twists[d] = chi.value(d) * Fraction(d) ** (k - 1)
                     value = value + twist * ref
             sums[key] = value
         return value

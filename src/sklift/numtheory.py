@@ -3,15 +3,17 @@
 Everything here is exact: rational values are ``fractions.Fraction`` and
 values mixing rationals with roots of unity live in :class:`Scalar`, a
 power-basis model of Q(zeta_M) reduced modulo the M-th cyclotomic
-polynomial Phi_M.  A Scalar holds integer numerators over one positive
-denominator in lowest terms; Phi_M is monic, so the reduction of an integer
-vector stays integral, equality is a comparison of integers, and values
-with denominator 1, the common case for Fourier coefficients, add and
-multiply without any Fraction.  No floating point is used anywhere.
+polynomial Phi_M(x) = prod_{d | M} (x^d - 1)^mu(M/d).  A Scalar holds
+integer numerators over one positive denominator in lowest terms; Phi_M is
+monic, so the reduction of an integer vector stays integral, equality is a
+comparison of integers, and values with denominator 1, the common case for
+Fourier coefficients, add and multiply without any Fraction.  No floating
+point is used anywhere.
 
 On top of the scalar layer sit the number-theoretic primitives used by the
-rest of the package: divisor enumeration, Kronecker symbols, generalized
-Bernoulli numbers B_{n,chi} defined by
+rest of the package: divisor enumeration, factorization (by trial division,
+refused at 10^14 and above), Kronecker symbols, generalized Bernoulli
+numbers B_{n,chi} defined by
 
     sum_{a=1..f} chi(a) t e^{at} / (e^{ft} - 1)  =  sum_n B_{n,chi} t^n / n!
 
@@ -123,10 +125,17 @@ def primes_up_to(n: int) -> list[int]:
     return [p for p in range(2, n + 1) if is_prime(p)]
 
 
+_FACTOR_BOUND = 10 ** 14
+
+
 @lru_cache(maxsize=None)
 def _factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """The (prime, exponent) pairs of 1 <= n < 10^14, by trial division;
+    a ValueError at or above the bound."""
     if n < 1:
         raise ValueError("factorization requires n >= 1")
+    if n >= _FACTOR_BOUND:
+        raise ValueError(f"factorization is done only below 10^14 (trial division): {n}")
     out = []
     m = n
     p = 2
@@ -192,27 +201,24 @@ def kronecker_symbol(top: int, n: int) -> int:
     return acc if n == 1 else 0
 
 
-def squarefree_part(n: int) -> int:
-    """The squarefree kernel of n (sign preserved), n != 0."""
-    if n == 0:
-        raise ValueError("squarefree_part(0) undefined")
-    out = -1 if n < 0 else 1
-    for p, e in _factorize(abs(n)):
-        if e % 2:
-            out *= p
-    return out
-
-
 def is_fundamental_discriminant(d: int) -> bool:
     """True for d = 1 and every discriminant of a quadratic field."""
-    if d == 0:
-        return False
-    if d % 4 == 1:
-        return squarefree_part(d) == d
-    if d % 4 == 0:
-        m = d // 4
-        return m % 4 in (2, 3) and squarefree_part(m) == m
-    return False
+    return d != 0 and d % 4 in (0, 1) and _fundamental_decomposition(d)[1] == 1
+
+
+def _fundamental_decomposition(s: int) -> tuple[int, int]:
+    """Write s = D f^2 with D a fundamental discriminant and f >= 1, for
+    s != 0 with s = 0, 1 mod 4: s = k g^2 with k squarefree, and D = k,
+    f = g when k = 1 mod 4, else D = 4k, f = g/2."""
+    kernel, root = (-1 if s < 0 else 1), 1
+    for p, e in _factorize(abs(s)):
+        kernel *= p ** (e % 2)
+        root *= p ** (e // 2)
+    if kernel % 4 == 1:
+        return kernel, root
+    if root % 2:
+        raise ArithmeticError(f"no fundamental decomposition for {s}")
+    return 4 * kernel, root // 2
 
 
 # ---------------------------------------------------------------------------
@@ -221,29 +227,24 @@ def is_fundamental_discriminant(d: int) -> bool:
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
-    """Coefficients (low to high) of the cyclotomic polynomial Phi_order."""
+    """Coefficients (low to high) of the cyclotomic polynomial
+    Phi_order = prod_{d | order} (x^d - 1)^mu(order/d)."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    poly = [-1] + [0] * (order - 1) + [1]  # x^order - 1
+    poly, divide = [1], []
     for d in divisors(order):
-        if d != order:
-            poly = _int_poly_div_exact(poly, cyclotomic_polynomial(d))
+        mu = moebius(order // d)
+        if mu == 1:  # times x^d - 1
+            poly = [a - b for a, b in zip([0] * d + poly, poly + [0] * d)]
+        elif mu == -1:
+            divide.append(d)
+    for d in divide:  # the exact quotient by x^d - 1, from the top down
+        for i in range(len(poly) - 1, d - 1, -1):
+            poly[i - d] += poly[i]
+        if any(poly[:d]):
+            raise ArithmeticError("inexact polynomial division")
+        poly = poly[d:]
     return tuple(poly)
-
-
-def _int_poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    # den is monic; division must be exact
-    num = list(num)
-    q = [0] * (len(num) - len(den) + 1)
-    for i in range(len(q) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        q[i] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[i + j] -= c * dj
-    if any(num[: len(den) - 1]):
-        raise ArithmeticError("inexact polynomial division")
-    return q
 
 
 @lru_cache(maxsize=None)
@@ -580,13 +581,6 @@ def read_rational(text: str) -> tuple[int, int] | None:
     return None if num is None or den is None else (num, den)
 
 
-def pow_fraction(base: int, exponent: int) -> Fraction:
-    """base^exponent as an exact Fraction, exponent of either sign."""
-    if exponent >= 0:
-        return Fraction(base ** exponent)
-    return Fraction(1, base ** (-exponent))
-
-
 # ---------------------------------------------------------------------------
 # Generalized Bernoulli numbers
 # ---------------------------------------------------------------------------
@@ -752,17 +746,6 @@ def _append_record(path: str, record: str) -> None:
 
 #: Process-wide H(r, N) cache.
 cohen_cache = CohenCache()
-
-
-def _fundamental_decomposition(s: int) -> tuple[int, int]:
-    """Write s = D f^2 with D a fundamental discriminant; s = 0,1 mod 4."""
-    d0 = squarefree_part(s)
-    disc = d0 if d0 % 4 == 1 else 4 * d0
-    ratio = s // disc
-    f = isqrt(ratio)
-    if disc * f * f != s:
-        raise ArithmeticError(f"no fundamental decomposition for {s}")
-    return disc, f
 
 
 def cohen_h(r: int, nval: int) -> Fraction:

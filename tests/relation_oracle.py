@@ -13,9 +13,10 @@ box is counted by walking it.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd
 
-from sklift.numtheory import Scalar, divisors, is_prime, pow_fraction, primes_up_to
+from sklift.numtheory import Scalar, divisors, is_prime, primes_up_to
 from sklift.siegel import RelationReport, Violation
 
 
@@ -50,7 +51,7 @@ def side_sum(F, terms) -> Scalar:
     for d, cell in terms:
         ref = F.a(*cell)
         if not ref.is_zero():
-            total = total + F.character.value(d) * pow_fraction(d, F.weight - 1) * ref
+            total = total + F.character.value(d) * Fraction(d) ** (F.weight - 1) * ref
     return total
 
 

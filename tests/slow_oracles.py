@@ -32,7 +32,7 @@ from math import gcd
 from sklift.characters import DirichletCharacter, Mat2, require_delta
 from sklift.hecke import CosetRep, DoubleCoset, coset_representatives
 from sklift.jacobi import JacobiExpansion, index_shift
-from sklift.numtheory import Scalar, pow_fraction
+from sklift.numtheory import Scalar
 
 
 def index_shift_oracle(phi: JacobiExpansion, l: int) -> JacobiExpansion:
@@ -56,7 +56,7 @@ def index_shift_oracle(phi: JacobiExpansion, l: int) -> JacobiExpansion:
     acc: dict[tuple[int, int], Scalar] = {}  # (n a^2, r a) -> the sum of the terms
     for rep in coset_representatives(level, l):
         a, b, d = rep.a, rep.b, rep.d
-        weight = chi.value(a) * (pow_fraction(d, -k) * pow_fraction(l, k - 1))
+        weight = chi.value(a) * (Fraction(d) ** -k * Fraction(l) ** (k - 1))
         for (n, r), c in phi.nonzero_items():
             key = (n * a * a, r * a)
             acc[key] = acc.get(key, Scalar.zero()) + weight * c * Scalar.zeta(d, n * b)
@@ -74,7 +74,7 @@ def index_shift_oracle(phi: JacobiExpansion, l: int) -> JacobiExpansion:
 
 def v0_shift(phi: JacobiExpansion, l: int) -> JacobiExpansion:
     """V^0_{l,chi} = l^(1-k) V_{l,chi}."""
-    return index_shift(phi, l) * pow_fraction(l, 1 - phi.weight)
+    return index_shift(phi, l) * Fraction(l) ** (1 - phi.weight)
 
 
 def v_diag(phi: JacobiExpansion, a: int) -> JacobiExpansion:
@@ -83,7 +83,7 @@ def v_diag(phi: JacobiExpansion, a: int) -> JacobiExpansion:
         raise ValueError("diagonal parameter must be >= 1")
     if gcd(a, phi.level) != 1:
         raise ValueError(f"V^0(a,a) requires gcd({a}, {phi.level}) = 1")
-    factor = phi.character.value(a) * pow_fraction(a, -phi.weight)
+    factor = phi.character.value(a) * Fraction(a) ** -phi.weight
     out = {(n, r * a): factor * c for (n, r), c in phi.nonzero_items()}
     return JacobiExpansion(
         phi.weight, phi.index * a * a, phi.level, phi.character, phi.n_max, out,

@@ -327,6 +327,37 @@ def test_verify_malformed_file(tmp_path, capsys):
     assert "line 3" in err
 
 
+def _zeta_text(order, power):
+    """zeta_order^power written with its order power-basis coordinates."""
+    return ",".join("1/1" if j == power else "0/1" for j in range(order))
+
+
+@pytest.mark.parametrize("rows, code", [
+    # the value 1 written with 55 440 coordinates, read modulo Phi_55440
+    (["k=10 N=1 chi=trivial nmax=0 mmax=1 cusp=0", "0 0 1 " + _zeta_text(55440, 0)], 0),
+    # zeta_997 and zeta_991, which the relations lift to order 988 027
+    (["k=10 N=1 chi=trivial nmax=2 mmax=0 cusp=0",
+      "1 0 0 " + _zeta_text(997, 1), "2 0 0 " + _zeta_text(991, 1)], 1),
+    # a conductor whose factorization trial division would not finish
+    (["k=9 N=1000000000000000003 chi=kronecker:-1000000000000000003 nmax=0 mmax=0 cusp=0"], 2),
+], ids=["one-in-55440-coordinates", "zeta-997-and-zeta-991", "kronecker-past-the-bound"])
+def test_hostile_value_texts_and_headers_end_in_a_fresh_process(tmp_path, rows, code):
+    path = tmp_path / "hostile.sksf"
+    path.write_text("\n".join(["SKSF 1", *rows]) + "\n")
+    done = subprocess.run(
+        [sys.executable, "-m", "sklift.cli", "verify", f"--in={path}", "--mode=all"],
+        capture_output=True, text=True, timeout=10,
+        env={**os.environ, "PYTHONPATH": str(Path(sklift.__file__).parents[1])},
+    )
+    assert done.returncode == code
+    if code == 2:
+        assert done.stdout == ""
+        assert done.stderr == ("error: line 2: factorization is done only below 10^14 "
+                               "(trial division): 1000000000000000003\n")
+    else:
+        assert done.stdout.startswith(f"VERDICT={'FAIL' if code else 'PASS'}\n")
+
+
 @pytest.mark.parametrize("verb", ["lift", "verify"])
 @pytest.mark.parametrize("bad", ["\u0661".encode(), b"\xff"], ids=["arabic-indic-digit", "not-utf8"])
 def test_non_ascii_input_bytes_get_a_line_numbered_error(tmp_path, capsys, verb, bad):

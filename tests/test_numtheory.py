@@ -11,7 +11,7 @@ import os
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, isqrt
+from math import comb, factorial, gcd, isqrt, prod
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +21,7 @@ from sklift.characters import DirichletCharacter
 from sklift.numtheory import (
     Scalar,
     _bernoulli_kronecker,
+    _factorize,
     cohen_h,
     cohen_cache,
     cyclotomic_polynomial,
@@ -144,6 +145,15 @@ def test_moebius_small():
     assert [moebius(n) for n in range(1, 11)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
 
 
+def test_factorize_stops_at_ten_to_the_fourteen():
+    # trial division to sqrt(n): a ValueError at the bound, not a wedged run
+    below = 10 ** 14 - 1
+    assert prod(p ** e for p, e in _factorize(below)) == below
+    for n in (10 ** 14, 10 ** 18 + 3):
+        with pytest.raises(ValueError, match="only below 10\\^14 "):
+            _factorize(n)
+
+
 # ---------------------------------------------------------------------------
 # Kronecker symbol
 # ---------------------------------------------------------------------------
@@ -174,6 +184,23 @@ def test_kronecker_at_a_negative_bottom():
         sign = -1 if top < 0 else 1
         for n in range(-40, 0):
             assert kronecker_symbol(top, n) == sign * kronecker_symbol(top, -n), (top, n)
+
+
+def test_fundamental_discriminants_match_the_definition():
+    # d = 1 mod 4 squarefree, or d = 4m with m = 2, 3 mod 4 squarefree;
+    # squarefree means p^2 divides n for no p >= 2, tried one p at a time
+    def squarefree(n):
+        return all(n % (p * p) for p in range(2, isqrt(abs(n)) + 1))
+
+    def by_definition(d):
+        if d % 4 == 1:
+            return squarefree(d)
+        return d % 4 == 0 and (d // 4) % 4 in (2, 3) and squarefree(d // 4)
+
+    span = range(-10 ** 4, 10 ** 4 + 1)
+    assert [d for d in span if is_fundamental_discriminant(d)] == \
+        [d for d in span if by_definition(d)]
+    assert sum(map(is_fundamental_discriminant, range(-200, 201))) == 123
 
 
 def test_is_prime_matches_trial_division():
@@ -240,6 +267,39 @@ def test_root_of_unity_relations():
             if cj:
                 value = value + cj * z ** j
         assert value.is_zero()
+
+
+def test_cyclotomic_polynomials_multiply_to_x_m_minus_1():
+    # prod_{d | M} Phi_d = x^M - 1, with no use of the Moebius formula.  The
+    # product walks a chain 1 | M_1 | ... | M, one prime at a time, largest
+    # first, multiplying in the Phi_d with d | M_i, d not dividing M_(i-1),
+    # so that at each M_i it is x^(M_i) - 1 again and stays sparse
+    def times(poly, phi):  # poly as {exponent: coefficient}
+        terms = [(j, y) for j, y in enumerate(phi) if y]
+        out = {}
+        for i, x in poly.items():
+            for j, y in terms:
+                out[i + j] = out.get(i + j, 0) + x * y
+        return {e: c for e, c in out.items() if c}
+
+    def prime_factors(n):  # with multiplicity, largest first
+        out, p = [], 2
+        while n > 1:
+            while n % p == 0:
+                out.append(p)
+                n //= p
+            p += 1
+        return out[::-1]
+
+    for order in [*range(1, 1001), 2520, 10080, 55440]:
+        product, done = times({0: 1}, cyclotomic_polynomial(1)), 1
+        for p in prime_factors(order):
+            for d in divisors(done * p):
+                if done % d:
+                    product = times(product, cyclotomic_polynomial(d))
+            done *= p
+            assert product == {0: -1, done: 1}, (order, done)
+        assert product == {0: -1, order: 1}, order
 
 
 def test_scalar_rational_collapse():

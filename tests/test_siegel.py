@@ -18,7 +18,7 @@ from sklift.jacobi import (
     region_r_values,
     write_skjf,
 )
-from sklift.numtheory import Scalar, divisors, is_prime, pow_fraction, primes_up_to
+from sklift.numtheory import Scalar, divisors, is_prime, primes_up_to
 from sklift.serialize import ParseError, scalar_to_text
 from sklift.siegel import (
     RelationReport,
@@ -427,7 +427,7 @@ def _boxed(F, n, r, m):
 
 
 def _twist(F, d):
-    return F.character.value(d) * pow_fraction(d, F.weight - 1)
+    return F.character.value(d) * Fraction(d) ** (F.weight - 1)
 
 
 def _twisted_sum(F, refs):
@@ -638,7 +638,7 @@ def shifted_coeffs_oracle(phi, l, out_n_max):
     summed from zero once per distinct list of (twist index, id(c))."""
     chi = phi.character
     twists = [
-        (a, chi.value(a) * pow_fraction(a, phi.weight - 1))
+        (a, chi.value(a) * Fraction(a) ** (phi.weight - 1))
         for a in divisors(l)
         if gcd(a, phi.level) == 1 and not chi.value(a).is_zero()
     ]
@@ -683,7 +683,7 @@ def check_oracle(F, relation, shift, instances, enumerated):
     chi, k, coeffs = F.character, F.weight, dict(F.nonzero_items())
 
     def twist(d):
-        return chi.value(d) * pow_fraction(d, k - 1)
+        return chi.value(d) * Fraction(d) ** (k - 1)
 
     sums = {}
 
