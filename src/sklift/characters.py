@@ -10,8 +10,10 @@ a test oracle, in tests/slow_oracles.py.
 Three kinds of characters are supported: the principal ("trivial")
 character, quadratic characters given by a Kronecker symbol with
 fundamental discriminant, and explicit value tables.  Tables are validated
-at construction time (complete multiplicativity, zeros exactly at
-non-units); the other kinds are correct by construction.
+at construction time (zeros exactly at non-units, and complete
+multiplicativity as chi(a g) = chi(a) chi(g) for every unit a and each g
+of 1 and a greedy generating set of the units); the other kinds are
+correct by construction.
 
 Character specification grammar, shared by files and the CLI::
 
@@ -165,13 +167,14 @@ class DirichletCharacter(Immutable):
                 raise ValueError(
                     f"table value at {a or modulus} must be {'zero' if want_zero else 'nonzero'}"
                 )
-        for a in range(modulus):
-            for b in range(a, modulus):
-                if values[(a * b) % modulus] != values[a] * values[b]:
+        # zeros sit exactly at non-units, so complete multiplicativity is
+        # chi(a g) = chi(a) chi(g) for every unit a, with g = 1 (so chi(1) = 1)
+        # and each g of a generating set of the units
+        for g in (1 % modulus, *_unit_generators(modulus)):
+            for a in range(modulus):
+                if values[a] and values[a * g % modulus] != values[a] * values[g]:
                     raise ValueError(
-                        "table is not completely multiplicative at "
-                        f"({a or modulus}, {b or modulus})"
-                    )
+                        f"table is not completely multiplicative at ({a or modulus}, {g or modulus})")
         spec = "table:" + ",".join("0" if e is None else f"zeta^{e[0]}/{e[1]}" for e in entries)
         return DirichletCharacter(modulus, spec, order, tuple(values).__getitem__)
 
@@ -215,6 +218,28 @@ class DirichletCharacter(Immutable):
 
     def __repr__(self):
         return f"DirichletCharacter({self.to_spec()!r}, modulus={self.modulus})"
+
+
+def _unit_generators(modulus: int) -> list[int]:
+    """A generating set of (Z/N)^x, built greedily: each unit in increasing
+    order that the units chosen so far do not generate is chosen, and the
+    subgroup H grows by the cosets g^k H until g^k falls in H."""
+    inside = bytearray(modulus)
+    inside[1 % modulus] = 1
+    subgroup, generators = [1 % modulus], []
+    for g in range(2, modulus):
+        if inside[g] or gcd(g, modulus) != 1:
+            continue
+        generators.append(g)
+        grown, power = [], g
+        while not inside[power]:
+            coset = [h * power % modulus for h in subgroup]
+            grown += coset
+            for x in coset:
+                inside[x] = 1
+            power = power * g % modulus
+        subgroup += grown
+    return generators
 
 
 def parse_character(spec: str, modulus: int) -> DirichletCharacter:

@@ -11,22 +11,21 @@ ad = l, gcd(a, N) = 1, 0 <= b < d.  An upper-triangular representative
 (a b; 0 d) lies in T(a0, d0) exactly when its content gcd(a, b, d) equals
 a0 (elementary divisors away from N).
 
-Products of double cosets are computed by brute force: expand both factors
-into right cosets, multiply all pairs, and count the pairs landing in each
-right coset.  The product of two canonical representatives,
+The right cosets of T(a, d) are a times the primitive cosets of T(1, d/a),
+those (a b; 0 d) with gcd(a, b, d) = 1: T(a, d) = T(a, a) T(1, d/a).  So
+T(a1, d1) o T(a2, d2) is T(1, e1) o T(1, e2), e_i = d_i/a_i, with every
+(a, d) scaled by a1 a2, computed by brute force: every pair of primitive
+cosets is multiplied, and the product of two canonical representatives,
 
     (a1 b1; 0 d1)(a2 b2; 0 d2) = (a1 a2, a1 b2 + b1 d2; 0, d1 d2),
 
-is again upper triangular with gcd(a1 a2, N) = 1, so its right coset is
-read off in closed form as (a1 a2, (a1 b2 + b1 d2) mod d1 d2, d1 d2) with
-no matrix reduction.  The multiplicity of each double coset is its
-per-coset pair count, checked in one pass over the counted cosets: each
-coset (a, b, d) joins T(e, ad/e), e = gcd(a, b, d), and must carry the
-same count as the others there, and at the end the number of cosets hit in
-each T(a, d) must equal its number of right cosets, the closed form
-psi_N(d/a) of `_right_coset_count`.  So every right coset of every double
-coset in a product gets the same count, a strong internal check, with no
-coset list built for the targets.
+is again upper triangular with gcd(a1 a2, N) = 1, so it is counted as the
+integer b = (a1 b2 + b1 d2) mod d1 d2 under its diagonal (a1 a2, d1 d2),
+with no matrix reduction.  The multiplicity of each double coset is its
+per-coset pair count, checked in one pass: each coset (a, b, d) joins
+T(g, ad/g), g = gcd(a, b, d), and must carry the same count as the others
+there, and the number of cosets hit in each T(a, d) must equal its number
+of right cosets, the closed form psi_N(d/a) of `_right_coset_count`.
 `canonicalize_coset` reduces arbitrary matrices of Delta_N.
 """
 
@@ -144,14 +143,20 @@ def canonicalize_coset(g: Mat2, level: int) -> CosetRep:
 
 
 def double_coset_right_cosets(dc: DoubleCoset) -> tuple[CosetRep, ...]:
-    """The right cosets of T(a, d): representatives of determinant ad whose
+    """The right cosets of T(a, d): a times the primitive cosets of
+    determinant d/a, i.e. the representatives of determinant ad whose
     content equals a."""
-    return _right_cosets(dc.level, dc.a, dc.d)
+    s, level = dc.a, dc.level
+    return tuple(CosetRep(s * a, s * b, s * d, level)
+                 for a, d, bs in _primitive_cosets(level, dc.d // dc.a) for b in bs)
 
 
 @lru_cache(maxsize=None)
-def _right_cosets(level: int, a: int, d: int) -> tuple[CosetRep, ...]:
-    return tuple(r for r in coset_representatives(level, a * d) if r.content() == a)
+def _primitive_cosets(level: int, e: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """The right cosets of T(1, e) as ((a, d, bs), ...): ad = e,
+    gcd(a, N) = 1, and bs the b in [0, d) with gcd(a, b, d) = 1."""
+    return tuple((a, e // a, tuple(b for b in range(e // a) if gcd(a, b, e // a) == 1))
+                 for a in divisors(e) if gcd(a, level) == 1)
 
 
 def _right_coset_count(level: int, a: int, d: int) -> int:
@@ -244,39 +249,28 @@ def tl_element(level: int, l: int) -> HeckeElement:
 
 
 @lru_cache(maxsize=None)
-def _basis_product(level: int, a1: int, d1: int, a2: int, d2: int) -> tuple[tuple[int, int, int], ...]:
-    """T(a1,d1) o T(a2,d2) as ((a, d, coefficient), ...), by coset counting.
-
-    Every pair of right cosets is multiplied; the product of two canonical
-    representatives has the canonical form (a1 a2, (a1 b2 + b1 d2) mod d1 d2,
-    d1 d2), counted as a plain (a, b, d) triple.
-
-    The right cosets of T(a, d) depend on N only through its primes that
-    divide d/a, so :func:`multiply` passes gcd(N, (d1/a1) (d2/a2)) as
-    ``level``, the level a failed check names."""
-    left, right = _right_cosets(level, a1, d1), _right_cosets(level, a2, d2)
-    counts = Counter((x.a * y.a, (x.a * y.b + x.b * y.d) % (x.d * y.d), x.d * y.d)
-                     for x in left for y in right)
-    return _multiplicities(level, counts)
-
-
-def _multiplicities(level: int, counts: dict[tuple[int, int, int], int]) -> tuple[tuple[int, int, int], ...]:
-    """((a, d, coefficient), ...) from pair counts per canonical right coset
-    (a, b, d), in one pass: each coset joins the double coset T(e, ad/e),
-    e = gcd(a, b, d), whose coefficient is its per-coset count.  The count
-    must be the same on every coset of a double coset, and every one of its
-    `_right_coset_count` cosets must be hit."""
+def _basis_product(level: int, e1: int, e2: int) -> tuple[tuple[int, int, int], ...]:
+    """T(1,e1) o T(1,e2) as ((a, d, coefficient), ...), by counting pairs
+    of primitive cosets per diagonal and checking the counts per double
+    coset, as the module docstring says.  The right cosets of T(1, e) see N
+    only through its primes that divide e, so :func:`multiply` passes
+    gcd(N, e1 e2) as ``level``, the level a failed check names."""
+    per_diagonal: dict[tuple[int, int], Counter] = {}
+    right = _primitive_cosets(level, e2)
+    for a1, d1, bs1 in _primitive_cosets(level, e1):
+        for a2, d2, bs2 in right:
+            d = d1 * d2
+            per_diagonal.setdefault((a1 * a2, d), Counter()).update(
+                (a1 * b2 + b1 * d2) % d for b1 in bs1 for b2 in bs2)
     per_dc: dict[tuple[int, int], list[int]] = {}  # (a, d) -> [count, cosets hit]
-    for (a, b, d), c in counts.items():
-        e = gcd(a, b, d)
-        key = (e, a * d // e)
-        entry = per_dc.get(key)
-        if entry is None:
-            per_dc[key] = [c, 1]
-        elif entry[0] == c:
+    for (a, d), counts in per_diagonal.items():
+        g = gcd(a, d)
+        for b, c in counts.items():
+            e = gcd(g, b)
+            entry = per_dc.setdefault((e, a * d // e), [c, 0])
+            if entry[0] != c:
+                raise _non_constant(level, e, a * d // e)
             entry[1] += 1
-        else:
-            raise _non_constant(level, *key)
     out = []
     for (a, d), (c, hit) in sorted(per_dc.items()):
         if hit != _right_coset_count(level, a, d):
@@ -290,16 +284,18 @@ def _non_constant(level: int, a: int, d: int) -> ArithmeticError:
 
 
 def multiply(x: HeckeElement, y: HeckeElement) -> HeckeElement:
-    """Bilinear extension of double-coset multiplication."""
+    """Bilinear extension of double-coset multiplication, with
+    T(a1,d1) o T(a2,d2) = T(1,e1) o T(1,e2) scaled by a1 a2, e_i = d_i/a_i."""
     if x.level != y.level:
         raise ValueError("level mismatch")
     level = x.level
     out: dict[tuple[int, int], int] = {}
     for (a1, d1), c1 in x._coeffs.items():
         for (a2, d2), c2 in y._coeffs.items():
-            reduced = gcd(level, (d1 // a1) * (d2 // a2))
-            for a, d, c in _basis_product(reduced, a1, d1, a2, d2):  # a | a1 a2, so gcd(a, N) = 1
-                out[a, d] = out.get((a, d), 0) + c1 * c2 * c
+            e1, e2, s = d1 // a1, d2 // a2, a1 * a2
+            for a, d, c in _basis_product(gcd(level, e1 * e2), e1, e2):  # gcd(s a, N) = 1
+                key = (s * a, s * d)
+                out[key] = out.get(key, 0) + c1 * c2 * c
     return _element(level, out)
 
 

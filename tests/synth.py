@@ -26,6 +26,16 @@ def order4_table_character_mod5() -> DirichletCharacter:
     return DirichletCharacter.from_table(5, [(0, 1), (1, 4), (3, 4), (2, 4), None])
 
 
+def legendre_table_spec(p):
+    """The Legendre symbol mod the odd prime p as a ``table:`` spec, by
+    Euler's criterion."""
+    def entry(j):
+        if j % p == 0:
+            return "0"
+        return "zeta^0/1" if pow(j, (p - 1) // 2, p) == 1 else "zeta^1/2"
+    return "table:" + ",".join(entry(j) for j in range(1, p + 1))
+
+
 def unreduced_table_character(modulus: int, entries) -> DirichletCharacter:
     """A table character whose value chi(j) = e(power/root_order) is held in
     the ring of root_order roots of unity as written, not in lowest terms as

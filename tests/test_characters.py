@@ -16,7 +16,7 @@ from sklift.jacobi import parse_skjf
 from sklift.numtheory import Scalar, is_fundamental_discriminant
 
 from slow_oracles import char_on_delta
-from synth import order4_table_character_mod5
+from synth import legendre_table_spec, order4_table_character_mod5
 
 
 def all_test_characters(modulus):
@@ -174,6 +174,23 @@ def test_table_validation_rejects_bad_tables():
     # a root order above the modulus is refused before its scalar is built
     with pytest.raises(ValueError, match="root order 100003 > modulus 2"):
         DirichletCharacter.from_table(2, [(1, 100003), None])
+
+
+def test_table_multiplicativity_is_checked_on_generators_of_the_units():
+    # a table mod a five-digit prime is checked on a few generators of the
+    # units, not on all N^2/2 pairs; a single damaged value is still caught
+    p = 10007
+    spec = legendre_table_spec(p)
+    chi = parse_character(spec, p)
+    assert chi == DirichletCharacter.kronecker(-p, p) and chi.order == 2
+    assert [chi.value(a) for a in (1, 2, 3, 4, 5, p - 1)] == [1, 1, 1, 1, -1, -1]
+    values = spec[len("table:"):].split(",")
+    values[3] = "zeta^1/2"  # chi(4) = -1, though 4 = 2^2
+    with pytest.raises(ValueError, match="not completely multiplicative") as refused:
+        parse_character("table:" + ",".join(values), p)
+    a, g = map(int, str(refused.value).rsplit("(", 1)[1].rstrip(")").split(", "))
+    damaged = [None, *values]  # damaged[j] is entry j
+    assert damaged[a * g % p] != ("zeta^0/1" if damaged[a] == damaged[g] else "zeta^1/2")
 
 
 def test_kronecker_validation():

@@ -32,7 +32,7 @@ from sklift.siegel import (
     write_sksf,
 )
 
-from synth import order4_table_character_mod5, random_jacobi, siegel_product
+from synth import legendre_table_spec, order4_table_character_mod5, random_jacobi, siegel_product
 
 
 def run(argv, capsys):
@@ -340,7 +340,10 @@ def _zeta_text(order, power):
       "1 0 0 " + _zeta_text(997, 1), "2 0 0 " + _zeta_text(991, 1)], 1),
     # a conductor whose factorization trial division would not finish
     (["k=9 N=1000000000000000003 chi=kronecker:-1000000000000000003 nmax=0 mmax=0 cusp=0"], 2),
-], ids=["one-in-55440-coordinates", "zeta-997-and-zeta-991", "kronecker-past-the-bound"])
+    # a table: character mod 10 007, checked for multiplicativity
+    (["k=9 N=10007 chi=" + legendre_table_spec(10007) + " nmax=0 mmax=0 cusp=0"], 0),
+], ids=["one-in-55440-coordinates", "zeta-997-and-zeta-991", "kronecker-past-the-bound",
+        "table-mod-10007"])
 def test_hostile_value_texts_and_headers_end_in_a_fresh_process(tmp_path, rows, code):
     path = tmp_path / "hostile.sksf"
     path.write_text("\n".join(["SKSF 1", *rows]) + "\n")

@@ -16,7 +16,6 @@ from sklift.hecke import (
     HeckeElement,
     _basis_product,
     _identity_sides,
-    _multiplicities,
     _right_coset_count,
     canonicalize_coset,
     coset_equal,
@@ -33,11 +32,17 @@ from sklift.numtheory import divisors
 from slow_oracles import double_coset_of
 
 
+def right_cosets_by_content(level, a, d):
+    """The right cosets of T(a, d), read from the definition: the
+    representatives of determinant ad whose content is a."""
+    return [r for r in coset_representatives(level, a * d) if r.content() == a]
+
+
 def basis_product_oracle(level, a1, d1, a2, d2):
     """T(a1,d1) o T(a2,d2) as ((a, d, coefficient), ...): every pair product
     reduced as a matrix by `canonicalize_coset`, then counted per coset."""
-    reps1 = double_coset_right_cosets(DoubleCoset(a1, d1, level))
-    reps2 = double_coset_right_cosets(DoubleCoset(a2, d2, level))
+    reps1 = right_cosets_by_content(level, a1, d1)
+    reps2 = right_cosets_by_content(level, a2, d2)
     counts = {}
     for r1 in reps1:
         m1 = r1.matrix()
@@ -47,13 +52,21 @@ def basis_product_oracle(level, a1, d1, a2, d2):
     seen = {double_coset_of(rep) for rep in counts}
     out = []
     for dc in sorted(seen):
-        per_coset = [counts.get(rep, 0) for rep in double_coset_right_cosets(dc)]
+        per_coset = [counts.get(rep, 0) for rep in right_cosets_by_content(level, dc.a, dc.d)]
         if len(set(per_coset)) != 1:
             raise ArithmeticError(
                 f"pair counts not constant on T({dc.a},{dc.d}) at level {level}"
             )
         out.append((dc.a, dc.d, per_coset[0]))
     return tuple(out)
+
+
+def scaled_basis_product(level, a1, d1, a2, d2):
+    """T(a1,d1) o T(a2,d2) as `multiply` computes it: the kernel's
+    T(1,e1) o T(1,e2), e_i = d_i/a_i, at level gcd(N, e1 e2), with every
+    (a, d) scaled by a1 a2."""
+    e1, e2, s = d1 // a1, d2 // a2, a1 * a2
+    return tuple((s * a, s * d, c) for a, d, c in _basis_product(gcd(level, e1 * e2), e1, e2))
 
 
 def test_representatives_examples():
@@ -275,40 +288,50 @@ def test_basis_product_matches_oracle():
                         products.add((level, dc1.a, dc1.d, dc2.a, dc2.d))
     assert len(products) == 1219
     for args in sorted(products):
-        assert _basis_product(*args) == basis_product_oracle(*args), args
+        want = basis_product_oracle(*args)
+        assert scaled_basis_product(*args) == want, args
+        level, a1, d1, a2, d2 = args
+        product = multiply(t_ad(level, a1, d1), t_ad(level, a2, d2))
+        assert product == HeckeElement(level, {DoubleCoset(a, d, level): c for a, d, c in want})
 
 
 def test_basis_product_depends_on_the_level_through_the_primes_of_the_quotients():
-    # multiply keys T(a1,d1) o T(a2,d2) by gcd(N, (d1/a1)(d2/a2)): the right
-    # cosets of T(a, d) see only the primes of N that divide d/a
+    # multiply keys T(1,e1) o T(1,e2) by gcd(N, e1 e2): the right cosets of
+    # T(1, e) see only the primes of N that divide e
     pairs = 0
     for level in range(1, 13):
-        basis = [(a, d) for d in range(1, 65) for a in divisors(d) if gcd(a, level) == 1]
-        for a1, d1 in basis:
-            for a2, d2 in basis:
-                if a1 * d1 * a2 * d2 <= 64:
-                    pairs += 1
-                    reduced = gcd(level, (d1 // a1) * (d2 // a2))
-                    assert (_basis_product(level, a1, d1, a2, d2)
-                            == _basis_product(reduced, a1, d1, a2, d2)), (level, a1, d1, a2, d2)
-    assert pairs == 4482
+        for e1 in range(1, 65):
+            for e2 in range(1, 64 // e1 + 1):
+                pairs += 1
+                reduced = gcd(level, e1 * e2)
+                assert _basis_product(level, e1, e2) == _basis_product(reduced, e1, e2), \
+                    (level, e1, e2)
+    assert pairs == 3360
 
 
-def test_multiplicities_rejects_non_constant_pair_counts():
-    # T(1) o T(4) at level 3 lands once on each right coset of T(1,4) and
-    # T(2,2); on T(1,4) a bumped count, a coset never hit, or one coset
-    # hit once where all the others are hit twice must be reported
-    counts = {(r.a, r.b, r.d): 1 for r in coset_representatives(3, 4)}
-    assert _multiplicities(3, counts) == ((1, 4, 1), (2, 2, 1))
-    bumped = dict(counts)
-    bumped[(1, 3, 4)] += 1
-    dropped = dict(counts)
-    del dropped[(1, 3, 4)]
-    uneven = {key: 2 for key in counts}
-    uneven[(1, 2, 4)] = 1
-    for bad in (bumped, dropped, uneven):
-        with pytest.raises(ArithmeticError, match=r"not constant on T\(1,4\) at level 3"):
-            _multiplicities(3, bad)
+def test_basis_product_rejects_non_constant_pair_counts(monkeypatch):
+    # T(1,1) o T(1,4) at level 3 lands once on each right coset of T(1,4);
+    # with the primitive cosets of T(1,4) listed with one b twice, with one
+    # b missing, or with the (1, 4) block twice, the counts on T(1,4) are
+    # uneven, one coset is never hit, or part of T(1,4) is counted twice
+    primitive = hecke._primitive_cosets
+    primitive.cache_clear()
+    _basis_product.cache_clear()
+    assert primitive(3, 4) == ((1, 4, (0, 1, 2, 3)), (2, 2, (1,)), (4, 1, (0,)))
+    assert _basis_product(3, 1, 4) == ((1, 4, 1),)
+    block, rest = primitive(3, 4)[0], primitive(3, 4)[1:]
+    damaged = {
+        "repeated": ((1, 4, (0, 1, 2, 3, 3)), *rest),
+        "dropped": ((1, 4, (0, 1, 2)), *rest),
+        "doubled": (block, block, *rest),
+    }
+    for cosets in damaged.values():
+        monkeypatch.setattr(hecke, "_primitive_cosets",
+                            lambda level, e, cosets=cosets: cosets if e == 4 else primitive(level, e))
+        _basis_product.cache_clear()
+        with pytest.raises(ArithmeticError, match=r"^pair counts not constant on T\(1,4\) at level 3$"):
+            _basis_product(3, 1, 4)
+    _basis_product.cache_clear()
 
 
 def test_right_coset_count_matches_enumeration():
@@ -318,8 +341,9 @@ def test_right_coset_count_matches_enumeration():
             if gcd(a, level) != 1:
                 continue
             for d in range(a, 256 // a + 1, a):
-                dc = DoubleCoset(a, d, level)
-                assert _right_coset_count(level, a, d) == len(double_coset_right_cosets(dc))
+                by_content = right_cosets_by_content(level, a, d)
+                assert double_coset_right_cosets(DoubleCoset(a, d, level)) == tuple(by_content)
+                assert _right_coset_count(level, a, d) == len(by_content)
 
 
 # ---------------------------------------------------------------------------
@@ -425,19 +449,25 @@ def test_hecke_element_edge_errors_keep_their_messages():
 
 
 def test_identity_sides_construct_no_double_coset(monkeypatch):
-    # every T(a, d) the identity derives is kept as its (a, d) pair, from a
-    # cold start as well: DoubleCoset is built only at the public edge
-    for cached in (tl_element, hecke._basis_product, hecke._right_cosets, coset_representatives):
+    # every T(a, d) the identity derives is kept as its (a, d) pair, and
+    # every coset it counts as integers, from a cold start as well:
+    # DoubleCoset is built only at the public edge, CosetRep not at all
+    for cached in (tl_element, hecke._basis_product, hecke._primitive_cosets,
+                   coset_representatives):
         cached.cache_clear()
-    built = []
+    built, cosets = [], []
     init = DoubleCoset.__init__
     monkeypatch.setattr(DoubleCoset, "__init__",
                         lambda self, *args: (built.append(args), init(self, *args))[1])
+    coset_init = CosetRep.__init__
+    monkeypatch.setattr(CosetRep, "__init__",
+                        lambda self, *args: (cosets.append(args), coset_init(self, *args))[1])
     for level in range(1, 9):
         for m in range(1, 17):
             for n in range(1, 17):
                 left, right = _identity_sides(level, m, n)
                 assert left == right and str(left)
-    assert built == []
+    assert built == [] and cosets == []
     assert tl_element(2, 4).coefficients() == {DoubleCoset(1, 4, 2): 1}
     assert built == [(1, 4, 2)] * 2
+    assert len(double_coset_right_cosets(DoubleCoset(1, 2, 1))) == len(cosets) == 3
