@@ -8,16 +8,21 @@ verdict, 2 for usage or data errors.
 A command line of the verb and ``--flag=value`` words is read directly;
 argparse, imported when first needed, reads every other one and prints
 help and usage errors.
+
+This is the only module that touches files, the environment or stderr,
+among them the H(r, N) cache that only the ``cohen`` verb reads and writes.
 """
 
 from __future__ import annotations
 
+import os
 import sys
+from fractions import Fraction
 from types import SimpleNamespace
 
 from .hecke import _identity_sides, coset_representatives, multiply, tl_element
 from .jacobi import BUILTIN_FORMS, builtin_form, parse_skjf, write_skjf
-from .numtheory import cohen_h, read_int
+from .numtheory import cohen_h, read_int, read_rational
 from .serialize import rational_to_text
 from .siegel import VERIFY_MODES, check_mode, lift, parse_sksf, report_to_text, write_sksf
 
@@ -76,14 +81,74 @@ def cmd_hecke(args) -> int:
     return 0 if ok else 1
 
 
+def _read_h_cache(path: str) -> dict[tuple[int, int], Fraction]:
+    """The H(r, N) values of the cache file at ``path``, {} if there is none:
+    one ``H <r> <N> <num>/<den>`` record per line, read by ``read_int`` and
+    ``read_rational`` (den nonzero).  Repeated records must agree; an
+    unterminated last record, left by an interrupted writer, is ignored, and
+    any other bad record is an error naming its line."""
+    values: dict[tuple[int, int], Fraction] = {}
+    if not os.path.exists(path):
+        return values
+    records = _read(path).split("\n")
+    # the last piece is empty, or a record cut off before its newline
+    for line_no, raw in enumerate(records[:-1], start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) == 4 and parts[0] == "H":
+            r, nval, value = read_int(parts[1]), read_int(parts[2]), read_rational(parts[3])
+        else:
+            r = nval = value = None
+        if r is None or nval is None or value is None or not value[1]:
+            raise ValueError(f"{path} line {line_no}: malformed cache record {line!r}")
+        key, value = (r, nval), Fraction(*value)
+        if values.setdefault(key, value) != value:
+            raise ValueError(f"{path} line {line_no}: conflicting cache records for H{key}")
+    return values
+
+
+def _append_h_records(path: str, records: str) -> None:
+    """Append newline-terminated ``records``, first cutting off a torn last one."""
+    folder = os.path.dirname(path)
+    if folder:  # empty for a path in the working directory (SK_CACHE_DIR set empty)
+        os.makedirs(folder, exist_ok=True)
+    with open(path, "a+b") as fh:
+        end = fh.seek(0, os.SEEK_END)
+        if end:
+            fh.seek(end - 1)
+            if fh.read(1) != b"\n":
+                fh.seek(0)
+                fh.truncate(fh.read().rfind(b"\n") + 1)
+        fh.write(records.encode("ascii"))
+
+
 def cmd_cohen(args) -> int:
+    """Print H(r, N) for N <= nmax.  The cache ``$SK_CACHE_DIR/cohen_h.txt``
+    (default ``.skcache``; set but empty, the working directory) is read
+    once; only the values it lacks are computed, and their records are
+    appended in one write, or a warning is printed if that fails."""
     if args.nmax < 0:
         raise ValueError("n_max must be >= 0")
-    lines = [
-        f"H {args.r} {n} {rational_to_text(cohen_h(args.r, n))}"
-        for n in range(args.nmax + 1)
-    ]
-    _emit("\n".join(lines) + "\n", args.out)
+    if args.r < 1:
+        raise ValueError("cohen_h requires r >= 1")
+    path = os.path.join(os.environ.get("SK_CACHE_DIR", ".skcache"), "cohen_h.txt")
+    cached = _read_h_cache(path)
+    lines, missing = [], []
+    for n in range(args.nmax + 1):
+        known = (args.r, n) in cached
+        value = cached[args.r, n] if known else cohen_h(args.r, n)
+        lines.append(f"H {args.r} {n} {rational_to_text(value)}\n")
+        if not known:
+            missing.append(lines[-1])
+    if missing:
+        try:
+            _append_h_records(path, "".join(missing))
+        except OSError as exc:
+            print(f"warning: cannot write the H cache {path} ({exc}); "
+                  "keeping values in memory", file=sys.stderr)
+    _emit("".join(lines), args.out)
     return 0
 
 
@@ -185,8 +250,9 @@ def main(argv: list[str] | None = None) -> int:
     if args is None:
         args = build_parser().parse_args(argv)
         for flag, dest, kind, _, _ in _VERBS[args.verb][1]:
-            # argparse before Python 3.13 reads --flag=-- as [], and 3.13 as "--"
-            if kind is str and getattr(args, dest) in ([], "--"):
+            # argparse before Python 3.13 reads --flag=-- as [], and 3.13 as "--";
+            # --flag= is an empty path
+            if kind is str and getattr(args, dest) in ([], "--", ""):
                 build_parser().error(f"argument {flag}: expected one argument")
     if args.verb == "hecke":
         needs = ("l",) if args.sub == "cosets" else ("m", "n")

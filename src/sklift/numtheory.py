@@ -32,15 +32,13 @@ f the modulus and the classical Bernoulli numbers B_j (B_1 = -1/2),
 
 (Washington, Introduction to Cyclotomic Fields, Prop. 4.1), the polynomial
 evaluated at each a in integers over one denominator.  H(1, N) is the
-Hurwitz class number.  H values are memoised on disk (see
-:data:`cohen_cache`); the built-in Jacobi forms are computed without them.
+Hurwitz class number.  Nothing here reads or writes a file: the ``cohen``
+verb keeps the disk cache of H values, and the built-in Jacobi forms are
+computed without them.
 """
 
 from __future__ import annotations
 
-import os
-import sys
-import threading
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, isqrt, lcm
@@ -636,117 +634,8 @@ def _bernoulli_kronecker(n: int, disc: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Cohen's H-function and its disk cache
+# Cohen's H-function
 # ---------------------------------------------------------------------------
-
-class CohenCache:
-    """Disk-backed memo for H(r, N), safe for concurrent reads with
-    exclusive writes.
-
-    The cache lives in ``$SK_CACHE_DIR`` (default ``.skcache``; set but
-    empty, the working directory) as a line-oriented text file, one record
-    per line::
-
-        H <r> <N> <numerator>/<denominator>
-
-    Records may repeat; repeated records must agree.  The file is created
-    lazily on first write.  An unterminated last record, left by a writer
-    that was interrupted, is ignored on load and cut off before the next
-    append.  If the file cannot be written, values are kept in memory only
-    and a warning is printed once to stderr.
-    """
-
-    FILENAME = "cohen_h.txt"
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._path: str | None = None
-        self._values: dict[tuple[int, int], Fraction] = {}
-        self._writable = True
-
-    def _resolve_path(self) -> str:
-        base = os.environ.get("SK_CACHE_DIR", ".skcache")
-        return os.path.join(base, self.FILENAME)
-
-    def _ensure_loaded(self, path: str) -> None:
-        if path == self._path:
-            return
-        values: dict[tuple[int, int], Fraction] = {}
-        if os.path.exists(path):
-            # records are ASCII; any other text is read so that the record
-            # holding it is refused with its line number
-            with open(path, "r", encoding="utf-8", errors="replace") as fh:
-                records = fh.read().split("\n")
-            # the last piece is empty, or a record cut off before its newline
-            for line_no, raw in enumerate(records[:-1], start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                key, val = _parse_cache_record(line, path, line_no)
-                if key in values and values[key] != val:
-                    raise ValueError(
-                        f"{path} line {line_no}: conflicting cache records for H{key}"
-                    )
-                values[key] = val
-        self._path = path
-        self._values = values
-        self._writable = True
-
-    def get(self, r: int, nval: int) -> Fraction | None:
-        with self._lock:
-            self._ensure_loaded(self._resolve_path())
-            return self._values.get((r, nval))
-
-    def put(self, r: int, nval: int, value: Fraction) -> None:
-        with self._lock:
-            path = self._resolve_path()
-            self._ensure_loaded(path)
-            key = (r, nval)
-            known = self._values.get(key)
-            if known is not None:
-                if known != value:
-                    raise ValueError(f"conflicting cache records for H{key}")
-                return
-            self._values[key] = value
-            if not self._writable:
-                return
-            try:
-                _append_record(path, f"H {r} {nval} {value.numerator}/{value.denominator}\n")
-            except OSError as exc:
-                self._writable = False
-                print(f"warning: cannot write the H cache {path} ({exc}); "
-                      "keeping values in memory", file=sys.stderr)
-
-
-def _parse_cache_record(line: str, path: str, line_no: int) -> tuple[tuple[int, int], Fraction]:
-    """``H <r> <N> <num>/<den>``: r, N and num read -?[0-9]+, den [0-9]+
-    and nonzero."""
-    parts = line.split()
-    if len(parts) == 4 and parts[0] == "H":
-        r, nval, value = read_int(parts[1]), read_int(parts[2]), read_rational(parts[3])
-        if r is not None and nval is not None and value is not None and value[1]:
-            return (r, nval), Fraction(*value)
-    raise ValueError(f"{path} line {line_no}: malformed cache record {line!r}")
-
-
-def _append_record(path: str, record: str) -> None:
-    """Append one newline-terminated record, first cutting off a torn last one."""
-    folder = os.path.dirname(path)
-    if folder:  # empty for a path in the working directory (SK_CACHE_DIR set empty)
-        os.makedirs(folder, exist_ok=True)
-    with open(path, "a+b") as fh:
-        end = fh.seek(0, os.SEEK_END)
-        if end:
-            fh.seek(end - 1)
-            if fh.read(1) != b"\n":
-                fh.seek(0)
-                fh.truncate(fh.read().rfind(b"\n") + 1)
-        fh.write(record.encode("ascii"))
-
-
-#: Process-wide H(r, N) cache.
-cohen_cache = CohenCache()
-
 
 def cohen_h(r: int, nval: int) -> Fraction:
     """Cohen's function H(r, N) as an exact rational.
@@ -758,23 +647,15 @@ def cohen_h(r: int, nval: int) -> Fraction:
         raise ValueError("cohen_h requires r >= 1")
     if nval < 0:
         raise ValueError("cohen_h requires N >= 0")
-    cached = cohen_cache.get(r, nval)
-    if cached is not None:
-        return cached
     if nval == 0:
-        value = -_bernoulli_number(2 * r) / (2 * r)  # zeta(1 - 2r)
-    else:
-        signed = nval if r % 2 == 0 else -nval
-        if signed % 4 not in (0, 1):
-            value = _ZERO
-        else:
-            disc, f = _fundamental_decomposition(signed)
-            lvalue = -Fraction(_bernoulli_kronecker(r, disc), r)
-            acc = 0
-            for d in divisors(f):
-                mu = moebius(d)
-                if mu:
-                    acc += mu * kronecker_symbol(disc, d) * d ** (r - 1) * sigma(2 * r - 1, f // d)
-            value = lvalue * acc
-    cohen_cache.put(r, nval, value)
-    return value
+        return -_bernoulli_number(2 * r) / (2 * r)  # zeta(1 - 2r)
+    signed = nval if r % 2 == 0 else -nval
+    if signed % 4 not in (0, 1):
+        return _ZERO
+    disc, f = _fundamental_decomposition(signed)
+    acc = 0
+    for d in divisors(f):
+        mu = moebius(d)
+        if mu:
+            acc += mu * kronecker_symbol(disc, d) * d ** (r - 1) * sigma(2 * r - 1, f // d)
+    return -Fraction(_bernoulli_kronecker(r, disc), r) * acc

@@ -491,9 +491,12 @@ def test_one_verb_parser_prints_what_the_full_parser_prints(capsys, argv):
 @pytest.mark.parametrize("argv,flag", [
     (["gen", "--form=E4", "--nmax=2", "--out=--"], "--out"),
     (["lift", "--in=--", "--mmax=1"], "--in"),
+    (["gen", "--form=phi10_1", "--nmax=4", "--out="], "--out"),
+    (["lift", "--in=", "--mmax=1"], "--in"),
 ])
 def test_dashes_as_a_path_are_a_usage_error(tmp_path, monkeypatch, capsys, argv, flag):
-    # argparse before Python 3.13 reads --flag=-- as [], and 3.13 as "--"
+    # argparse before Python 3.13 reads --flag=-- as [], and 3.13 as "--";
+    # an empty path is refused the same way, before any work
     monkeypatch.chdir(tmp_path)
     code, out, err = _exit(argv, capsys)
     assert (code, out) == (2, "")

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from sklift.characters import DirichletCharacter
 from sklift.cli import main
 from sklift.jacobi import builtin_form, parse_skjf, write_skjf
-from sklift.numtheory import Scalar, cohen_cache, cohen_h, read_int, read_rational
+from sklift.numtheory import Scalar, read_int, read_rational
 from sklift.serialize import ParseError
 from sklift.siegel import (RelationReport, SiegelExpansion, Violation, lift, parse_report,
                            parse_sksf, report_to_text, write_sksf)
@@ -92,16 +92,15 @@ def test_an_integer_past_the_limit_gets_its_sites_message(site, text, parse, lin
 
 
 @needs_limit
-def test_an_h_cache_record_past_the_limit_names_its_line(tmp_path, monkeypatch):
+def test_an_h_cache_record_past_the_limit_names_its_line(tmp_path, monkeypatch, capsys):
     path = tmp_path / "cohen_h.txt"
     record = f"H 1 {BIG} 1/3"
     path.write_text(f"{record}\nH 1 3 1/3\n")
     monkeypatch.setenv("SK_CACHE_DIR", str(tmp_path))
-    cohen_cache._path = None
-    with pytest.raises(ValueError) as exc:
-        cohen_h(1, 3)
-    assert str(exc.value) == f"{path} line 1: malformed cache record {record!r}"
-    cohen_cache._path = None
+    assert main(["cohen", "--r=1", "--nmax=3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path} line 1: malformed cache record {record!r}\n"
 
 
 @needs_limit

@@ -7,7 +7,6 @@ by series inversion, Euler's criterion for quadratic residues, and the
 weighted count of reduced binary quadratic forms for Hurwitz class numbers.
 """
 
-import os
 import threading
 from fractions import Fraction
 from functools import lru_cache
@@ -18,12 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sklift.characters import DirichletCharacter
+from sklift.cli import main
 from sklift.numtheory import (
     Scalar,
     _bernoulli_kronecker,
     _factorize,
     cohen_h,
-    cohen_cache,
     cyclotomic_polynomial,
     divisors,
     generalized_bernoulli,
@@ -531,48 +530,82 @@ def test_cohen_higher_weight_spot_values():
 
 
 # ---------------------------------------------------------------------------
-# the disk cache
+# the cohen verb's disk cache; cohen_h itself reads and writes no file
 # ---------------------------------------------------------------------------
 
-def test_cache_file_records(tmp_path, monkeypatch):
+def _cohen(capsys, r, nmax):
+    """(exit code, stdout, stderr) of ``sklift cohen --r=r --nmax=nmax``."""
+    code = main(["cohen", f"--r={r}", f"--nmax={nmax}"])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _records(r, nmax):
+    """The records, and the output, of ``cohen --r=r --nmax=nmax``."""
+    values = [cohen_h(r, n) for n in range(nmax + 1)]
+    return "".join(f"H {r} {n} {v.numerator}/{v.denominator}\n" for n, v in enumerate(values))
+
+
+def test_cohen_h_writes_no_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("SK_CACHE_DIR", str(tmp_path))
+    assert cohen_h(1, 23) == hurwitz_oracle(23)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cache_file_records(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SK_CACHE_DIR", str(tmp_path))
     value = cohen_h(1, 23)
+    record = f"H 1 23 {value.numerator}/{value.denominator}\n"
+    code, out, _ = _cohen(capsys, 1, 23)
     path = tmp_path / "cohen_h.txt"
-    assert path.exists()
-    lines = path.read_text().splitlines()
-    assert f"H 1 23 {value.numerator}/{value.denominator}" in lines
-    # duplicates that agree are fine
+    assert code == 0 and out.endswith(record)
+    assert record in path.read_text()
+    # duplicates that agree are fine, and are read, not recomputed
     with open(path, "a") as fh:
-        fh.write(f"H 1 23 {value.numerator}/{value.denominator}\n")
-    monkeypatch.setenv("SK_CACHE_DIR", str(tmp_path))  # force re-resolve
-    cohen_cache._path = None
-    assert cohen_h(1, 23) == value
+        fh.write(record)
+    text = path.read_text()
+    assert _cohen(capsys, 1, 23) == (0, out, "")
+    assert path.read_text() == text
+
+
+def test_cache_runs_append_only_what_is_missing(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SK_CACHE_DIR", str(tmp_path))
+    path = tmp_path / "cohen_h.txt"
+    assert _cohen(capsys, 3, 60) == (0, _records(3, 60), "")
+    assert _cohen(capsys, 5, 60) == (0, _records(5, 60), "")
+    assert path.read_text() == _records(3, 60) + _records(5, 60)
+    assert _cohen(capsys, 5, 60) == (0, _records(5, 60), "")
+    assert path.read_text() == _records(3, 60) + _records(5, 60)
 
 
 def test_empty_cache_dir_means_the_working_directory(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("SK_CACHE_DIR", "")
-    cohen_cache._path = None
     value = cohen_h(1, 27)
+    code, _, err = _cohen(capsys, 1, 27)
+    assert (code, err) == (0, "")
     lines = (tmp_path / "cohen_h.txt").read_text().splitlines()
     assert f"H 1 27 {value.numerator}/{value.denominator}" in lines
-    assert capsys.readouterr().err == ""
-    cohen_cache._path = None
 
 
-def test_cache_conflicting_records_rejected(tmp_path, monkeypatch):
+def test_cache_dir_defaults_to_skcache(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SK_CACHE_DIR")
+    assert _cohen(capsys, 1, 4) == (0, _records(1, 4), "")
+    assert (tmp_path / ".skcache" / "cohen_h.txt").read_text() == _records(1, 4)
+
+
+def test_cache_conflicting_records_rejected(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SK_CACHE_DIR", str(tmp_path))
     path = tmp_path / "cohen_h.txt"
     path.write_text("H 1 3 1/3\nH 1 3 2/3\n")
-    cohen_cache._path = None
-    with pytest.raises(ValueError, match="conflicting"):
-        cohen_h(1, 3)
-    cohen_cache._path = None
+    code, out, err = _cohen(capsys, 1, 3)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path} line 2: conflicting cache records for H(1, 3)\n"
 
 
-def test_cache_concurrent_reads(tmp_path, monkeypatch):
-    monkeypatch.setenv("SK_CACHE_DIR", str(tmp_path))
-    cohen_cache._path = None
+def test_cache_concurrent_reads():
     results = {}
 
     def worker(tag):
@@ -585,41 +618,38 @@ def test_cache_concurrent_reads(tmp_path, monkeypatch):
         t.join()
     baseline = results[0]
     assert all(results[i] == baseline for i in range(4))
-    cohen_cache._path = None
 
 
-def test_cache_drops_torn_last_record(tmp_path, monkeypatch):
+def test_cache_drops_torn_last_record(tmp_path, monkeypatch, capsys):
     # a writer interrupted mid-record leaves a line without its newline
     path = tmp_path / "cohen_h.txt"
     path.write_text("H 1 3 1/3\nH 1 6 1/")
     monkeypatch.setenv("SK_CACHE_DIR", str(tmp_path))
-    cohen_cache._path = None
-    assert cohen_h(1, 3) == Fraction(1, 3)
-    assert cohen_cache.get(1, 6) is None
-    assert cohen_h(1, 6) == 0
-    cohen_cache._path = None
+    code, out, err = _cohen(capsys, 1, 6)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[3:] == ["H 1 3 1/3", "H 1 4 1/2", "H 1 5 0/1", "H 1 6 0/1"]
+    # the torn record was not read: H(1, 6) was computed and its record appended
+    assert path.read_text().endswith("H 1 6 0/1\n")
 
 
-def test_cache_append_after_torn_record_starts_new_line(tmp_path, monkeypatch):
+def test_cache_append_after_torn_record_starts_new_line(tmp_path, monkeypatch, capsys):
     path = tmp_path / "cohen_h.txt"
     path.write_text("H 1 3 1/3\nH 1 6 1/")
     monkeypatch.setenv("SK_CACHE_DIR", str(tmp_path))
-    cohen_cache._path = None
-    value = cohen_h(1, 23)
-    assert path.read_text() == f"H 1 3 1/3\nH 1 23 {value.numerator}/{value.denominator}\n"
-    cohen_cache._path = None  # the repaired file loads cleanly
-    assert cohen_h(1, 23) == value
-    cohen_cache._path = None
+    code, out, _ = _cohen(capsys, 1, 3)
+    assert code == 0
+    assert path.read_text() == "H 1 3 1/3\nH 1 0 -1/12\nH 1 1 0/1\nH 1 2 0/1\n"
+    # the repaired file loads cleanly
+    assert _cohen(capsys, 1, 3) == (0, out, "")
 
 
-def test_cache_malformed_terminated_record_names_its_line(tmp_path, monkeypatch):
+def test_cache_malformed_terminated_record_names_its_line(tmp_path, monkeypatch, capsys):
     path = tmp_path / "cohen_h.txt"
     path.write_text("H 1 3 1/3\n\nH 1 6 1/\nH 1 4 1/2\n")
     monkeypatch.setenv("SK_CACHE_DIR", str(tmp_path))
-    cohen_cache._path = None
-    with pytest.raises(ValueError, match=r"line 3: malformed cache record 'H 1 6 1/'"):
-        cohen_h(1, 3)
-    cohen_cache._path = None
+    code, out, err = _cohen(capsys, 1, 3)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path} line 3: malformed cache record 'H 1 6 1/'\n"
 
 
 @pytest.mark.parametrize("record", [
@@ -631,15 +661,13 @@ def test_cache_malformed_terminated_record_names_its_line(tmp_path, monkeypatch)
     "H \u0663 10 1/2",
     "H 3 10 1/2/1",
 ])
-def test_cache_reads_only_the_integers_it_writes(tmp_path, monkeypatch, record):
+def test_cache_reads_only_the_integers_it_writes(tmp_path, monkeypatch, capsys, record):
     path = tmp_path / "cohen_h.txt"
     path.write_text(f"H 1 3 1/3\n{record}\n", encoding="utf-8")
     monkeypatch.setenv("SK_CACHE_DIR", str(tmp_path))
-    cohen_cache._path = None
-    with pytest.raises(ValueError) as exc:
-        cohen_h(1, 3)
-    assert str(exc.value) == f"{path} line 2: malformed cache record {record!r}"
-    cohen_cache._path = None
+    code, out, err = _cohen(capsys, 1, 3)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path} line 2: malformed cache record {record!r}\n"
 
 
 def test_cache_unwritable_dir_falls_back_to_memory(tmp_path, monkeypatch, capsys):
@@ -647,11 +675,11 @@ def test_cache_unwritable_dir_falls_back_to_memory(tmp_path, monkeypatch, capsys
     blocker = tmp_path / "blocker"
     blocker.write_text("")
     monkeypatch.setenv("SK_CACHE_DIR", str(blocker / "cache"))
-    cohen_cache._path = None
-    values = [cohen_h(1, n) for n in range(30)]
-    assert values == [cohen_h(1, 0)] + [hurwitz_oracle(n) for n in range(1, 30)]
-    assert cohen_cache.get(1, 29) == values[29]
-    err = capsys.readouterr().err
+    code, out, err = _cohen(capsys, 1, 29)
+    assert code == 0
+    values = [cohen_h(1, 0)] + [hurwitz_oracle(n) for n in range(1, 30)]
+    assert out == "".join(f"H 1 {n} {v.numerator}/{v.denominator}\n" for n, v in enumerate(values))
     assert err.count("cannot write the H cache") == 1, err
+    assert err.startswith(f"warning: cannot write the H cache {blocker / 'cache' / 'cohen_h.txt'} (")
+    assert err.endswith("); keeping values in memory\n")
     assert blocker.read_text() == ""
-    cohen_cache._path = None

@@ -9,10 +9,10 @@ from pathlib import Path
 SOURCES = Path(__file__).resolve().parents[1] / "src" / "sklift"
 
 
-def test_package_imports_only_the_standard_library():
+def _imports():
+    """(file name, top-level module) for each absolute import in the package."""
     paths = sorted(SOURCES.glob("*.py"))
     assert paths
-    outside = []
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
             if isinstance(node, ast.Import):
@@ -21,9 +21,19 @@ def test_package_imports_only_the_standard_library():
                 modules = [node.module]
             else:
                 continue
-            outside += [(path.name, module) for module in modules
-                        if module.split(".")[0] not in sys.stdlib_module_names]
-    assert outside == []
+            yield from ((path.name, module.split(".")[0]) for module in modules)
+
+
+def test_package_imports_only_the_standard_library():
+    assert [(name, module) for name, module in _imports()
+            if module not in sys.stdlib_module_names] == []
+
+
+def test_only_the_cli_imports_os_sys_or_threading():
+    # files, the environment and stderr belong to the command line; the
+    # arithmetic and the formats below it do no I/O of their own
+    assert {name for name, module in _imports()
+            if module in ("os", "sys", "threading")} == {"cli.py"}
 
 
 def _run_bare(code):
