@@ -147,7 +147,7 @@ def cmd_cohen(args) -> int:
             _append_h_records(path, "".join(missing))
         except OSError as exc:
             print(f"warning: cannot write the H cache {path} ({exc}); "
-                  "keeping values in memory", file=sys.stderr)
+                  "the values are printed but not cached", file=sys.stderr)
     _emit("".join(lines), args.out)
     return 0
 

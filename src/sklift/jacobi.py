@@ -10,10 +10,11 @@ explicitly.
 The index-shift operator V_{l,chi} is computed by its closed coefficient
 formula::
 
-    c'(n, r) = sum_{a | (n, r, l), (a, N) = 1} chi(a) a^(k-1) c(n l / a^2, r / a)
+    c'(n, r) = sum_{a | (n, r, l)} chi(a) a^(k-1) c(n l / a^2, r / a),
 
-Its slash-action realization over the right cosets of T(l), V^0 and the
-diagonal operator V^0(a, a) are test oracles, in tests/slow_oracles.py.
+where chi(a) = 0 when (a, N) > 1.  Its slash-action realization over the
+right cosets of T(l), V^0 and the diagonal operator V^0(a, a) are test
+oracles, in tests/slow_oracles.py.
 Every stored coefficient is a :class:`~sklift.numtheory.Scalar`, and the
 operators on expansions use its arithmetic, never its coordinates.
 
@@ -47,7 +48,7 @@ series and products with Eisenstein series.  No Cohen H value is
 computed.
 
 The divisor sums of V_{l,chi}, of the lift and of the Maass relations are
-evaluated by one helper, :func:`_twisted_sums`.
+evaluated by one helper, :func:`_twisted_sums`, which alone evaluates chi.
 """
 
 from __future__ import annotations
@@ -308,9 +309,9 @@ class JacobiExpansion(_Expansion):
 
 def _twisted_sums(form: _Expansion):
     """The evaluator of twisted divisor sums over ``form``: a function that
-    takes a list of terms (d, cell), each standing for chi(d) d^(k-1) times
-    the coefficient at the cell, and returns their sum, taken from zero in
-    list order.
+    takes terms (d, cell), each chi(d) d^(k-1) times the coefficient at the
+    cell, and sums them from zero in list order, leaving out each term with
+    chi(d) = 0 (d shares a prime with the level), so it sets no ring.
 
     Every cell a caller hands over lies in the stored region, as its row or
     sub-region bound proves (tests/test_region_reads.py records the cells
@@ -342,7 +343,8 @@ def _twisted_sums(form: _Expansion):
                     twist = twists.get(d)
                     if twist is None:
                         twist = twists[d] = chi.value(d) * Fraction(d) ** (k - 1)
-                    value = value + twist * ref
+                    if twist:
+                        value = value + twist * ref
             sums[key] = value
         return value
 
@@ -378,12 +380,9 @@ def _shifted_coeffs(phi: JacobiExpansion, l: int, out_n_max: int, total, out: di
     out_n_max = floor(n_max / l) or less, so every reference lies in phi's
     stored region (tests/test_region_reads.py checks it).  A cell with
     gcd(n, r, l) = 1 has the single term c(nl, r), which is stored as it
-    is; any other cell is the sum over the divisors a of gcd(n, r, l) with
-    gcd(a, N) = 1 and chi(a) != 0.
+    is; any other cell is the sum over every divisor a of gcd(n, r, l),
+    whose terms with chi(a) = 0 ``total`` leaves out.
     """
-    chi = phi.character
-    shifts = [a for a in divisors(l)
-              if gcd(a, phi.level) == 1 and not chi.value(a).is_zero()]
     get = phi._coeffs.get
     for n in range(out_n_max + 1):
         nl, g = n * l, gcd(n, l)
@@ -394,7 +393,7 @@ def _shifted_coeffs(phi: JacobiExpansion, l: int, out_n_max: int, total, out: di
                 if value is None:
                     continue
             else:
-                value = total([(a, (nl // (a * a), r // a)) for a in shifts if h % a == 0])
+                value = total([(a, (nl // (a * a), r // a)) for a in divisors(h)])
                 if not value:
                     continue
             out[(n, r) if m is None else (n, r, m)] = value

@@ -43,7 +43,7 @@ outside it are counted in the report as skipped.  So no reference leaves
 the box, and a cell with no stored coefficient is read as zero with no
 bound test; tests/test_region_reads.py records every cell read to prove
 it.  The lift and the engine sum their twisted divisor sums with
-:func:`~sklift.jacobi._twisted_sums`.
+:func:`~sklift.jacobi._twisted_sums`, which leaves out the chi(d) = 0 terms.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,6 +23,8 @@ from sklift.hecke import coset_representatives
 from sklift.jacobi import (
     BUILTIN_FORMS,
     JacobiExpansion,
+    _shifted_coeffs,
+    _twisted_sums,
     builtin_form,
     index_shift,
     mul_elliptic,
@@ -379,6 +382,17 @@ def test_index_shift_spot_value():
 def test_index_shift_requires_window():
     with pytest.raises(ValueError, match="n_max"):
         index_shift(builtin_form("phi10_1", 3), 4)
+
+
+def test_shift_kernel_reads_neither_level_nor_character():
+    # chi(d) = 0 is applied by the twisted-sum evaluator alone, so the
+    # kernel needs only the index and the coefficients of the form it shifts
+    phi = random_jacobi(9, 5, order4_table_character_mod5(), 24, random.Random(5))
+    stand_in = SimpleNamespace(index=phi.index, _coeffs=phi._coeffs)
+    for l in (2, 4, 5, 6):
+        out = {}
+        _shifted_coeffs(stand_in, l, 24 // l, _twisted_sums(phi), out)
+        assert out == dict(index_shift(phi, l).nonzero_items()), l
 
 
 def test_oracle_agreement_on_builtins():

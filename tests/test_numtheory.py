@@ -681,5 +681,5 @@ def test_cache_unwritable_dir_falls_back_to_memory(tmp_path, monkeypatch, capsys
     assert out == "".join(f"H 1 {n} {v.numerator}/{v.denominator}\n" for n, v in enumerate(values))
     assert err.count("cannot write the H cache") == 1, err
     assert err.startswith(f"warning: cannot write the H cache {blocker / 'cache' / 'cohen_h.txt'} (")
-    assert err.endswith("); keeping values in memory\n")
+    assert err.endswith("); the values are printed but not cached\n")
     assert blocker.read_text() == ""
